@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
 from .imsets import Imset, configuration, is_member_L_star, semi_elementary
 from .linalg import lp_feasible
+from .relations import Move
 from .supermodular import SetFunction
 
 SUM_TOL = 1e-12
@@ -341,17 +342,17 @@ def equivalence_3x3_check(ground: GroundSet | None = None) -> dict:
 
     # the difference of the two sides, as an elementary-coefficient vector,
     # is annihilated by the configuration
-    cfg = configuration(g)
-    coeffs = [0] * cfg.num_cols
+    coeffs = [0] * g.num_elementary
     for sign, side in ((1, (f"{a}|{b}|{c}", f"{a}|{c}|{d}", f"{a}|{d}|{b}")),
                        (-1, (f"{a}|{c}|{b}", f"{a}|{d}|{c}", f"{a}|{b}|{d}"))):
         for s in side:
             t = Triplet.parse(g, s)
             coeffs[ElementaryIndex.from_triplet(t).rank] += sign
-    kernel_ok = all(
-        sum(cfg.matrix[r][j] * coeffs[j] for j in range(cfg.num_cols)) == 0
-        for r in range(g.num_subsets)
-    )
+    try:
+        Move(g, tuple(coeffs))
+        kernel_ok = True
+    except ValueError:
+        kernel_ok = False
     return {
         "ok": three_three and expansion_1 and expansion_2 and kernel_ok,
         "three_three": three_three,

@@ -76,6 +76,10 @@ def _ground_of(data: dict, path: str) -> GroundSet:
     labels = data.get("ground") or data.get("labels")
     if labels is None:
         raise InputError(f"{path}: missing 'ground' (a string of labels)")
+    if not isinstance(labels, str) and not (
+        isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+    ):
+        raise InputError(f"{path}: 'ground' must be a string or a list of labels")
     return GroundSet("".join(labels))
 
 
@@ -96,7 +100,10 @@ def _load_imset(path: str) -> Imset:
         raise InputError(f"{path}: missing 'values' object")
     entries = {}
     for key, v in values.items():
-        iv = int(v)
+        try:
+            iv = int(v)
+        except (TypeError, OverflowError) as exc:
+            raise InputError(f"{path}: imset entries must be integers") from exc
         if iv != v:
             raise InputError(f"{path}: imset entries must be integers")
         entries[key] = iv

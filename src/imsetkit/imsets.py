@@ -10,6 +10,16 @@ rank in the graded set order.  The basic building blocks are
 Elementary imsets are the u_<a|b|C> with singleton a, b; collecting them as
 columns, ascending in the elementary order, gives the configuration matrix
 of the ground set.
+
+Every elementary column has exactly four nonzeros: +1 at abC and C, -1 at
+aC and bC.  elementary_columns(g) lists those four subset ranks per
+elementary rank; it is computed once per ground set (cached on the
+GroundSet, which hashes by its labels, so fresh GroundSet objects with the
+same labels share it).  Products of the configuration with a coefficient
+vector (elementary_combination), the configuration matrix itself and the
+kernel checks elsewhere all read this table, so an exact product costs
+O(4·nnz(z)) instead of O(2^n·|E(N)|).  The full configuration is cached
+per ground set as well; it is frozen and built of tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groundset import (
     ElementaryIndex,
@@ -201,22 +212,56 @@ class Configuration:
         return buf.getvalue()
 
 
+@lru_cache(maxsize=32)
+def elementary_columns(g: GroundSet) -> tuple:
+    """(abC, C, aC, bC) subset ranks of every elementary column, ascending
+    in the elementary order; u_<a|b|C> is +1 at the first two and -1 at the
+    last two."""
+    out = []
+    for a, b, c in g.elementary_triples:
+        ac, bc = c | (1 << a), c | (1 << b)
+        out.append(tuple(map(g.subset_rank, (ac | bc, c, ac, bc))))
+    return tuple(out)
+
+
+def elementary_combination(g: GroundSet, coeffs) -> list:
+    """Σ_j coeffs[j]·u_j over the elementary imsets in elementary order, as
+    a rank-indexed list of length 2^n (the configuration times coeffs)."""
+    out = [0] * g.num_subsets
+    for (abc, c, ac, bc), x in zip(elementary_columns(g), coeffs):
+        if x:
+            out[abc] += x
+            out[c] += x
+            out[ac] -= x
+            out[bc] -= x
+    return out
+
+
+@lru_cache(maxsize=32)
+def _full_configuration(g: GroundSet) -> "Configuration":
+    return configuration(g, enumerate_elementary(g))
+
+
 def configuration(g: GroundSet, columns=None) -> Configuration:
     """The configuration matrix; optionally restricted to given columns.
 
-    columns: list of ElementaryIndex (defaults to all of E(N) ascending).
+    columns: list of ElementaryIndex (defaults to all of E(N) ascending,
+    cached per ground set).
     """
-    if g.n < 2 and columns is None:
-        raise ValueError("configuration needs at least two variables")
     if columns is None:
-        columns = enumerate_elementary(g)
-    cols = []
-    for e in columns:
+        if g.n < 2:
+            raise ValueError("configuration needs at least two variables")
+        return _full_configuration(g)
+    columns = tuple(columns)
+    table = elementary_columns(g)
+    matrix = [[0] * len(columns) for _ in range(g.num_subsets)]
+    for j, e in enumerate(columns):
         if e.ground != g:
             raise ValueError("column over a different ground set")
-        cols.append(elementary_imset(e).values)
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(g.num_subsets))
-    return Configuration(g, tuple(columns), matrix)
+        abc, c, ac, bc = table[e.rank]
+        matrix[abc][j] = matrix[c][j] = 1
+        matrix[ac][j] = matrix[bc][j] = -1
+    return Configuration(g, columns, tuple(map(tuple, matrix)))
 
 
 def decompose_semi_elementary(t: Triplet):

@@ -9,7 +9,8 @@ lp_feasible decides {x >= 0 : Ax = b} with a phase-1-only primal simplex
 under Bland's anti-cycling rule, so answers are deterministic.  Feasible
 answers carry an exact witness; infeasible answers carry an exact Farkas
 certificate y with y^T A >= 0 componentwise and y^T b < 0.  Both are
-re-verified by substitution before returning.
+re-verified by substitution before returning; a failed re-check raises
+InvariantError, which (unlike assert) also runs under python -O.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+
+class InvariantError(RuntimeError):
+    """An exactness check on a computed result failed; the result is not
+    returned."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,8 @@ def rank(M) -> int:
             for j in range(c + 1, n):
                 num = pivot * row_i[j] - factor * row_r[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem != 0:
+                    raise InvariantError("Bareiss division must be exact")
                 row_i[j] = q
             row_i[c] = 0
         prev = pivot
@@ -177,7 +184,7 @@ def lp_feasible(A, b) -> LPFeasibility:
                     best = ratio
                     leave = i
         if leave is None:
-            raise AssertionError("phase-1 objective cannot be unbounded")
+            raise InvariantError("phase-1 objective cannot be unbounded")
         # pivot on (leave, enter)
         inv = 1 / tab[leave][enter]
         tab[leave] = [x * inv for x in tab[leave]]
@@ -198,9 +205,11 @@ def lp_feasible(A, b) -> LPFeasibility:
             if bv < n:
                 x[bv] = tab[i][width - 1]
         # exact re-substitution check
-        assert all(v >= 0 for v in x)
+        if any(v < 0 for v in x):
+            raise InvariantError("LP witness has a negative entry")
         for i in range(m):
-            assert sum(c * v for c, v in zip(orig_rows[i], x)) == orig_b[i]
+            if sum(c * v for c, v in zip(orig_rows[i], x)) != orig_b[i]:
+                raise InvariantError(f"LP witness violates row {i}")
         return LPFeasibility(True, tuple(x), None)
 
     # Farkas: y_i = 1 - (reduced cost of artificial i), undo the row flips
@@ -208,6 +217,8 @@ def lp_feasible(A, b) -> LPFeasibility:
     cert = [-flip[i] * y[i] for i in range(m)]
     # exact certificate check
     for j in range(n):
-        assert sum(cert[i] * orig_rows[i][j] for i in range(m)) >= 0
-    assert sum(cert[i] * orig_b[i] for i in range(m)) < 0
+        if sum(cert[i] * orig_rows[i][j] for i in range(m)) < 0:
+            raise InvariantError(f"Farkas certificate is negative on column {j}")
+    if sum(cert[i] * orig_b[i] for i in range(m)) >= 0:
+        raise InvariantError("Farkas certificate does not separate b")
     return LPFeasibility(False, None, tuple(cert))

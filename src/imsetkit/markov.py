@@ -25,6 +25,7 @@ import numpy as np
 
 from .groundset import GroundSet
 from .imsets import Configuration
+from .linalg import InvariantError, rank
 from .relations import BudgetError, Move, _normalize_orientation, symmetry_reduce
 
 MEMORY_BUDGET_BYTES = 2 << 30
@@ -131,7 +132,8 @@ def _connecting_moves_for_fiber(members, idx, num_cols, tie_break):
         # soundness: elements of distinct components never share a column,
         # so the connecting move has degree exactly d and joining the two
         # components leaves the fiber processed so far fully connected
-        assert sum(v for v in best if v > 0) == d
+        if sum(v for v in best if v > 0) != d:
+            raise InvariantError(f"connecting move has degree other than {d}")
         out.append(best)
         connected.extend(comp)
     return out
@@ -213,6 +215,4 @@ def markov_basis(cfg: Configuration, degree_cap: int, tie_break: str = "least") 
 
 
 def _kernel_trivial(cfg: Configuration) -> bool:
-    from .linalg import rank
-
     return rank(cfg.matrix) == cfg.num_cols

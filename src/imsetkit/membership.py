@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .groundset import ElementaryIndex, GroundSet, popcount
-from .imsets import Imset, configuration, elementary_imset, inner, is_member_L_star
+from .imsets import Imset, configuration, elementary_columns, inner, is_member_L_star
 from .linalg import lp_feasible
 from .supermodular import SetFunction
 
@@ -72,33 +74,21 @@ class MembershipResult:
         }
 
 
+@lru_cache(maxsize=32)
 def _blocks_by_conditioning(g: GroundSet):
     """elementary ranks grouped by the subset rank of their conditioning
-    set."""
+    set; cached per ground set."""
     blocks = {}
     for j, (_, _, c_mask) in enumerate(g.elementary_triples):
         blocks.setdefault(g.subset_rank(c_mask), []).append(j)
-    return blocks
+    return MappingProxyType({r: tuple(js) for r, js in blocks.items()})
 
 
-def _superset_inner_data(g: GroundSet, u: Imset):
-    """Pruning data for the search: for every T with |T| >= 2, the inner
-    product <1_{T ⊆ ·}, u>, plus the T-indices each elementary column
-    contributes 1 to.
-
-    Superset indicators are supermodular, so their inner product with any
-    elementary imset is 0 or 1; a nonnegative combination therefore keeps
-    every such inner product nonnegative, and so does every residual along
-    a valid witness prefix.  A residual with a negative entry can never be
-    completed and the branch is cut."""
-    t_masks = [m for m in g.masks_graded if popcount(m) >= 2]
-    sums = []
-    for t_mask in t_masks:
-        s = 0
-        for r, v in enumerate(u.values):
-            if v and g.mask_of_rank(r) & t_mask == t_mask:
-                s += v
-        sums.append(s)
+@lru_cache(maxsize=32)
+def _superset_hits(g: GroundSet):
+    """The masks T with |T| >= 2, and per elementary column the indices of
+    the T that it contributes 1 to; cached per ground set."""
+    t_masks = tuple(m for m in g.masks_graded if popcount(m) >= 2)
     hits = []
     for a_bit, b_bit, c_mask in g.elementary_triples:
         abc = (1 << a_bit) | (1 << b_bit) | c_mask
@@ -115,6 +105,22 @@ def _superset_inner_data(g: GroundSet, u: Imset):
             if val:
                 row.append(ti)
         hits.append(tuple(row))
+    return t_masks, tuple(hits)
+
+
+def _superset_inner_data(g: GroundSet, u: Imset):
+    """Pruning data for the search: for every T with |T| >= 2, the inner
+    product <1_{T ⊆ ·}, u>, plus the T-indices each elementary column
+    contributes 1 to.
+
+    Superset indicators are supermodular, so their inner product with any
+    elementary imset is 0 or 1; a nonnegative combination therefore keeps
+    every such inner product nonnegative, and so does every residual along
+    a valid witness prefix.  A residual with a negative entry can never be
+    completed and the branch is cut."""
+    t_masks, hits = _superset_hits(g)
+    support = list(u.items())
+    sums = [sum(v for mask, v in support if mask & t_mask == t_mask) for t_mask in t_masks]
     return sums, hits
 
 
@@ -123,12 +129,11 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=()):
     one per multiset of elementary imsets, in nondecreasing-sequence
     order; columns in `excluded` are never used."""
     g = u.ground
-    cfg = configuration(g)
-    columns = [cfg.column_vector(j) for j in range(cfg.num_cols)]
+    table = elementary_columns(g)
     blocks = _blocks_by_conditioning(g)
     excluded = frozenset(excluded)
     residual = list(u.values)
-    counts = [0] * cfg.num_cols
+    counts = [0] * g.num_elementary
     sums, hits = _superset_inner_data(g, u)
     if any(s < 0 for s in sums):
         return []
@@ -161,14 +166,18 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=()):
                 for ti in hits[j]:
                     sums[ti] += 1
                 continue
-            col = columns[j]
-            for i, v in enumerate(col):
-                residual[i] -= v
+            abc, c, ac, bc = table[j]
+            residual[abc] -= 1
+            residual[c] -= 1
+            residual[ac] += 1
+            residual[bc] += 1
             counts[j] += 1
             rec(j)
             counts[j] -= 1
-            for i, v in enumerate(col):
-                residual[i] += v
+            residual[abc] += 1
+            residual[c] += 1
+            residual[ac] -= 1
+            residual[bc] -= 1
             for ti in hits[j]:
                 sums[ti] += 1
 

@@ -22,15 +22,25 @@ cyclic 3x3 exchange
 relations one of whose sides contains a full side of a basic move, and a
 residual class "other".  enumerate_small_relations machine-checks the
 taxonomy by brute force within explicit bounds.
+
+Kernel checks never build the dense configuration: Move scatters its
+nonzero coefficients through the four-rank column table of
+imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
+vectors and the pivot move reduce_to_basis uses for each leading rank are
+computed once per ground set and cached as tuples or read-only maps (keyed
+by the GroundSet, which hashes by its labels); basic_moves hands out a
+fresh list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks
-from .imsets import Imset, configuration
+from .imsets import Imset, elementary_combination
 from .membership import _dfs_witnesses
 
 
@@ -54,11 +64,8 @@ class Move:
             raise ValueError("move coefficients must be integers")
         if sum(self.coeffs) != 0:
             raise ValueError("move coefficients must sum to zero")
-        cfg = configuration(g)
-        for r in range(g.num_subsets):
-            row = cfg.matrix[r]
-            if sum(row[j] * c for j, c in enumerate(self.coeffs) if c) != 0:
-                raise ValueError("not a kernel vector of the configuration")
+        if any(elementary_combination(g, self.coeffs)):
+            raise ValueError("not a kernel vector of the configuration")
 
     @property
     def is_zero(self) -> bool:
@@ -98,10 +105,18 @@ def _rank_of(g: GroundSet, x: int, y: int, c_mask: int) -> int:
 def basic_moves(g: GroundSet) -> list:
     """All 2x2 moves δ_<a|b1|C> + δ_<a|b2|b1C> - δ_<a|b2|C> - δ_<a|b1|b2C>
     over ordered distinct (a, b1, b2) and C ⊆ N∖{a,b1,b2}; includes each
-    vector together with its negation (swap b1, b2)."""
+    vector together with its negation (swap b1, b2).  A fresh list of the
+    per-ground-set cached moves."""
+    return list(_basic_move_table(g).values())
+
+
+@lru_cache(maxsize=32)
+def _basic_move_table(g: GroundSet):
+    """Read-only map (a, b1, b2, C mask) -> basic move, in basic_moves
+    order."""
     if g.n < 3:
         raise ValueError("no kernel relations exist with fewer than 3 variables")
-    out = []
+    out = {}
     for a in range(g.n):
         for b1 in range(g.n):
             for b2 in range(g.n):
@@ -114,15 +129,36 @@ def basic_moves(g: GroundSet) -> list:
                     coeffs[_rank_of(g, a, b2, c_mask | (1 << b1))] += 1
                     coeffs[_rank_of(g, a, b2, c_mask)] -= 1
                     coeffs[_rank_of(g, a, b1, c_mask | (1 << b2))] -= 1
-                    out.append(Move(g, tuple(coeffs)))
-    return out
+                    out[(a, b1, b2, c_mask)] = Move(g, tuple(coeffs))
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=32)
+def _pivot_table(g: GroundSet) -> tuple:
+    """Per elementary rank j of <a|b|C>: the one basic move whose least
+    nonzero is +1 at j and whose other three terms come strictly later,
+    with its nonzero (rank, coeff) pairs; None when the two largest labels
+    outside C are a and b, which cannot lead a kernel vector."""
+    moves = _basic_move_table(g)
+    out = []
+    for a, b, c_mask in g.elementary_triples:
+        alpha, beta = bit_indices(g.full_mask & ~c_mask)[-2:]
+        if b < beta:
+            move = moves[(a, b, beta, c_mask)]
+        elif a < alpha:
+            move = moves[(b, a, alpha, c_mask)]
+        else:
+            out.append(None)
+            continue
+        out.append((move, tuple((j, mc) for j, mc in enumerate(move.coeffs) if mc)))
+    return tuple(out)
 
 
 def reduce_to_basis(z: Move) -> list:
     """Write z as an exact integer combination of basic moves, returned as
     (basic move, coefficient) pairs in elimination order."""
     g = z.ground
-    basis = {m.coeffs: m for m in basic_moves(g)}
+    pivots = _pivot_table(g)
     vec = list(z.coeffs)
     out = []
     guard = 0
@@ -137,35 +173,23 @@ def reduce_to_basis(z: Move) -> list:
         guard += 1
         if guard > g.num_elementary:
             raise RuntimeError("reduction did not terminate")
-        a, b, c_mask = g.elementary_triples[lead]
-        rest = bit_indices(g.full_mask & ~c_mask)
-        beta = rest[-1]
-        alpha = rest[-2]
-        coeffs = [0] * g.num_elementary
-        if b < beta:
-            coeffs[_rank_of(g, a, b, c_mask)] += 1
-            coeffs[_rank_of(g, a, beta, c_mask | (1 << b))] += 1
-            coeffs[_rank_of(g, a, beta, c_mask)] -= 1
-            coeffs[_rank_of(g, a, b, c_mask | (1 << beta))] -= 1
-        elif b == beta and a < alpha:
-            coeffs[_rank_of(g, a, b, c_mask)] += 1
-            coeffs[_rank_of(g, alpha, b, c_mask | (1 << a))] += 1
-            coeffs[_rank_of(g, alpha, b, c_mask)] -= 1
-            coeffs[_rank_of(g, a, b, c_mask | (1 << alpha))] -= 1
-        else:
-            # the two largest labels outside C cannot lead a kernel vector
+        pivot = pivots[lead]
+        if pivot is None:
             raise RuntimeError(f"irreducible leading term at rank {lead}")
-        move = basis[tuple(coeffs)]
+        move, support = pivot
         c = vec[lead]
-        for j, mc in enumerate(coeffs):
-            if mc:
-                vec[j] -= c * mc
+        for j, mc in support:
+            vec[j] -= c * mc
         out.append((move, c))
 
 
-def _cyclic_moves(g: GroundSet) -> list:
-    """One vector per cyclic 3x3 relation (both cycle orientations)."""
-    out = []
+@lru_cache(maxsize=32)
+def _cyclic_moves(g: GroundSet):
+    """One vector per cyclic 3x3 relation (both cycle orientations), as a
+    read-only map (a, b1, b2, b3, C mask) -> coefficients of
+    u_<a|b1|b2C> + u_<a|b2|b3C> + u_<a|b3|b1C>
+      - u_<a|b2|b1C> - u_<a|b3|b2C> - u_<a|b1|b3C>."""
+    out = {}
     for trio in combinations(range(g.n), 3):
         for a in range(g.n):
             if a in trio:
@@ -180,8 +204,8 @@ def _cyclic_moves(g: GroundSet) -> list:
                     coeffs[_rank_of(g, a, b2, c_mask | (1 << b1))] -= 1
                     coeffs[_rank_of(g, a, b3, c_mask | (1 << b2))] -= 1
                     coeffs[_rank_of(g, a, b1, c_mask | (1 << b3))] -= 1
-                    out.append(tuple(coeffs))
-    return out
+                    out[(a, b1, b2, b3, c_mask)] = tuple(coeffs)
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
@@ -245,7 +269,7 @@ def classify_relation(z: Move) -> RelationForm:
             classification = "two-by-two-semigraphoid"
             break
     if classification is None:
-        for cyc in _cyclic_moves(g):
+        for cyc in _cyclic_moves(g).values():
             if _is_positive_multiple(z.coeffs, cyc):
                 classification = "three-by-three-cyclic"
                 break
@@ -268,8 +292,7 @@ def enumerate_small_relations(
     classified; exhaustive within the bounds."""
     if k_max < 2:
         raise ValueError("a relation needs at least two imsets on a side")
-    cfg = configuration(g)
-    columns = [cfg.column_vector(j) for j in range(cfg.num_cols)]
+    num_cols = g.num_elementary
     seen = {}
 
     def coeff_tuples(k):
@@ -288,21 +311,16 @@ def enumerate_small_relations(
         yield from rec([])
 
     for k in range(2, k_max + 1):
-        for support in combinations(range(cfg.num_cols), k):
+        for support in combinations(range(num_cols), k):
             support_set = set(support)
             for alphas in coeff_tuples(k):
-                target = [0] * g.num_subsets
+                side = [0] * num_cols
                 for j, a in zip(support, alphas):
-                    for r, v in enumerate(columns[j]):
-                        target[r] += a * v
-                u = Imset(g, tuple(target))
+                    side[j] = a
+                u = Imset(g, tuple(elementary_combination(g, side)))
                 for witness in _dfs_witnesses(u, excluded=support_set):
-                    coeffs = [0] * cfg.num_cols
-                    for j, a in zip(support, alphas):
-                        coeffs[j] += a
-                    for j, c in enumerate(witness):
-                        coeffs[j] -= c
-                    z = _normalize_orientation(Move(g, tuple(coeffs)))
+                    coeffs = tuple(s - w for s, w in zip(side, witness))
+                    z = _normalize_orientation(Move(g, coeffs))
                     if z.coeffs not in seen:
                         seen[z.coeffs] = z
     forms = [classify_relation(z) for z in seen.values()]

@@ -32,7 +32,6 @@ from .faces import (
     verify_face_theorem,
 )
 from .groundset import (
-    ElementaryIndex,
     GroundSet,
     Triplet,
     enumerate_elementary,
@@ -52,6 +51,7 @@ from .markov import markov_basis
 from .membership import classify, combinatorial_decompositions
 from .relations import (
     Move,
+    _cyclic_moves,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -75,23 +75,6 @@ from .supermodular import (
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _cyclic_move(g: GroundSet, a: str, b1: str, b2: str, b3: str) -> Move:
-    """The 3x3 kernel vector u_<a|b1|b2> + u_<a|b2|b3> + u_<a|b3|b1>
-    - u_<a|b2|b1> - u_<a|b3|b2> - u_<a|b1|b3>."""
-    coeffs = [0] * g.num_elementary
-    for sign, x, y, c in (
-        (1, a, b1, b2),
-        (1, a, b2, b3),
-        (1, a, b3, b1),
-        (-1, a, b2, b1),
-        (-1, a, b3, b2),
-        (-1, a, b1, b3),
-    ):
-        t = Triplet.parse(g, f"{x}|{y}|{c}")
-        coeffs[ElementaryIndex.from_triplet(t).rank] += sign
-    return Move(g, tuple(coeffs))
 
 
 def _markov_chain_table() -> JointTable:
@@ -365,7 +348,8 @@ def criterion_lattice_reduction():
                 total[j] += c * v
         if tuple(total) != z.coeffs:
             return False, f"trial {trial}: reduction does not re-sum"
-    z = _cyclic_move(g, "a", "b", "c", "d")
+    # u_<a|b|c> + u_<a|c|d> + u_<a|d|b> - u_<a|c|b> - u_<a|d|c> - u_<a|b|d>
+    z = Move(g, _cyclic_moves(g)[(0, 1, 2, 3, 0)])
     combo = reduce_to_basis(z)
     total = [0] * g.num_elementary
     for m, c in combo:

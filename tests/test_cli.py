@@ -3,6 +3,8 @@ output formats, and exit codes."""
 
 import json
 
+import pytest
+
 from imsetkit.cli import main
 from imsetkit.groundset import GroundSet, Triplet
 from imsetkit.imsets import Imset, configuration, semi_elementary
@@ -238,6 +240,26 @@ def test_exit_codes(capsys, tmp_path):
 
     # missing file
     code, _ = run(capsys, "skeletal", str(tmp_path / "absent.json"))
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("classify-imset", {"ground": 4, "values": {"ab": 1}}),
+        ("classify-imset", {"ground": ["a", 2], "values": {"ab": 1}}),
+        ("classify-imset", {"labels": {"a": 1}, "values": {"ab": 1}}),
+        ("classify-imset", {"ground": "abcd", "values": {"ab": [1]}}),
+        ("classify-imset", {"ground": "abcd", "values": {"ab": {}}}),
+        ("classify-imset", {"ground": "abcd", "values": {"ab": None}}),
+        ("classify-imset", {"ground": "abcd", "values": {"ab": float("inf")}}),
+        ("skeletal", {"ground": 4, "values": {"ab": 1}}),
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, command, body):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(body))
+    code, _ = run(capsys, command, str(path))
     assert code == 2
 
 

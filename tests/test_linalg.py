@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary
 from imsetkit.imsets import configuration, delta, elementary_imset, inner, semi_elementary
+import imsetkit
 from imsetkit.linalg import RationalMatrix, lp_feasible, rank, solve
 
 
@@ -108,3 +113,41 @@ def test_lp_determinism_and_random_instances():
         r2 = lp_feasible(A, b)
         assert r1 == r2  # deterministic, including the witness
         # witness/certificate re-verification happens inside lp_feasible
+
+
+_OPTIMIZE_SCRIPT = """
+from fractions import Fraction
+from imsetkit import linalg
+from imsetkit.groundset import GroundSet, Triplet
+from imsetkit.imsets import configuration, semi_elementary
+
+cfg = configuration(GroundSet(4))
+u = semi_elementary(Triplet.parse(GroundSet(4), "ab|cd|0"))
+print(linalg.rank(cfg.matrix), linalg.rank([[Fraction(1, 2), 1], [1, 2]]))
+print(linalg.lp_feasible(cfg.matrix, u.values))
+print(linalg.lp_feasible([[1, 1]], [-1]))
+# an inexact Bareiss division must still be caught
+linalg.divmod = lambda a, b: (a // b, 1)
+try:
+    linalg.rank([[2, 1], [1, 3]])
+    print("unchecked")
+except linalg.InvariantError:
+    print("checked")
+"""
+
+
+def test_exact_checks_survive_python_O():
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _OPTIMIZE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    lines = outs[1].splitlines()
+    assert lines[0] == "11 1"
+    assert "feasible=True" in lines[1] and "feasible=False" in lines[2]
+    assert lines[3] == "checked"

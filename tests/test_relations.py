@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet
-from imsetkit.imsets import configuration
+from imsetkit.imsets import configuration, elementary_combination
 from imsetkit.relations import (
     Move,
     basic_moves,
@@ -64,6 +65,46 @@ def test_basic_moves_counts_and_kernel():
     g = GroundSet(4)
     vecs = {m.coeffs for m in basic_moves(g)}
     assert all(tuple(-c for c in v) in vecs for v in vecs)
+
+
+def test_basic_moves_returns_a_fresh_list():
+    first = basic_moves(GroundSet(4))
+    want = list(first)
+    first.clear()
+    assert basic_moves(GroundSet(4)) == want
+
+
+@st.composite
+def coefficient_vectors(draw):
+    """(ground set, coefficients) at n = 3..6: a random combination of basic
+    moves (a kernel vector), plus optional sum-preserving perturbations
+    +d at one column and -d at another (usually not a kernel vector)."""
+    g = GroundSet(draw(st.integers(3, 6)))
+    basics = basic_moves(g)
+    ne = g.num_elementary
+    coeffs = [0] * ne
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(basics) - 1), st.integers(-4, 4)), max_size=4)):
+        for j, v in enumerate(basics[i].coeffs):
+            coeffs[j] += c * v
+    for j, k, d in draw(st.lists(st.tuples(st.integers(0, ne - 1), st.integers(0, ne - 1), st.integers(-3, 3)), max_size=2)):
+        coeffs[j] += d
+        coeffs[k] -= d
+    return g, tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_vectors())
+def test_sparse_kernel_check_matches_dense_product(case):
+    # the dense configuration product is the oracle for the sparse one
+    g, coeffs = case
+    dense = [sum(v * c for v, c in zip(row, coeffs)) for row in configuration(g).matrix]
+    assert elementary_combination(g, coeffs) == dense
+    try:
+        Move(g, coeffs)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (not any(dense))
 
 
 def test_kernel_dimension():
