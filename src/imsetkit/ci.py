@@ -12,8 +12,11 @@ testing is tolerance-based on floats while the imset side of the theory
 stays exact.
 
 A structural imset u induces the CI model {t : some positive multiple of u
-minus u_t stays a combination of elementary imsets}; that membership is an
-exact LP over the configuration columns.
+minus u_t stays a combination of elementary imsets}.  By the face theorem
+(u_t lies in the relative interior of the face spanned by E_t), t is in the
+model exactly when every elementary imset of E_t lies in the least face of
+u, so the model is read off that one certified face (faces.certify_face)
+rather than decided by one LP per triplet.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 
+from .faces import extreme_set, face_of_structural
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
 from .imsets import Imset, configuration, is_member_L_star, semi_elementary
 from .linalg import lp_feasible
@@ -291,20 +295,14 @@ def ci_model_of_imset(u: Imset) -> CIModel:
 
     t is in the model iff u_t can be extracted from a positive multiple of
     u: exists mu, lambda >= 0 with mu*u - Σ lambda_w w = u_t over the
-    elementary imsets w.  Exact LP per canonical triplet.
+    elementary imsets w.  Since u_t lies in the relative interior of the
+    face spanned by E_t = extreme_set(t), that holds iff E_t lies in the
+    least face F(u) of u.  F(u) is computed once, with an exact reason per
+    elementary column (faces.certify_face), and the model is read off it.
     """
     g = u.ground
-    if not is_structural(u):
-        raise ValueError("imset is not structural")
-    cfg = configuration(g)
-    # columns: [u | -w for w in E(N)]
-    nrows = g.num_subsets
-    cols = [list(u.values)] + [[-v for v in cfg.column_vector(j)] for j in range(cfg.num_cols)]
-    A = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
-    stmts = []
-    for t in enumerate_triplets(g):
-        if lp_feasible(A, semi_elementary(t).values).feasible:
-            stmts.append(t)
+    face = {e.rank for e in face_of_structural(u)}
+    stmts = [t for t in enumerate_triplets(g) if all(e.rank in face for e in extreme_set(t))]
     return CIModel.from_triplets(g, stmts)
 
 

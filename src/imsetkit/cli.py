@@ -89,7 +89,10 @@ def _load_set_function(path: str) -> SetFunction:
     values = data.get("values")
     if not isinstance(values, dict):
         raise InputError(f"{path}: missing 'values' object")
-    return SetFunction.from_dict(g, values)
+    try:
+        return SetFunction.from_dict(g, values)
+    except (TypeError, OverflowError) as exc:
+        raise InputError(f"{path}: set-function values must be numbers or 'p/q' strings") from exc
 
 
 def _load_imset(path: str) -> Imset:
@@ -115,7 +118,12 @@ def _load_move(path: str) -> Move:
     g = _ground_of(data, path)
     if "lhs" not in data and "rhs" not in data:
         raise InputError(f"{path}: a move needs 'lhs'/'rhs' objects")
-    return Move.from_json(g, data)
+    if not all(isinstance(data.get(side, {}), dict) for side in ("lhs", "rhs")):
+        raise InputError(f"{path}: 'lhs' and 'rhs' must be objects of multiplicities")
+    try:
+        return Move.from_json(g, data)
+    except (TypeError, OverflowError) as exc:
+        raise InputError(f"{path}: move multiplicities must be integers") from exc
 
 
 def _load_table(path: str) -> JointTable:
@@ -339,8 +347,8 @@ def _cmd_closure(args) -> int:
     data = _load_json(args.statements)
     g = _ground_of(data, args.statements)
     stmts = data.get("statements")
-    if not isinstance(stmts, list):
-        raise InputError(f"{args.statements}: missing 'statements' list")
+    if not isinstance(stmts, list) or not all(isinstance(s, str) for s in stmts):
+        raise InputError(f"{args.statements}: missing 'statements' list of strings")
     model = semigraphoid_closure(g, stmts)
     payload = {
         "command": "closure",

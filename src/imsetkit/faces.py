@@ -11,11 +11,18 @@ M_<A|B|C> of 0/1-valued supermodular functions (four indicator families of
 total size 2^n - (2^|A|-1)(2^|B|-1)): an elementary imset belongs to the
 face iff it is orthogonal to every member of M, and every outsider is
 separated by some member with inner product exactly 1.
+
+For any structural imset u, certify_face finds the least face F(u)
+containing u: every elementary imset is put inside with an LP witness or
+outside with a separating functional (an indicator from the families above
+or a Farkas certificate), using a handful of exact LPs instead of one per
+elementary imset.  CI models are read off that face (ci.ci_model_of_imset).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groundset import (
     ElementaryIndex,
@@ -25,8 +32,17 @@ from .groundset import (
     iter_submasks,
     popcount,
 )
-from .imsets import Configuration, Imset, configuration, elementary_imset, inner, semi_elementary
-from .linalg import RationalMatrix, lp_feasible, rank
+from .imsets import (
+    Configuration,
+    Imset,
+    configuration,
+    elementary_columns,
+    elementary_combination,
+    elementary_imset,
+    inner,
+    is_member_L_star,
+)
+from .linalg import InvariantError, RationalMatrix, lp_feasible, rank
 from .supermodular import SetFunction
 
 
@@ -187,27 +203,119 @@ def verify_face_theorem(t: Triplet) -> dict:
     }
 
 
-def face_of_structural(u: Imset) -> list:
-    """Extreme rays of the least face containing a structural imset u: the
-    elementary v with mu*u - v in the cone for some mu >= 0 (exact LP per
-    elementary imset)."""
-    from .ci import is_structural
+def _on_column(f, column) -> int:
+    """<f, w> for the elementary column w given by its (abC, C, aC, bC)
+    ranks; f is a rank-indexed value sequence."""
+    abc, c, ac, bc = column
+    return f[abc] + f[c] - f[ac] - f[bc]
 
+
+@lru_cache(maxsize=32)
+def _indicator_cuts(g: GroundSet) -> tuple:
+    """(f, ranks) for every superset indicator 1_{T⊆·} and subset indicator
+    1_{·⊆T} that is positive on some elementary column: f's values and the
+    ranks of the columns w with <f, w> > 0.  Both families are supermodular,
+    so each f is nonnegative on every elementary imset."""
+    table = elementary_columns(g)
+    out = []
+    for mask in g.masks_graded:
+        for f in (_superset_indicator(g, mask), _subset_indicator(g, mask)):
+            ranks = tuple(j for j, col in enumerate(table) if _on_column(f.values, col) > 0)
+            if ranks:
+                out.append((f.values, ranks))
+    return tuple(out)
+
+
+def certify_face(u: Imset) -> tuple:
+    """Decide every elementary column for the least face F(u) of a
+    structural imset u, each with an exact reason.
+
+    Returns (inside, outside), two dicts keyed by elementary rank that
+    together cover E(N):
+
+    * inside[k] = (mu, lam): lam >= 0 over E(N) with lam[k] > 0 and
+      Σ_j lam[j]·u_j = mu·u, so mu·u - lam[k]·u_k stays in the cone;
+    * outside[k] = f, a rank-indexed functional with <f, w> >= 0 for every
+      elementary w, <f, u> = 0 and <f, u_k> > 0, so the face {<f, ·> = 0}
+      contains u but not u_k.
+
+    The reasons come in three kinds, found in this order:
+
+    1. Base LP.  Σ lam_j u_j = u (the structural test); every column of
+       positive weight is inside.  An infeasible LP, or u outside the
+       lattice, raises ValueError.
+    2. Indicators, no LP.  Superset indicators 1_{T⊆·} and subset
+       indicators 1_{·⊆T} are supermodular; each one orthogonal to u puts
+       the columns it is positive on outside.
+    3. LP harvest.  Let s be the sum of the still undecided columns and
+       solve mu·u - Σ lam_j u_j = s over mu, lam >= 0.  A witness puts
+       every summand of s inside (faces are closed under taking summands),
+       together with every column of positive weight.  A Farkas certificate
+       y gives f = -y with <f, u> = 0 < <f, s>, which puts every column f
+       is positive on outside, at least one summand of s among them.
+       Repeat until nothing is undecided.
+
+    LP answers are re-verified exactly inside lp_feasible; a column marked
+    both ways, or a Farkas functional not orthogonal to u, raises
+    InvariantError (also under python -O).
+    """
     g = u.ground
-    if not is_structural(u):
+    base = is_member_L_star(u) and lp_feasible(configuration(g).matrix, u.values)
+    if not (base and base.feasible):
         raise ValueError("imset is not structural")
     cfg = configuration(g)
-    nrows = g.num_subsets
-    cols = [list(u.values)] + [
-        [-v for v in cfg.column_vector(j)] for j in range(cfg.num_cols)
-    ]
-    A = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
-    out = []
-    for e_rank in range(g.num_elementary):
-        e = ElementaryIndex.from_rank(g, e_rank)
-        if lp_feasible(A, elementary_imset(e).values).feasible:
-            out.append(e)
-    return out
+    table = elementary_columns(g)
+    nonzero = [(r, v) for r, v in enumerate(u.values) if v]
+    inside, outside = {}, {}
+
+    def include(mu, lam):
+        for k, x in enumerate(lam):
+            if x > 0:
+                if k in outside:
+                    raise InvariantError(f"column {k} certified both in and out of the face")
+                inside.setdefault(k, (mu, lam))
+
+    def exclude(f, ranks):
+        for k in ranks:
+            if k in inside:
+                raise InvariantError(f"column {k} certified both in and out of the face")
+            outside.setdefault(k, f)
+
+    include(1, base.witness)
+    for f, ranks in _indicator_cuts(g):
+        if sum(f[r] * v for r, v in nonzero) == 0:
+            exclude(f, ranks)
+    # columns [u | -u_j for u_j in E(N)]
+    A = [(x,) + tuple(-y for y in row) for x, row in zip(u.values, cfg.matrix)]
+    while True:
+        # one LP for the sum of every still undecided column at once
+        undecided = [int(j not in inside and j not in outside) for j in range(len(table))]
+        if not any(undecided):
+            break
+        lp = lp_feasible(A, elementary_combination(g, undecided))
+        if lp.feasible:
+            mu, *lam = lp.witness
+            include(mu, tuple(x + d for x, d in zip(lam, undecided)))
+        else:
+            f = tuple(-y for y in lp.certificate)
+            if sum(f[r] * v for r, v in nonzero) != 0:
+                raise InvariantError("Farkas functional is not orthogonal to u")
+            exclude(f, [k for k, col in enumerate(table) if _on_column(f, col) > 0])
+    return inside, outside
+
+
+def face_of_structural(u: Imset) -> list:
+    """Extreme rays of the least face F(u) containing a structural imset u:
+    the elementary v with mu*u - v in the cone for some mu >= 0, ascending
+    by rank.
+
+    Every column is decided by certify_face with an exact reason: an LP
+    witness for each ray returned, and for each ray left out a superset or
+    subset indicator or a Farkas functional f with <f, u> = 0 < <f, v>.
+    Raises ValueError for an imset that is not structural.
+    """
+    inside, _ = certify_face(u)
+    return [ElementaryIndex.from_rank(u.ground, k) for k in sorted(inside)]
 
 
 def subconfiguration(t: Triplet) -> Configuration:

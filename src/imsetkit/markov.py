@@ -161,7 +161,7 @@ def markov_basis(cfg: Configuration, degree_cap: int, tie_break: str = "least") 
     cols_np = np.array(cfg.matrix, dtype=np.int8)  # (num_rows, num_cols)
     num_rows, num_cols = cols_np.shape
 
-    raw_by_degree = {}
+    # every degree is checked against the budget before any index is built
     for d in range(2, degree_cap + 1):
         estimate = _estimate_bytes(num_cols, num_rows, d)
         if estimate > MEMORY_BUDGET_BYTES:
@@ -169,6 +169,9 @@ def markov_basis(cfg: Configuration, degree_cap: int, tie_break: str = "least") 
                 f"degree {d} needs about {estimate >> 20} MiB, over the "
                 f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
             )
+
+    raw_by_degree = {}
+    for d in range(2, degree_cap + 1):
         idx = _multiset_index_array(num_cols, d)
         sums = cols_np[:, idx[:, 0]].astype(np.int8)
         for t in range(1, d):

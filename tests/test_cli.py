@@ -89,6 +89,18 @@ def test_ci_model_of_imset_excludes_last_generator(capsys, tmp_path):
     assert "a|b|cd" not in data["statements"]
 
 
+def test_ci_model_of_imset_n5(capsys, tmp_path):
+    g = GroundSet(5)
+    t = Triplet.parse(g, "abc|de|0")
+    u = semi_elementary(t)
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"ground": "abcde", "values": u.to_dict()}))
+    code, data = run_json(capsys, "ci-model", "--imset", str(path))
+    assert code == 0
+    assert data["ground"] == "abcde"
+    assert str(t) in data["statements"]
+
+
 def test_face_of_four_generators(capsys, tmp_path):
     path = tmp_path / "u.json"
     write_four_generator_imset(path)
@@ -254,6 +266,9 @@ def test_exit_codes(capsys, tmp_path):
         ("classify-imset", {"ground": "abcd", "values": {"ab": None}}),
         ("classify-imset", {"ground": "abcd", "values": {"ab": float("inf")}}),
         ("skeletal", {"ground": 4, "values": {"ab": 1}}),
+        ("skeletal", {"ground": "abc", "values": {"ab": [1]}}),
+        ("reduce", {"ground": "abcd", "lhs": [1], "rhs": {}}),
+        ("closure", {"ground": "abcd", "statements": [1]}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

@@ -1,8 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import imsetkit
+from imsetkit.ci import CIModel, ci_model_of_imset
 from imsetkit.faces import (
+    certify_face,
     extreme_rank,
     extreme_set,
     face_description,
@@ -20,7 +28,16 @@ from imsetkit.groundset import (
     enumerate_triplets,
     popcount,
 )
-from imsetkit.imsets import Imset, elementary_imset, inner, semi_elementary
+from imsetkit.imsets import (
+    Imset,
+    configuration,
+    elementary_columns,
+    elementary_combination,
+    elementary_imset,
+    inner,
+    semi_elementary,
+)
+from imsetkit.linalg import lp_feasible
 from imsetkit.supermodular import is_supermodular
 
 
@@ -144,6 +161,113 @@ def test_face_of_structural_rejects_non_structural():
     g = GroundSet(3)
     with pytest.raises(ValueError):
         face_of_structural(Imset.from_dict(g, {"abc": 1, "0": -1}))
+
+
+def lp_oracle(u):
+    """CI model and face of u by one exact LP per canonical triplet and one
+    per elementary column over the columns [u | -w for w in E(N)]."""
+    g = u.ground
+    cfg = configuration(g)
+    A = [[x] + [-y for y in row] for x, row in zip(u.values, cfg.matrix)]
+    model = CIModel.from_triplets(
+        g, [t for t in enumerate_triplets(g) if lp_feasible(A, semi_elementary(t).values).feasible]
+    )
+    face = [j for j in range(g.num_elementary) if lp_feasible(A, cfg.column_vector(j)).feasible]
+    return model, face
+
+
+def certified_face_ranks(u):
+    """Ranks of F(u) from certify_face, after re-checking every reason."""
+    g = u.ground
+    inside, outside = certify_face(u)
+    assert sorted(inside.keys() | outside.keys()) == list(range(g.num_elementary))
+    assert not inside.keys() & outside.keys()
+    for k, (mu, lam) in inside.items():
+        assert min(lam) >= 0 and lam[k] > 0
+        assert elementary_combination(g, lam) == [mu * x for x in u.values]
+    for k, f in outside.items():
+        on = [f[abc] + f[c] - f[ac] - f[bc] for abc, c, ac, bc in elementary_columns(g)]
+        assert min(on) >= 0 and on[k] > 0
+        assert sum(x * y for x, y in zip(f, u.values)) == 0
+    return sorted(inside)
+
+
+@st.composite
+def elementary_sums_n4(draw):
+    """A multiple (1..3) of a sum of 1-4 distinct elementary imsets at n=4."""
+    g = GroundSet(4)
+    column = st.integers(0, g.num_elementary - 1)
+    ranks = draw(st.lists(column, min_size=1, max_size=4, unique=True))
+    u = Imset.zero(g)
+    for k in ranks:
+        u = u + elementary_imset(ElementaryIndex.from_rank(g, k))
+    return u.scale(draw(st.integers(1, 3)))
+
+
+_G4 = GroundSet(4)
+
+
+def elementary_sum(g, *names):
+    u = Imset.zero(g)
+    for name in names:
+        u = u + semi_elementary(Triplet.parse(g, name))
+    return u
+
+
+# At n=4 every structural imset is combinatorial (see
+# test_structural_and_combinatorial_agree_for_four_variables), so the
+# explicit examples are multiples of semi-elementary imsets with |A||B| > 1
+# and two sums whose first harvest LP is infeasible and whose Farkas cut
+# leaves columns for a later LP to decide.
+@settings(max_examples=6, deadline=None)
+@given(elementary_sums_n4())
+@example(semi_elementary(Triplet.parse(_G4, "ab|cd|0")).scale(2))
+@example(semi_elementary(Triplet.parse(_G4, "a|bc|d")).scale(3))
+@example(elementary_sum(_G4, "b|c|a", "b|d|0", "a|b|cd"))
+@example(elementary_sum(_G4, "c|d|0", "b|d|ac", "c|d|ab", "a|c|d").scale(2))
+def test_face_first_model_matches_lp_oracle(u):
+    model, face = lp_oracle(u)
+    assert certified_face_ranks(u) == face
+    assert [e.rank for e in face_of_structural(u)] == face
+    assert ci_model_of_imset(u) == model
+
+
+@pytest.mark.parametrize("text", ["a|b|cde", "ab|cd|e", "abc|de|0"])
+def test_face_of_semi_elementary_n5(text):
+    t = Triplet.parse(GroundSet(5), text)
+    u = semi_elementary(t)
+    assert certified_face_ranks(u) == [e.rank for e in extreme_set(t)]
+    assert [e.rank for e in face_of_structural(u)] == [e.rank for e in extreme_set(t)]
+    assert ci_model_of_imset(u).contains(t)
+
+
+_CONFLICT_SCRIPT = """
+from imsetkit import faces
+from imsetkit.groundset import ElementaryIndex, GroundSet
+from imsetkit.imsets import elementary_imset
+
+g = GroundSet(3)
+u = elementary_imset(ElementaryIndex.from_rank(g, 0))
+print([e.rank for e in faces.face_of_structural(u)])
+# a cut that claims to exclude column 0, which the base witness puts inside
+faces._indicator_cuts = lambda g: (((0,) * g.num_subsets, (0,)),)
+try:
+    faces.face_of_structural(u)
+    print("unchecked")
+except faces.InvariantError:
+    print("checked")
+"""
+
+
+def test_face_conflict_raises_under_python_O():
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _CONFLICT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines() == ["[0]", "checked"]
 
 
 def test_subconfiguration():

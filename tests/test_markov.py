@@ -127,6 +127,19 @@ def test_budget_guard(monkeypatch):
         markov_basis(configuration(GroundSet(4)), 2)
 
 
+def test_budget_is_checked_before_any_degree_is_built(monkeypatch):
+    # degrees 2 and 3 of the full n=6 configuration fit the budget and
+    # degree 4 does not: the whole cap is refused before any index exists
+    import imsetkit.markov as mk
+
+    def no_index(num_cols, d):
+        raise AssertionError(f"built the degree-{d} index before the budget check")
+
+    monkeypatch.setattr(mk, "_multiset_index_array", no_index)
+    with pytest.raises(BudgetError):
+        markov_basis(configuration(GroundSet(6)), 4)
+
+
 def test_validation_errors():
     cfg = configuration(GroundSet(3))
     with pytest.raises(ValueError):
