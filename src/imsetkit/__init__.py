@@ -4,9 +4,11 @@ The package is organized bottom-up:
 
 * groundset: ground sets, bitmask subsets, triplets, the graded and
   elementary orders.
-* imsets: imset arithmetic, semi-elementary imsets, the configuration
-  matrix, canonical decomposition.
-* linalg: exact rational rank / solve / LP feasibility (simplex, Bland).
+* imsets: imset arithmetic, semi-elementary imsets, the four-rank
+  elementary column table, the configuration matrix, canonical
+  decomposition.
+* linalg: exact rational rank / nullspace (one fraction-free elimination)
+  and LP feasibility (simplex, Bland).
 * supermodular: set functions, supermodularity, skeletal (extreme-ray)
   testing and constructors.
 * ci: joint probability tables, multiinformation, CI models, the

@@ -128,9 +128,12 @@ def _load_move(path: str) -> Move:
 
 def _load_table(path: str) -> JointTable:
     data = _load_json(path)
-    if "cardinalities" not in data or "probabilities" not in data:
-        raise InputError(f"{path}: a joint table needs 'cardinalities' and 'probabilities'")
-    return JointTable.from_json(data)
+    if not all(isinstance(data.get(key), list) for key in ("cardinalities", "probabilities")):
+        raise InputError(f"{path}: a joint table needs 'cardinalities' and 'probabilities' lists")
+    try:
+        return JointTable.from_json(data)
+    except (TypeError, OverflowError) as exc:
+        raise InputError(f"{path}: joint-table entries must be numbers") from exc
 
 
 def _ground_flag(args) -> GroundSet:
@@ -463,13 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
     common.add_argument("-o", "--output", default=None, help="write output to a file")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="bound internal parallelism (results never depend on it; the "
-        "current implementation is sequential)",
-    )
 
     ground = argparse.ArgumentParser(add_help=False)
     ground.add_argument("--n", type=int, default=4, help="ground-set size (labels a, b, ...)")

@@ -35,6 +35,7 @@ from .groundset import (
 from .imsets import (
     Configuration,
     Imset,
+    column_value,
     configuration,
     elementary_columns,
     elementary_combination,
@@ -42,7 +43,7 @@ from .imsets import (
     inner,
     is_member_L_star,
 )
-from .linalg import InvariantError, RationalMatrix, lp_feasible, rank
+from .linalg import InvariantError, lp_feasible, rank
 from .supermodular import SetFunction
 
 
@@ -163,7 +164,7 @@ def extreme_rank(t: Triplet) -> int:
     """Rank of the span of the face's extreme rays (should equal the
     dimension formula)."""
     rows = [elementary_imset(e).values for e in extreme_set(t)]
-    return rank(RationalMatrix.from_rows(rows, t.ground.num_subsets))
+    return rank(rows)
 
 
 def verify_face_theorem(t: Triplet) -> dict:
@@ -185,7 +186,7 @@ def verify_face_theorem(t: Triplet) -> dict:
         else:
             if not any(v == 1 for v in inners):
                 failures.append(f"non-member {e} not separated with inner product 1")
-    fam_rank = rank(RationalMatrix.from_rows([f.values for f in family], g.num_subsets))
+    fam_rank = rank([f.values for f in family])
     if fam_rank != len(family):
         failures.append(f"orthogonal family rank {fam_rank} below size {len(family)}")
     dim = ((1 << popcount(t.a_mask)) - 1) * ((1 << popcount(t.b_mask)) - 1)
@@ -203,13 +204,6 @@ def verify_face_theorem(t: Triplet) -> dict:
     }
 
 
-def _on_column(f, column) -> int:
-    """<f, w> for the elementary column w given by its (abC, C, aC, bC)
-    ranks; f is a rank-indexed value sequence."""
-    abc, c, ac, bc = column
-    return f[abc] + f[c] - f[ac] - f[bc]
-
-
 @lru_cache(maxsize=32)
 def _indicator_cuts(g: GroundSet) -> tuple:
     """(f, ranks) for every superset indicator 1_{T⊆·} and subset indicator
@@ -220,7 +214,7 @@ def _indicator_cuts(g: GroundSet) -> tuple:
     out = []
     for mask in g.masks_graded:
         for f in (_superset_indicator(g, mask), _subset_indicator(g, mask)):
-            ranks = tuple(j for j, col in enumerate(table) if _on_column(f.values, col) > 0)
+            ranks = tuple(j for j, col in enumerate(table) if column_value(f.values, col) > 0)
             if ranks:
                 out.append((f.values, ranks))
     return tuple(out)
@@ -300,7 +294,7 @@ def certify_face(u: Imset) -> tuple:
             f = tuple(-y for y in lp.certificate)
             if sum(f[r] * v for r, v in nonzero) != 0:
                 raise InvariantError("Farkas functional is not orthogonal to u")
-            exclude(f, [k for k, col in enumerate(table) if _on_column(f, col) > 0])
+            exclude(f, [k for k, col in enumerate(table) if column_value(f, col) > 0])
     return inside, outside
 
 

@@ -19,7 +19,9 @@ same labels share it).  Products of the configuration with a coefficient
 vector (elementary_combination), the configuration matrix itself and the
 kernel checks elsewhere all read this table, so an exact product costs
 O(4·nnz(z)) instead of O(2^n·|E(N)|).  The full configuration is cached
-per ground set as well; it is frozen and built of tuples.
+per ground set as well; it is frozen and built of tuples.  An inner
+product <f, u> with an elementary imset is column_value(f.values, column),
+four lookups; the supermodularity, skeletal and face tests all use it.
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def delta(A: Subset) -> Imset:
     return Imset(g, tuple(vals))
 
 
+def _four_ranks(g: GroundSet, a_mask: int, b_mask: int, c_mask: int) -> tuple:
+    """(ABC, C, AC, BC) subset ranks: the four entries of u_<A|B|C>, +1 at
+    the first two and -1 at the last two (distinct when A, B are
+    nonempty)."""
+    ac, bc = a_mask | c_mask, b_mask | c_mask
+    return tuple(map(g.subset_rank, (ac | bc, c_mask, ac, bc)))
+
+
 def semi_elementary(t: Triplet) -> Imset:
     """u_<A|B|C> = delta(ABC) + delta(C) - delta(AC) - delta(BC).
 
@@ -158,10 +168,9 @@ def semi_elementary(t: Triplet) -> Imset:
     g = t.ground
     vals = [0] * g.num_subsets
     if not t.is_trivial:
-        vals[g.subset_rank(t.a_mask | t.b_mask | t.c_mask)] += 1
-        vals[g.subset_rank(t.c_mask)] += 1
-        vals[g.subset_rank(t.a_mask | t.c_mask)] -= 1
-        vals[g.subset_rank(t.b_mask | t.c_mask)] -= 1
+        abc, c, ac, bc = _four_ranks(g, t.a_mask, t.b_mask, t.c_mask)
+        vals[abc] = vals[c] = 1
+        vals[ac] = vals[bc] = -1
     return Imset(g, tuple(vals))
 
 
@@ -217,11 +226,14 @@ def elementary_columns(g: GroundSet) -> tuple:
     """(abC, C, aC, bC) subset ranks of every elementary column, ascending
     in the elementary order; u_<a|b|C> is +1 at the first two and -1 at the
     last two."""
-    out = []
-    for a, b, c in g.elementary_triples:
-        ac, bc = c | (1 << a), c | (1 << b)
-        out.append(tuple(map(g.subset_rank, (ac | bc, c, ac, bc))))
-    return tuple(out)
+    return tuple(_four_ranks(g, 1 << a, 1 << b, c) for a, b, c in g.elementary_triples)
+
+
+def column_value(values, column):
+    """<f, w> = f(ABC) + f(C) - f(AC) - f(BC) for the column w given by its
+    (ABC, C, AC, BC) ranks; values is f's rank-indexed value sequence."""
+    abc, c, ac, bc = column
+    return values[abc] + values[c] - values[ac] - values[bc]
 
 
 def elementary_combination(g: GroundSet, coeffs) -> list:

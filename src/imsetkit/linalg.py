@@ -1,16 +1,24 @@
-"""Exact rational linear algebra: rank, solving, and LP feasibility.
+"""Exact rational linear algebra: rank, nullspace, and LP feasibility.
 
-Everything here is exact: ranks run over cleared-denominator integer rows
-with fraction-free (Bareiss) elimination, solving and the simplex run on
-fractions.Fraction.  No floating point anywhere; cone-membership questions
-are decided at exactly degenerate boundaries, where floats misclassify.
+Everything here is exact; no floating point anywhere, since cone-membership
+questions are decided at exactly degenerate boundaries, where floats
+misclassify.
 
-lp_feasible decides {x >= 0 : Ax = b} with a phase-1-only primal simplex
-under Bland's anti-cycling rule, so answers are deterministic.  Feasible
-answers carry an exact witness; infeasible answers carry an exact Farkas
-certificate y with y^T A >= 0 componentwise and y^T b < 0.  Both are
-re-verified by substitution before returning; a failed re-check raises
-InvariantError, which (unlike assert) also runs under python -O.
+rank and nullspace share one fraction-free (Bareiss) elimination over
+integer rows: integer rows are used as they are, a row with a non-integer
+entry is scaled by the lcm of its denominators first.  Every division in
+the elimination is exact; a nonzero remainder raises InvariantError.  rank
+eliminates below the pivots only; nullspace eliminates above them as well
+(fraction-free Gauss-Jordan), after which every pivot equals the last one,
+d, and each free column gives an integer basis vector directly.
+
+lp_feasible decides {x >= 0 : Ax = b} with a phase-1-only primal simplex on
+fractions.Fraction under Bland's anti-cycling rule, so answers are
+deterministic.  Feasible answers carry an exact witness; infeasible answers
+carry an exact Farkas certificate y with y^T A >= 0 componentwise and
+y^T b < 0.  Both are re-verified by substitution before returning; a failed
+re-check raises InvariantError, which (unlike assert) also runs under
+python -O.
 """
 
 from __future__ import annotations
@@ -25,63 +33,47 @@ class InvariantError(RuntimeError):
     returned."""
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of Fractions (rows tuple-of-tuples, auto-normalized)."""
-
-    rows: tuple
-    num_cols: int
-
-    @classmethod
-    def from_rows(cls, rows, num_cols=None) -> "RationalMatrix":
-        conv = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if conv:
-            num_cols = len(conv[0])
-            if any(len(r) != num_cols for r in conv):
-                raise ValueError("ragged rows")
-        elif num_cols is None:
-            num_cols = 0
-        return cls(conv, num_cols)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+def _integer_rows(M) -> list:
+    """M as a list of integer row lists; a row holding a non-integer entry
+    is scaled by the lcm of its denominators."""
+    out = []
+    for row in M:
+        if all(isinstance(x, int) for x in row):
+            out.append(list(row))
+        else:
+            row = [Fraction(x) for x in row]
+            scale = lcm(*(x.denominator for x in row))
+            out.append([int(x * scale) for x in row])
+    return out
 
 
-def _as_row_lists(M):
-    """Accept RationalMatrix or any sequence of rows; return (rows, ncols)."""
-    if isinstance(M, RationalMatrix):
-        return [list(r) for r in M.rows], M.num_cols
-    rows = [[Fraction(x) for x in row] for row in M]
-    return rows, (len(rows[0]) if rows else 0)
+def _eliminate(rows: list, n: int, jordan: bool) -> list:
+    """Fraction-free (Bareiss) elimination of integer rows in place.
 
-
-def rank(M) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
-
-    Rows are scaled by their denominator lcm first, so the elimination runs
-    on integers with exact divisions only.
+    Returns the pivot columns; rows[i] is the pivot row of pivots[i].  With
+    jordan=True the entries above each pivot are eliminated too, so every
+    pivot ends up equal to the last one.
     """
-    rows, n = _as_row_lists(M)
-    irows = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        irows.append([int(x * scale) for x in row])
-    m = len(irows)
-    r = 0
+    m = len(rows)
+    pivots = []
     prev = 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if irows[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        irows[r], irows[piv] = irows[piv], irows[r]
-        pivot = irows[r][c]
-        for i in range(r + 1, m):
-            factor = irows[i][c]
-            row_i, row_r = irows[i], irows[r]
-            for j in range(c + 1, n):
+        rows[r], rows[piv] = rows[piv], rows[r]
+        row_r = rows[r]
+        pivot = row_r[c]
+        for i in range(0 if jordan else r + 1, m):
+            if i == r:
+                continue
+            row_i = rows[i]
+            factor = row_i[c]
+            # below the pivot row, the columns left of c are already zero
+            for j in range(c + 1 if i > r else 0, n):
                 num = pivot * row_i[j] - factor * row_r[j]
                 q, rem = divmod(num, prev)
                 if rem != 0:
@@ -89,42 +81,34 @@ def rank(M) -> int:
                 row_i[j] = q
             row_i[c] = 0
         prev = pivot
-        r += 1
-    return r
-
-
-def solve(M, b):
-    """Some exact solution x of Mx = b (free variables 0), or None."""
-    rows, n = _as_row_lists(M)
-    bvec = [Fraction(x) for x in b]
-    if len(bvec) != len(rows):
-        raise ValueError("dimension mismatch")
-    aug = [row + [bvec[i]] for i, row in enumerate(rows)]
-    m = len(aug)
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+    return pivots
+
+
+def rank(M) -> int:
+    """Exact rank of a sequence of rows (ints, Fractions or anything
+    Fraction accepts), by fraction-free elimination."""
+    rows = _integer_rows(M)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0, jordan=False))
+
+
+def nullspace(M, n: int) -> list:
+    """An integer basis of {x in Q^n : row · x = 0 for every row of M}.
+
+    One vector per non-pivot column fc: vec[fc] = d, the common final
+    pivot, and vec[pc] = -row[fc] for each pivot column pc and its row.
+    """
+    rows = _integer_rows(M)
+    pivots = _eliminate(rows, n, jordan=True)
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [0] * n
+        vec[fc] = d
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,8 @@ def lp_feasible(A, b) -> LPFeasibility:
     Returns a witness x (nonnegative Fractions, Ax = b) when feasible, else
     a Farkas certificate y (y^T A >= 0, y^T b < 0).  Deterministic.
     """
-    rows, n = _as_row_lists(A)
+    rows = [[Fraction(x) for x in row] for row in A]
+    n = len(rows[0]) if rows else 0
     bvec = [Fraction(x) for x in b]
     if len(bvec) != len(rows):
         raise ValueError("dimension mismatch between A and b")

@@ -93,7 +93,10 @@ class Move:
         for sign, key in ((1, "lhs"), (-1, "rhs")):
             for name, mult in data.get(key, {}).items():
                 t = Triplet.parse(ground, name)
-                coeffs[ElementaryIndex.from_triplet(t).rank] += sign * int(mult)
+                m = int(mult)
+                if m != mult:
+                    raise ValueError(f"multiplicity of {name} must be an integer, got {mult!r}")
+                coeffs[ElementaryIndex.from_triplet(t).rank] += sign * m
         return cls(ground, tuple(coeffs))
 
 

@@ -26,7 +26,8 @@ from itertools import combinations
 from math import gcd
 
 from .groundset import ElementaryIndex, GroundSet, Subset, popcount
-from .linalg import rank
+from .imsets import column_value, elementary_columns
+from .linalg import nullspace, rank
 
 
 def _to_value(x):
@@ -100,18 +101,12 @@ class SetFunction:
         return SetFunction(self.ground, tuple(c * x for x in self.values))
 
 
-def _elementary_value(f: SetFunction, a_bit: int, b_bit: int, c_mask: int):
-    """<f, u_<a|b|C>> = f(abC) + f(C) - f(aC) - f(bC) without building imsets."""
-    a, b = 1 << a_bit, 1 << b_bit
-    return f.at(a | b | c_mask) + f.at(c_mask) - f.at(a | c_mask) - f.at(b | c_mask)
-
-
 def first_supermodularity_violation(f: SetFunction, tol=0):
     """The elementary-order-least violated triplet, or None."""
     g = f.ground
-    for a, b, c in g.elementary_triples:
-        if _elementary_value(f, a, b, c) < -tol:
-            return ElementaryIndex(g, a, b, c)
+    for k, col in enumerate(elementary_columns(g)):
+        if column_value(f.values, col) < -tol:
+            return ElementaryIndex.from_rank(g, k)
     return None
 
 
@@ -122,11 +117,7 @@ def is_supermodular(f: SetFunction, tol=0) -> bool:
 
 def is_modular(f: SetFunction, tol=0) -> bool:
     """f and -f supermodular: every elementary inner product vanishes."""
-    g = f.ground
-    for a, b, c in g.elementary_triples:
-        if abs(_elementary_value(f, a, b, c)) > tol:
-            return False
-    return True
+    return all(abs(column_value(f.values, col)) <= tol for col in elementary_columns(f.ground))
 
 
 def modular_coefficients(f: SetFunction):
@@ -169,9 +160,9 @@ def tight_elementary(f: SetFunction):
     """Elementary triplets with <f, u> = 0, ascending rank (exact)."""
     g = f.ground
     return [
-        ElementaryIndex(g, a, b, c)
-        for a, b, c in g.elementary_triples
-        if _elementary_value(f, a, b, c) == 0
+        ElementaryIndex.from_rank(g, k)
+        for k, col in enumerate(elementary_columns(g))
+        if column_value(f.values, col) == 0
     ]
 
 
@@ -187,19 +178,16 @@ def skeletal_report(f: SetFunction) -> dict:
     dim = g.num_subsets - g.n - 1
     if all(v == 0 for v in fbar.values):
         return {"skeletal": False, "tight_count": g.num_elementary, "tight_rank": None, "dimension": dim}
-    tight = tight_elementary(fbar)
-    # project tight imsets to the coordinates of subsets with |S| >= 2
-    big_ranks = [r for r, m in enumerate(g.masks_graded) if popcount(m) >= 2]
+    tight = [col for col in elementary_columns(g) if column_value(fbar.values, col) == 0]
+    # project tight imsets to the coordinates of subsets with |S| >= 2; the
+    # graded order puts the n + 1 subsets with |S| <= 1 first
     rows = []
-    for e in tight:
-        a, b, c = 1 << e.a_bit, 1 << e.b_bit, e.c_mask
+    for abc, c, ac, bc in tight:
         vec = [0] * g.num_subsets
-        vec[g.subset_rank(a | b | c)] += 1
-        vec[g.subset_rank(c)] += 1
-        vec[g.subset_rank(a | c)] -= 1
-        vec[g.subset_rank(b | c)] -= 1
-        rows.append([vec[r] for r in big_ranks])
-    tight_rank = rank(rows) if rows else 0
+        vec[abc] = vec[c] = 1
+        vec[ac] = vec[bc] = -1
+        rows.append(vec[g.n + 1:])
+    tight_rank = rank(rows)
     return {
         "skeletal": tight_rank == dim - 1,
         "tight_count": len(tight),
@@ -412,50 +400,10 @@ def four_generator_witness(g: GroundSet) -> SetFunction:
 
 
 def _normalize_ray(vec):
-    """Scale to coprime integers with deterministic sign (first nonzero > 0
-    is NOT forced; rays keep their cone-feasible orientation)."""
-    denoms = [v.denominator for v in vec]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(v * scale) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def _nullspace(rows, dim):
-    """Basis of {x : row · x = 0 for all rows} in R^dim, exact."""
-    aug = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        if r == len(aug):
-            break
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc]
-        basis.append(vec)
-    return basis
+    """Divide a nonzero integer vector by the gcd of its entries; the sign
+    is kept, so rays keep their cone-feasible orientation."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def dual_rays(generators):
@@ -473,7 +421,7 @@ def dual_rays(generators):
         raise ValueError("dual_rays requires a full-dimensional cone")
     rays = set()
     for comb in combinations(range(len(gens)), dim - 1):
-        basis = _nullspace([gens[i] for i in comb], dim)
+        basis = nullspace([gens[i] for i in comb], dim)
         if len(basis) != 1:
             continue
         v = basis[0]

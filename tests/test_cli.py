@@ -269,23 +269,27 @@ def test_exit_codes(capsys, tmp_path):
         ("skeletal", {"ground": "abc", "values": {"ab": [1]}}),
         ("reduce", {"ground": "abcd", "lhs": [1], "rhs": {}}),
         ("closure", {"ground": "abcd", "statements": [1]}),
+        ("reduce", {"ground": "abcd", "lhs": {"a|b|0": 1.5}, "rhs": {}}),
+        ("ci-model --dist", {"cardinalities": 3, "probabilities": [1]}),
+        ("ci-model --dist", {"cardinalities": [2, 2], "probabilities": 5}),
+        ("ci-model --dist", {"cardinalities": [None], "probabilities": [1]}),
+        ("ci-model --dist", {"cardinalities": [2], "probabilities": [[1], 0]}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(body))
-    code, _ = run(capsys, command, str(path))
+    code, _ = run(capsys, *command.split(), str(path))
     assert code == 2
 
 
-def test_output_flag_and_threads_do_not_change_results(capsys, tmp_path):
+def test_output_flag_writes_the_same_json_twice(capsys, tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
-    code, _ = run(capsys, "markov", "--n", "3", "--degree-cap", "2", "-o", str(out_a))
-    assert code == 0
-    code, _ = run(capsys, "markov", "--n", "3", "--degree-cap", "2", "--threads", "8",
-                  "-o", str(out_b))
-    assert code == 0
+    for out in (out_a, out_b):
+        code, stdout = run(capsys, "markov", "--n", "3", "--degree-cap", "2", "-o", str(out))
+        assert code == 0 and stdout == ""
+    assert json.loads(out_a.read_text())["schema"] == "imset-kit/1"
     assert out_a.read_text() == out_b.read_text()
 
 

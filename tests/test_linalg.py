@@ -1,4 +1,4 @@
-"""Exact rank, solving, and LP feasibility with witnesses/certificates."""
+"""Exact rank, nullspace, and LP feasibility with witnesses/certificates."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary
 from imsetkit.imsets import configuration, delta, elementary_imset, inner, semi_elementary
 import imsetkit
-from imsetkit.linalg import RationalMatrix, lp_feasible, rank, solve
+from imsetkit.linalg import lp_feasible, nullspace, rank
 
 
 def test_rank_identity_and_config():
@@ -30,26 +32,30 @@ def test_rank_with_fractions_and_transpose():
         assert rank(M) == rank(Mt)
 
 
-def test_solve_basics():
-    ident = [[1, 0], [0, 1]]
-    assert solve(ident, [3, 4]) == [3, 4]
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    # underdetermined: returns some exact solution
-    x = solve([[1, 1, 0]], [5])
-    assert x is not None and x[0] + x[1] == 5
+@st.composite
+def _small_matrices(draw):
+    """(rows, n): up to 5 rows over n <= 6 columns of zeros, small integers
+    and small fractions, so rank-deficient cases are common."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
 
 
-def test_solve_recovers_modular_coefficients():
-    # modular f = c0 + sum_{i in S} c_i; rows = basis functions 1, 1_{i in S}
-    g = GroundSet(4)
-    rng = random.Random(11)
-    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(g.n + 1)]
-    rows = []
-    rhs = []
-    for mask in g.masks_graded:
-        rows.append([1] + [int(bool(mask & (1 << i))) for i in range(g.n)])
-        rhs.append(coeffs[0] + sum(coeffs[1 + i] for i in range(g.n) if mask & (1 << i)))
-    assert solve(rows, rhs) == coeffs
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+def test_rank_and_nullspace_agree(case):
+    M, n = case
+    r = rank(M)
+    assert r == rank([[row[j] for row in M] for j in range(n)])
+    basis = nullspace(M, n)
+    assert len(basis) == n - r
+    for vec in basis:
+        assert len(vec) == n and all(isinstance(x, int) for x in vec)
+        assert all(sum(Fraction(a) * x for a, x in zip(row, vec)) == 0 for row in M)
+    assert rank(basis) == len(basis)
 
 
 def test_lp_semi_elementary_is_in_cone():
@@ -88,15 +94,10 @@ def test_lp_infeasible_cases():
 
 def test_lp_trivial_shapes():
     # no columns: only b = 0 is feasible
-    M = RationalMatrix.from_rows([], num_cols=0)
     res = lp_feasible([[], [], []], [0, 0, 0])
     assert res.feasible and res.witness == ()
     res = lp_feasible([[], []], [1, 0])
     assert not res.feasible
-    # no rows: always feasible
-    res = lp_feasible(RationalMatrix(rows=(), num_cols=3), [])
-    assert res.feasible and res.witness == (0, 0, 0)
-    assert M.num_rows == 0
 
 
 def test_lp_determinism_and_random_instances():
@@ -126,10 +127,20 @@ u = semi_elementary(Triplet.parse(GroundSet(4), "ab|cd|0"))
 print(linalg.rank(cfg.matrix), linalg.rank([[Fraction(1, 2), 1], [1, 2]]))
 print(linalg.lp_feasible(cfg.matrix, u.values))
 print(linalg.lp_feasible([[1, 1]], [-1]))
+print(linalg.nullspace([[1, 2, 3], [2, 4, 7]], 3))
 # an inexact Bareiss division must still be caught
 linalg.divmod = lambda a, b: (a // b, 1)
 try:
     linalg.rank([[2, 1], [1, 3]])
+    print("unchecked")
+except linalg.InvariantError:
+    print("checked")
+# in [[2, 1], [0, 3]] only the Gauss-Jordan step above the second pivot
+# divides by something other than 1, so only nullspace reaches that check
+linalg.divmod = lambda a, b: divmod(a, b) if b == 1 else (a // b, 1)
+print(linalg.rank([[2, 1], [0, 3]]))
+try:
+    linalg.nullspace([[2, 1], [0, 3]], 2)
     print("unchecked")
 except linalg.InvariantError:
     print("checked")
@@ -150,4 +161,5 @@ def test_exact_checks_survive_python_O():
     lines = outs[1].splitlines()
     assert lines[0] == "11 1"
     assert "feasible=True" in lines[1] and "feasible=False" in lines[2]
-    assert lines[3] == "checked"
+    assert lines[3] == "[[-2, 1, 0]]"
+    assert lines[4:] == ["checked", "2", "checked"]
