@@ -7,8 +7,8 @@ The package is organized bottom-up:
 * imsets: imset arithmetic, semi-elementary imsets, the four-rank
   elementary column table, the configuration matrix, canonical
   decomposition.
-* linalg: exact rational rank / nullspace (one fraction-free elimination)
-  and LP feasibility (simplex, Bland).
+* linalg: one fraction-free pivot step behind exact rank, nullspace and
+  LP feasibility (integer-tableau simplex, Bland).
 * supermodular: set functions, supermodularity, skeletal (extreme-ray)
   testing and constructors.
 * ci: joint probability tables, multiinformation, CI models, the

@@ -72,15 +72,20 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _check_labels(labels, path: str) -> None:
+    if not isinstance(labels, str) and not (
+        isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+    ):
+        raise InputError(f"{path}: 'ground'/'labels' must be a string or a list of labels")
+
+
 def _ground_of(data: dict, path: str) -> GroundSet:
     labels = data.get("ground") or data.get("labels")
     if labels is None:
         raise InputError(f"{path}: missing 'ground' (a string of labels)")
-    if not isinstance(labels, str) and not (
-        isinstance(labels, list) and all(isinstance(l, str) for l in labels)
-    ):
-        raise InputError(f"{path}: 'ground' must be a string or a list of labels")
-    return GroundSet("".join(labels))
+    _check_labels(labels, path)
+    # GroundSet rejects a multi-character label in a list
+    return GroundSet(labels)
 
 
 def _load_set_function(path: str) -> SetFunction:
@@ -130,6 +135,8 @@ def _load_table(path: str) -> JointTable:
     data = _load_json(path)
     if not all(isinstance(data.get(key), list) for key in ("cardinalities", "probabilities")):
         raise InputError(f"{path}: a joint table needs 'cardinalities' and 'probabilities' lists")
+    if data.get("labels") is not None:
+        _check_labels(data["labels"], path)
     try:
         return JointTable.from_json(data)
     except (TypeError, OverflowError) as exc:

@@ -254,10 +254,10 @@ def certify_face(u: Imset) -> tuple:
     InvariantError (also under python -O).
     """
     g = u.ground
-    base = is_member_L_star(u) and lp_feasible(configuration(g).matrix, u.values)
+    cfg = configuration(g)
+    base = is_member_L_star(u) and lp_feasible(cfg.matrix, u.values)
     if not (base and base.feasible):
         raise ValueError("imset is not structural")
-    cfg = configuration(g)
     table = elementary_columns(g)
     nonzero = [(r, v) for r, v in enumerate(u.values) if v]
     inside, outside = {}, {}

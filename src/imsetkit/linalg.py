@@ -4,21 +4,24 @@ Everything here is exact; no floating point anywhere, since cone-membership
 questions are decided at exactly degenerate boundaries, where floats
 misclassify.
 
-rank and nullspace share one fraction-free (Bareiss) elimination over
-integer rows: integer rows are used as they are, a row with a non-integer
-entry is scaled by the lcm of its denominators first.  Every division in
-the elimination is exact; a nonzero remainder raises InvariantError.  rank
-eliminates below the pivots only; nullspace eliminates above them as well
-(fraction-free Gauss-Jordan), after which every pivot equals the last one,
-d, and each free column gives an integer basis vector directly.
+rank, nullspace and lp_feasible share one fraction-free (Bareiss) pivot
+step, _pivot, over integer rows: integer rows are used as they are, a row
+with a non-integer entry is scaled by the lcm of its denominators first.
+Every division in the step is exact; a nonzero remainder raises
+InvariantError.  rank eliminates below the pivots only; nullspace
+eliminates above them as well (fraction-free Gauss-Jordan), after which
+every pivot equals the last one, d, and each free column gives an integer
+basis vector directly.
 
-lp_feasible decides {x >= 0 : Ax = b} with a phase-1-only primal simplex on
-fractions.Fraction under Bland's anti-cycling rule, so answers are
-deterministic.  Feasible answers carry an exact witness; infeasible answers
-carry an exact Farkas certificate y with y^T A >= 0 componentwise and
-y^T b < 0.  Both are re-verified by substitution before returning; a failed
-re-check raises InvariantError, which (unlike assert) also runs under
-python -O.
+lp_feasible decides {x >= 0 : Ax = b} with a phase-1-only primal simplex
+under Bland's anti-cycling rule, so answers are deterministic.  Its
+tableau is integer too: the simplex pivot is the same step (Edmonds), so
+the tableau is d times the rational one, d > 0 the last pivot, and ratios
+are compared by cross-multiplication.  Feasible answers carry an exact
+witness; infeasible answers carry an exact Farkas certificate y with
+y^T A >= 0 componentwise and y^T b < 0.  Both are re-verified by
+substitution into the caller's A and b before returning; a failed re-check
+raises InvariantError, which (unlike assert) also runs under python -O.
 """
 
 from __future__ import annotations
@@ -33,18 +36,37 @@ class InvariantError(RuntimeError):
     returned."""
 
 
-def _integer_rows(M) -> list:
-    """M as a list of integer row lists; a row holding a non-integer entry
-    is scaled by the lcm of its denominators."""
-    out = []
-    for row in M:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-        else:
-            row = [Fraction(x) for x in row]
-            scale = lcm(*(x.denominator for x in row))
-            out.append([int(x * scale) for x in row])
-    return out
+def _integer_row(row) -> tuple:
+    """(ints, s): row times its scale s, the lcm of its denominators (1 for
+    an integer row, which is returned as it is)."""
+    if all(isinstance(x, int) for x in row):
+        return list(row), 1
+    row = [Fraction(x) for x in row]
+    s = lcm(*(x.denominator for x in row))
+    return [int(x * s) for x in row], s
+
+
+def _pivot(rows: list, r: int, c: int, prev: int, lo: int, start: int) -> None:
+    """One fraction-free pivot on rows[r][c], in place.
+
+    Every row i >= lo other than r becomes (p·row_i - row_i[c]·row_r) / prev
+    with p = rows[r][c], from column start on (callers pass a start left of
+    which the update would change nothing); rows[r] stays as it is.  prev is
+    the previous pivot, so the division is exact; a nonzero remainder raises
+    InvariantError.
+    """
+    row_r = rows[r]
+    p = row_r[c]
+    for i in range(lo, len(rows)):
+        if i == r:
+            continue
+        row_i = rows[i]
+        f = row_i[c]
+        for j in range(start, len(row_i)):
+            q, rem = divmod(p * row_i[j] - f * row_r[j], prev)
+            if rem != 0:
+                raise InvariantError("fraction-free division must be exact")
+            row_i[j] = q
 
 
 def _eliminate(rows: list, n: int, jordan: bool) -> list:
@@ -65,22 +87,9 @@ def _eliminate(rows: list, n: int, jordan: bool) -> list:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        row_r = rows[r]
-        pivot = row_r[c]
-        for i in range(0 if jordan else r + 1, m):
-            if i == r:
-                continue
-            row_i = rows[i]
-            factor = row_i[c]
-            # below the pivot row, the columns left of c are already zero
-            for j in range(c + 1 if i > r else 0, n):
-                num = pivot * row_i[j] - factor * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem != 0:
-                    raise InvariantError("Bareiss division must be exact")
-                row_i[j] = q
-            row_i[c] = 0
-        prev = pivot
+        # forward only, the rows below the pivot are zero left of c
+        _pivot(rows, r, c, prev, 0 if jordan else r + 1, 0 if jordan else c)
+        prev = rows[r][c]
         pivots.append(c)
     return pivots
 
@@ -88,7 +97,7 @@ def _eliminate(rows: list, n: int, jordan: bool) -> list:
 def rank(M) -> int:
     """Exact rank of a sequence of rows (ints, Fractions or anything
     Fraction accepts), by fraction-free elimination."""
-    rows = _integer_rows(M)
+    rows = [_integer_row(row)[0] for row in M]
     return len(_eliminate(rows, len(rows[0]) if rows else 0, jordan=False))
 
 
@@ -98,7 +107,7 @@ def nullspace(M, n: int) -> list:
     One vector per non-pivot column fc: vec[fc] = d, the common final
     pivot, and vec[pc] = -row[fc] for each pivot column pc and its row.
     """
-    rows = _integer_rows(M)
+    rows = [_integer_row(row)[0] for row in M]
     pivots = _eliminate(rows, n, jordan=True)
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
@@ -125,85 +134,73 @@ def lp_feasible(A, b) -> LPFeasibility:
 
     Returns a witness x (nonnegative Fractions, Ax = b) when feasible, else
     a Farkas certificate y (y^T A >= 0, y^T b < 0).  Deterministic.
+
+    Integer tableau: row i is [s_i·A_i | e_i | s_i·b_i], s_i the lcm scale
+    of [A_i | b_i] signed so that s_i·b_i >= 0; the last row is the reduced
+    phase-1 cost (the sum of the artificials).  Witness and certificate
+    entries are read off as entry / d.
     """
-    rows = [[Fraction(x) for x in row] for row in A]
-    n = len(rows[0]) if rows else 0
-    bvec = [Fraction(x) for x in b]
-    if len(bvec) != len(rows):
+    A = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in A]
+    b = [x if isinstance(x, int) else Fraction(x) for x in b]
+    if len(b) != len(A):
         raise ValueError("dimension mismatch between A and b")
-    m = len(rows)
-    orig_rows = [list(r) for r in rows]
-    orig_b = list(bvec)
-
-    # flip rows so the right-hand side is nonnegative
-    flip = [1] * m
-    for i in range(m):
-        if bvec[i] < 0:
-            flip[i] = -1
-            rows[i] = [-x for x in rows[i]]
-            bvec[i] = -bvec[i]
-
-    # tableau [A | I | b]; basis starts at the artificial columns
-    width = n + m + 1
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [bvec[i]] for i in range(m)]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    tab, scale = [], []
+    for i, (row, bi) in enumerate(zip(A, b)):
+        ints, s = _integer_row(row + [bi])
+        if ints[-1] < 0:
+            ints, s = [-x for x in ints], -s
+        tab.append(ints[:-1] + [int(i == k) for k in range(m)] + ints[-1:])
+        scale.append(s)
+    # cost row: minimize the sum of the artificials; reduced costs with rhs -w
+    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m + [-sum(row[-1] for row in tab)]
+    tab.append(cost)
     basis = [n + i for i in range(m)]
-    # cost row: minimize the sum of artificials; reduced costs with rhs -w
-    red = [Fraction(0)] * width
-    for j in range(n):
-        red[j] = -sum(tab[i][j] for i in range(m))
-    red[width - 1] = -sum(bvec)
+    d = 1
 
     while True:
         # Bland: least-index original column with negative reduced cost
         # (artificials never re-enter)
-        enter = next((j for j in range(n) if red[j] < 0), None)
+        enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][width - 1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio tab[i][-1] / a against the best, by cross-multiplying
+                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise InvariantError("phase-1 objective cannot be unbounded")
-        # pivot on (leave, enter)
-        inv = 1 / tab[leave][enter]
-        tab[leave] = [x * inv for x in tab[leave]]
-        prow = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [x - f * y for x, y in zip(red, prow)]
+        _pivot(tab, leave, enter, d, 0, 0)
+        d = tab[leave][enter]
         basis[leave] = enter
 
-    w = -red[width - 1]
-    if w == 0:
+    if cost[-1] == 0:
         x = [Fraction(0)] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = tab[i][width - 1]
+                x[bv] = Fraction(tab[i][-1], d)
         # exact re-substitution check
         if any(v < 0 for v in x):
             raise InvariantError("LP witness has a negative entry")
         for i in range(m):
-            if sum(c * v for c, v in zip(orig_rows[i], x)) != orig_b[i]:
+            if sum(c * v for c, v in zip(A[i], x)) != b[i]:
                 raise InvariantError(f"LP witness violates row {i}")
         return LPFeasibility(True, tuple(x), None)
 
-    # Farkas: y_i = 1 - (reduced cost of artificial i), undo the row flips
-    y = [1 - red[n + i] for i in range(m)]
-    cert = [-flip[i] * y[i] for i in range(m)]
+    # Farkas: y_i = 1 - (reduced cost of artificial i), then undo the row scale
+    cert = [Fraction(-scale[i] * (d - cost[n + i]), d) for i in range(m)]
     # exact certificate check
     for j in range(n):
-        if sum(cert[i] * orig_rows[i][j] for i in range(m)) < 0:
+        if sum(cert[i] * A[i][j] for i in range(m)) < 0:
             raise InvariantError(f"Farkas certificate is negative on column {j}")
-    if sum(cert[i] * orig_b[i] for i in range(m)) >= 0:
+    if sum(cert[i] * b[i] for i in range(m)) >= 0:
         raise InvariantError("Farkas certificate does not separate b")
     return LPFeasibility(False, None, tuple(cert))

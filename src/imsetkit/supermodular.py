@@ -156,16 +156,6 @@ def is_standardized(f: SetFunction) -> bool:
     return all(f.at(1 << i) == 0 for i in range(g.n))
 
 
-def tight_elementary(f: SetFunction):
-    """Elementary triplets with <f, u> = 0, ascending rank (exact)."""
-    g = f.ground
-    return [
-        ElementaryIndex.from_rank(g, k)
-        for k, col in enumerate(elementary_columns(g))
-        if column_value(f.values, col) == 0
-    ]
-
-
 def skeletal_report(f: SetFunction) -> dict:
     """is_skeletal with its tight-set evidence (counts and ranks)."""
     if not f.is_exact:

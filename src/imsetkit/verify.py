@@ -184,15 +184,14 @@ def criterion_extreme_rays():
     checked = 0
     for n in range(2, 6):
         g = GroundSet(n)
-        vecs = [elementary_imset(e).values for e in enumerate_elementary(g)]
-        for i, b in enumerate(vecs):
-            others = [v for j, v in enumerate(vecs) if j != i]
+        elems = enumerate_elementary(g)
+        for i, e in enumerate(elems):
+            others = elems[:i] + elems[i + 1:]
             if not others:
                 continue
-            A = [[v[r] for v in others] for r in range(len(b))]
-            if lp_feasible(A, list(b)).feasible:
-                t = enumerate_elementary(g)[i].triplet()
-                return False, f"n={n}: u_{t} lies in the cone of the others"
+            A = configuration(g, columns=others).matrix
+            if lp_feasible(A, elementary_imset(e).values).feasible:
+                return False, f"n={n}: u_{e.triplet()} lies in the cone of the others"
             checked += 1
     return True, f"{checked} removal LPs over n=2..5, all infeasible"
 

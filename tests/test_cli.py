@@ -274,6 +274,8 @@ def test_exit_codes(capsys, tmp_path):
         ("ci-model --dist", {"cardinalities": [2, 2], "probabilities": 5}),
         ("ci-model --dist", {"cardinalities": [None], "probabilities": [1]}),
         ("ci-model --dist", {"cardinalities": [2], "probabilities": [[1], 0]}),
+        ("classify-imset", {"ground": ["ab", "c"], "values": {"ab": 1}}),
+        ("ci-model --dist", {"labels": 3, "cardinalities": [2, 2, 2], "probabilities": [0.125] * 8}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

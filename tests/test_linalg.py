@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary
 from imsetkit.imsets import configuration, delta, elementary_imset, inner, semi_elementary
 import imsetkit
-from imsetkit.linalg import lp_feasible, nullspace, rank
+from imsetkit.linalg import InvariantError, LPFeasibility, lp_feasible, nullspace, rank
 
 
 def test_rank_identity_and_config():
@@ -100,20 +100,131 @@ def test_lp_trivial_shapes():
     assert not res.feasible
 
 
+def _oracle_lp_feasible(A, b) -> LPFeasibility:
+    """Decide {x >= 0 : Ax = b} exactly; phase-1 simplex, Bland's rule.
+
+    The earlier Fraction-tableau simplex, kept as the reference for
+    lp_feasible.
+
+    Returns a witness x (nonnegative Fractions, Ax = b) when feasible, else
+    a Farkas certificate y (y^T A >= 0, y^T b < 0).  Deterministic.
+    """
+    rows = [[Fraction(x) for x in row] for row in A]
+    n = len(rows[0]) if rows else 0
+    bvec = [Fraction(x) for x in b]
+    if len(bvec) != len(rows):
+        raise ValueError("dimension mismatch between A and b")
+    m = len(rows)
+    orig_rows = [list(r) for r in rows]
+    orig_b = list(bvec)
+
+    # flip rows so the right-hand side is nonnegative
+    flip = [1] * m
+    for i in range(m):
+        if bvec[i] < 0:
+            flip[i] = -1
+            rows[i] = [-x for x in rows[i]]
+            bvec[i] = -bvec[i]
+
+    # tableau [A | I | b]; basis starts at the artificial columns
+    width = n + m + 1
+    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [bvec[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # cost row: minimize the sum of artificials; reduced costs with rhs -w
+    red = [Fraction(0)] * width
+    for j in range(n):
+        red[j] = -sum(tab[i][j] for i in range(m))
+    red[width - 1] = -sum(bvec)
+
+    while True:
+        # Bland: least-index original column with negative reduced cost
+        # (artificials never re-enter)
+        enter = next((j for j in range(n) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][width - 1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise InvariantError("phase-1 objective cannot be unbounded")
+        # pivot on (leave, enter)
+        inv = 1 / tab[leave][enter]
+        tab[leave] = [x * inv for x in tab[leave]]
+        prow = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [x - f * y for x, y in zip(red, prow)]
+        basis[leave] = enter
+
+    w = -red[width - 1]
+    if w == 0:
+        x = [Fraction(0)] * n
+        for i, bv in enumerate(basis):
+            if bv < n:
+                x[bv] = tab[i][width - 1]
+        # exact re-substitution check
+        if any(v < 0 for v in x):
+            raise InvariantError("LP witness has a negative entry")
+        for i in range(m):
+            if sum(c * v for c, v in zip(orig_rows[i], x)) != orig_b[i]:
+                raise InvariantError(f"LP witness violates row {i}")
+        return LPFeasibility(True, tuple(x), None)
+
+    # Farkas: y_i = 1 - (reduced cost of artificial i), undo the row flips
+    y = [1 - red[n + i] for i in range(m)]
+    cert = [-flip[i] * y[i] for i in range(m)]
+    # exact certificate check
+    for j in range(n):
+        if sum(cert[i] * orig_rows[i][j] for i in range(m)) < 0:
+            raise InvariantError(f"Farkas certificate is negative on column {j}")
+    if sum(cert[i] * orig_b[i] for i in range(m)) >= 0:
+        raise InvariantError("Farkas certificate does not separate b")
+    return LPFeasibility(False, None, tuple(cert))
+
+
+def _random_lp(rng, fractions=False):
+    """(A, b): up to 5 rows over up to 7 columns (none at times), some rows
+    all zero; b feasible by construction half the time."""
+    m, n = rng.randint(0, 5), rng.randint(0, 7)
+    if fractions:
+        entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    else:
+        entry = lambda: rng.choice([0, rng.randint(-3, 3)])
+    A = [[entry() for _ in range(n)] if rng.random() < 0.85 else [0] * n for _ in range(m)]
+    if rng.random() < 0.5:
+        x = [rng.randint(0, 3) for _ in range(n)]
+        b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
+    else:
+        b = [entry() * rng.randint(0, 3) for _ in range(m)]
+    return A, b
+
+
 def test_lp_determinism_and_random_instances():
     rng = random.Random(2024)
-    for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 7)
-        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        if rng.random() < 0.5:
-            x = [rng.randint(0, 3) for _ in range(n)]
-            b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
-        else:
-            b = [rng.randint(-6, 6) for _ in range(m)]
+    seen = set()
+    for _ in range(400):
+        A, b = _random_lp(rng)
         r1 = lp_feasible(A, b)
-        r2 = lp_feasible(A, b)
-        assert r1 == r2  # deterministic, including the witness
-        # witness/certificate re-verification happens inside lp_feasible
+        assert r1 == lp_feasible(A, b)  # deterministic, including the witness
+        # the integer tableau takes the oracle's pivots: identical answers
+        assert r1 == _oracle_lp_feasible(A, b)
+        shape = "no columns" if A and not A[0] else "zero row" if any(not any(r) for r in A) else "plain"
+        seen.add((shape, r1.feasible))
+    assert len(seen) == 6  # every shape, both feasible and infeasible
+    for _ in range(200):
+        A, b = _random_lp(rng, fractions=True)
+        # the row scales change the phase-1 cost, so only the answer must agree
+        assert lp_feasible(A, b).feasible == _oracle_lp_feasible(A, b).feasible
 
 
 _OPTIMIZE_SCRIPT = """
@@ -144,6 +255,14 @@ try:
     print("unchecked")
 except linalg.InvariantError:
     print("checked")
+# the simplex shares that division: {x, y >= 0 : 2x + y = 3} takes one
+# pivot, {2x = 2, y = 1} a second one, which divides by the first pivot, 2
+print(linalg.lp_feasible([[2, 1]], [3]).feasible)
+try:
+    linalg.lp_feasible([[2, 0], [0, 1]], [2, 1])
+    print("unchecked")
+except linalg.InvariantError:
+    print("checked")
 """
 
 
@@ -162,4 +281,4 @@ def test_exact_checks_survive_python_O():
     assert lines[0] == "11 1"
     assert "feasible=True" in lines[1] and "feasible=False" in lines[2]
     assert lines[3] == "[[-2, 1, 0]]"
-    assert lines[4:] == ["checked", "2", "checked"]
+    assert lines[4:] == ["checked", "2", "checked", "True", "checked"]
