@@ -179,13 +179,6 @@ def _ci_value(m: SetFunction, t: Triplet) -> float:
     )
 
 
-def ci_holds(P: JointTable, t: Triplet, tol: float = 1e-9) -> bool:
-    """Does A ⊥ B | C hold for P (within tol)?  Trivial triplets hold."""
-    if t.is_trivial:
-        return True
-    return abs(_ci_value(multiinformation(P), t)) < tol
-
-
 @dataclass(frozen=True)
 class CIModel:
     """A set of canonical CI statements (A, B nonempty) over a ground set.

@@ -3,7 +3,9 @@
 Every command is deterministic given its inputs and flags.  JSON outputs
 carry a "schema": "imset-kit/1" field; --format picks json, csv, or text
 (text renders imsets in delta-notation).  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 budget exceeded.
+1 verification failure, 2 input error, 3 budget exceeded, 4 internal
+error (any other exception, such as a failed exactness check: one line on
+stderr instead of a traceback).
 
 File conventions (JSON):
   set function   {"ground": "abcd", "values": {"ab": "1", "abc": "3/2"}}
@@ -434,7 +436,7 @@ def _cmd_markov(args) -> int:
             raise InputError(str(exc)) from exc
     else:
         cfg = configuration(g)
-    report = markov_basis(cfg, args.degree_cap, tie_break=args.tie_break)
+    report = markov_basis(cfg, args.degree_cap)
     payload = {
         "command": "markov",
         "ground": "".join(g.labels),
@@ -569,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("markov", parents=[common, ground], help="minimal Markov basis by degree")
     sp.add_argument("--degree-cap", type=int, default=4)
     sp.add_argument("--sub", default=None, help="restrict to the sub-configuration of A|B|C")
-    sp.add_argument("--tie-break", choices=("least", "greatest"), default="least")
     sp.set_defaults(fn=_cmd_markov)
 
     sp = sub.add_parser("verify", parents=[common], help="run the acceptance checks")
@@ -593,6 +594,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

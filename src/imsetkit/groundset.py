@@ -205,12 +205,6 @@ class Subset:
         return self.ground.subset_str(self.mask)
 
 
-def graded_set_order(ground: GroundSet, s: int, t: int) -> int:
-    """-1/0/+1 comparison of subset masks s, t in the graded set order."""
-    ks, kt = ground.subset_key(s), ground.subset_key(t)
-    return (ks > kt) - (ks < kt)
-
-
 @dataclass(frozen=True)
 class Triplet:
     """A canonical triplet <A|B|C> of pairwise disjoint subsets.
@@ -324,14 +318,6 @@ class ElementaryIndex:
 
     def __str__(self):
         return str(self.triplet())
-
-
-def elementary_order(e1: ElementaryIndex, e2: ElementaryIndex) -> int:
-    """-1/0/+1 comparison in the elementary order (C graded, then b, then a)."""
-    if e1.ground != e2.ground:
-        raise ValueError("cannot compare elementary triplets over different ground sets")
-    r1, r2 = e1.rank, e2.rank
-    return (r1 > r2) - (r1 < r2)
 
 
 def enumerate_elementary(ground: GroundSet):

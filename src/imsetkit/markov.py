@@ -1,7 +1,7 @@
 """Minimal Markov bases of a configuration, degree by degree.
 
 For each degree d up to a cap, enumerate every size-d multiset of columns,
-bucket the multisets by their column sum (the fiber), and add one
+group the multisets by their column sum (the fiber), and add one
 connecting move per surplus connected component.  Connectivity under the
 moves selected at lower degrees reduces to a cheap criterion: two
 multisets in the same fiber are connected iff they are linked by a chain
@@ -9,6 +9,17 @@ of common columns.  (Sharing a column c lets the lower-degree basis walk
 between the two after peeling c, because all lower-degree fibers are
 already connected; conversely every lower-degree move keeps at least one
 column fixed.)
+
+Each degree is one array pass.  Column j gets the int64 key w·A_j for
+fixed seeded weights w and a multiset the sum of its column keys, so one
+stable argsort puts every fiber in one run of equal keys.  Inside a run
+the integer column sums of adjacent multisets are compared exactly: a
+mismatch (a hash collision) raises InvariantError, so no answer depends on
+the hash.  Min-label propagation over the (fiber, column) incidences finds
+the common-column components of all fibers at once.  Python runs only for
+the few fibers with two or more components, to pick the lexicographically
+least connecting difference, joining components in the order of their
+least multiset.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
@@ -29,6 +40,7 @@ from .linalg import InvariantError, rank
 from .relations import BudgetError, Move, _normalize_orientation, symmetry_reduce
 
 MEMORY_BUDGET_BYTES = 2 << 30
+_KEY_SEED = 20240817
 
 
 def _multiset_index_array(num_cols: int, d: int) -> np.ndarray:
@@ -48,24 +60,19 @@ def _multiset_index_array(num_cols: int, d: int) -> np.ndarray:
 
 
 def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
+    """Bytes for degree d, per multiset: the int16 index (2d), the keys
+    with their temporary, order and sorted keys (8d + 16), and, for at most
+    as many fiber members, their int16 rows, int8 column sums, ids and
+    labels (2d + num_rows + 24) and the int64 incidence arrays live during
+    the propagation (48d)."""
     n_multi = comb(num_cols + d - 1, d)
-    return n_multi * (2 * d + 2 * num_rows + 16)
+    return n_multi * (60 * d + num_rows + 40)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _column_keys(cols_t: np.ndarray) -> np.ndarray:
+    """int64 key w·A_j of each column j (row j of cols_t), w fixed and seeded."""
+    w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=cols_t.shape[1])
+    return cols_t.astype(np.int64) @ w
 
 
 @dataclass(frozen=True)
@@ -93,49 +100,62 @@ class MarkovBasisReport:
         return "\n".join(lines) + "\n"
 
 
-def _connecting_moves_for_fiber(members, idx, num_cols, tie_break):
-    """Connecting difference vectors (one per surplus component) for the
-    multisets `members` (row ids into idx) of one fiber."""
-    rows = [tuple(int(c) for c in idx[r]) for r in members]
-    uf = _UnionFind(len(rows))
-    first_with = {}
-    for i, row in enumerate(rows):
-        for c in set(row):
-            if c in first_with:
-                uf.union(first_with[c], i)
-            else:
-                first_with[c] = i
-    comps = {}
-    for i in range(len(rows)):
-        comps.setdefault(uf.find(i), []).append(i)
-    # components ordered by their least member (members ascend already)
-    ordered = sorted(comps.values(), key=lambda comp: comp[0])
+def _split_fibers(idx, cols_t, col_keys):
+    """The non-singleton fibers of one degree: their members as row ids
+    into idx (fiber by fiber, ascending inside a fiber), a flag on each
+    fiber's first member, and each member's component label (the position
+    of the component's least member)."""
+    keys = col_keys[idx].sum(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    pos = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    members, starts = order[pos], np.r_[True, ~same][pos]
+    rows = idx[members]
+
+    # exact check: equal keys must mean equal column sums (|entries| <= d)
+    sums = cols_t[rows[:, 0]].copy()
+    for t in range(1, rows.shape[1]):
+        sums += cols_t[rows[:, t]]
+    if np.any(np.any(sums[1:] != sums[:-1], axis=1) & ~starts[1:]):
+        raise InvariantError("multisets with equal keys have different column sums")
+
+    # (fiber, column) incidence nodes, then min-label propagation with pointer jumping
+    node_key = ((np.cumsum(starts) - 1)[:, None] * cols_t.shape[0] + rows).ravel()
+    inc_order = np.argsort(node_key, kind="stable")
+    node_start = np.diff(node_key[inc_order], prepend=-1) != 0
+    node_of = np.empty_like(inc_order)
+    node_of[inc_order] = np.cumsum(node_start) - 1
+    node_of = node_of.reshape(rows.shape)
+    inc_member, node_first = inc_order // rows.shape[1], np.flatnonzero(node_start)
+    labels = np.arange(len(members))
+    while True:
+        new = np.minimum.reduceat(labels[inc_member], node_first)[node_of].min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return members, starts, labels
+        labels = new
+
+
+def _connecting_moves(rows, labels, num_cols):
+    """Lexicographically least connecting difference for every surplus
+    component of one fiber; rows ascend and labels name the least member
+    of each row's component."""
+    counts = np.stack([np.bincount(r, minlength=num_cols) for r in rows])
+    comp_ids = list(dict.fromkeys(labels.tolist()))  # by least member
+    connected = counts[labels == comp_ids[0]]
     out = []
-    d = len(rows[0])
-    connected = list(ordered[0])
-    for comp in ordered[1:]:
-        best = None
-        for i in comp:
-            for j in connected:
-                diff = [0] * num_cols
-                for c in rows[i]:
-                    diff[c] += 1
-                for c in rows[j]:
-                    diff[c] -= 1
-                cand = tuple(diff)
-                if best is None:
-                    best = cand
-                elif tie_break == "least":
-                    best = min(best, cand)
-                else:
-                    best = max(best, cand)
+    for cid in comp_ids[1:]:
+        comp = counts[labels == cid]
+        diffs = (comp[:, None, :] - connected[None, :, :]).reshape(-1, num_cols)
+        best = diffs[np.lexsort(diffs.T[::-1])[0]]
         # soundness: elements of distinct components never share a column,
         # so the connecting move has degree exactly d and joining the two
         # components leaves the fiber processed so far fully connected
-        if sum(v for v in best if v > 0) != d:
-            raise InvariantError(f"connecting move has degree other than {d}")
-        out.append(best)
-        connected.extend(comp)
+        if best[best > 0].sum() != rows.shape[1]:
+            raise InvariantError(f"connecting move has degree other than {rows.shape[1]}")
+        out.append(best.tolist())
+        connected = np.vstack([connected, comp])
     return out
 
 
@@ -144,22 +164,16 @@ def _is_full_configuration(cfg: Configuration) -> bool:
     return len(ranks) == cfg.num_cols == cfg.ground.num_elementary
 
 
-def markov_basis(cfg: Configuration, degree_cap: int, tie_break: str = "least") -> MarkovBasisReport:
+def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     """Minimal Markov basis moves of degree ≤ degree_cap, with per-degree
-    representative counts under the label-permutation action.
-
-    tie_break in {"least", "greatest"} picks between equally valid
-    connecting moves; per-degree counts do not depend on it.
-    """
+    representative counts under the label-permutation action."""
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    if tie_break not in ("least", "greatest"):
-        raise ValueError("tie_break must be 'least' or 'greatest'")
     g = cfg.ground
     column_ranks = [e.rank for e in cfg.columns]
     full = _is_full_configuration(cfg)
-    cols_np = np.array(cfg.matrix, dtype=np.int8)  # (num_rows, num_cols)
-    num_rows, num_cols = cols_np.shape
+    cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+    num_cols, num_rows = cols_t.shape
 
     # every degree is checked against the budget before any index is built
     for d in range(2, degree_cap + 1):
@@ -170,46 +184,31 @@ def markov_basis(cfg: Configuration, degree_cap: int, tie_break: str = "least") 
                 f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
             )
 
-    raw_by_degree = {}
-    for d in range(2, degree_cap + 1):
-        idx = _multiset_index_array(num_cols, d)
-        sums = cols_np[:, idx[:, 0]].astype(np.int8)
-        for t in range(1, d):
-            sums += cols_np[:, idx[:, t]]
-        keys = np.ascontiguousarray(sums.T)
-        _, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(counts)
-        moves = []
-        start = 0
-        for fiber_id, stop in enumerate(boundaries):
-            if counts[fiber_id] >= 2:
-                members = order[start:stop]
-                for diff in _connecting_moves_for_fiber(members, idx, num_cols, tie_break):
-                    coeffs = [0] * g.num_elementary
-                    for c, v in enumerate(diff):
-                        if v:
-                            coeffs[column_ranks[c]] = v
-                    moves.append(_normalize_orientation(Move(g, tuple(coeffs))))
-            start = stop
-        if moves:
-            raw_by_degree[d] = moves
-
+    col_keys = _column_keys(cols_t)
     allowed = None if full else column_ranks
     reps = []
     per_degree = {}
-    for d, moves in sorted(raw_by_degree.items()):
-        reduced = symmetry_reduce(moves, allowed_ranks=allowed)
-        per_degree[d] = len(reduced)
-        reps.extend(reduced)
+    for d in range(2, degree_cap + 1):
+        idx = _multiset_index_array(num_cols, d)
+        members, starts, labels = _split_fibers(idx, cols_t, col_keys)
+        bounds = np.append(np.flatnonzero(starts), len(labels))
+        num_comps = np.add.reduceat(labels == np.arange(len(labels)), bounds[:-1])
+        moves = []
+        for f in np.flatnonzero(num_comps >= 2):
+            lo, hi = bounds[f], bounds[f + 1]
+            for diff in _connecting_moves(idx[members[lo:hi]], labels[lo:hi], num_cols):
+                coeffs = [0] * g.num_elementary
+                for r, v in zip(column_ranks, diff):
+                    coeffs[r] = v
+                moves.append(_normalize_orientation(Move(g, tuple(coeffs))))
+        if moves:
+            reduced = symmetry_reduce(moves, allowed_ranks=allowed)
+            per_degree[d] = len(reduced)
+            reps.extend(reduced)
 
     if full:
-        complete = (g.n <= 2) or (g.n == 3 and degree_cap >= 2) or (
-            g.n == 4 and degree_cap >= 4
-        )
+        # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
+        complete = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
     else:
         # for a proper column subset we can certify completeness only in
         # the trivial-kernel case (no two multisets ever share a sum)

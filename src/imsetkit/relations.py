@@ -26,10 +26,11 @@ taxonomy by brute force within explicit bounds.
 Kernel checks never build the dense configuration: Move scatters its
 nonzero coefficients through the four-rank column table of
 imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
-vectors and the pivot move reduce_to_basis uses for each leading rank are
-computed once per ground set and cached as tuples or read-only maps (keyed
-by the GroundSet, which hashes by its labels); basic_moves hands out a
-fresh list.
+vectors, the pivot move reduce_to_basis uses for each leading rank and the
+elementary-rank maps of all n! label permutations (the action behind
+symmetry_reduce) are computed once per ground set and cached as tuples or
+read-only maps (keyed by the GroundSet, which hashes by its labels);
+basic_moves hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -331,44 +332,48 @@ def enumerate_small_relations(
     return forms
 
 
-def _label_permutation_rank_map(g: GroundSet, perm) -> tuple:
-    """Elementary-rank permutation induced by the label permutation
-    perm[i] = image of label index i."""
+@lru_cache(maxsize=32)
+def _label_permutation_rank_maps(g: GroundSet) -> tuple:
+    """Elementary-rank permutation induced by every label permutation
+    (perm[i] = image of label index i), in itertools.permutations order."""
     out = []
-    for a, b, c_mask in g.elementary_triples:
-        pa, pb = perm[a], perm[b]
-        pc = 0
-        for i in bit_indices(c_mask):
-            pc |= 1 << perm[i]
-        out.append(_rank_of(g, pa, pb, pc))
+    for perm in permutations(range(g.n)):
+        row = []
+        for a, b, c_mask in g.elementary_triples:
+            pc = 0
+            for i in bit_indices(c_mask):
+                pc |= 1 << perm[i]
+            row.append(_rank_of(g, perm[a], perm[b], pc))
+        out.append(tuple(row))
     return tuple(out)
 
 
 def _orbit_canonical(coeffs: tuple, rank_maps) -> tuple:
+    support = [(j, c) for j, c in enumerate(coeffs) if c]
+    if not support:
+        return tuple(coeffs)
     best = None
     for rm in rank_maps:
+        # of an image and its negation, the lesser starts negative
+        lead = min(support, key=lambda jc: rm[jc[0]])[1]
+        sign = -1 if lead > 0 else 1
         img = [0] * len(coeffs)
-        for j, c in enumerate(coeffs):
-            if c:
-                img[rm[j]] = c
-        for cand in (tuple(img), tuple(-c for c in img)):
-            if best is None or cand < best:
-                best = cand
+        for j, c in support:
+            img[rm[j]] = sign * c
+        cand = tuple(img)
+        if best is None or cand < best:
+            best = cand
     return best
 
 
 def permutation_rank_maps(g: GroundSet, allowed_ranks=None) -> list:
     """Rank permutations for every label permutation; when allowed_ranks is
     given, only permutations stabilizing that column set."""
-    maps = []
-    allowed = None if allowed_ranks is None else frozenset(allowed_ranks)
-    for perm in permutations(range(g.n)):
-        rm = _label_permutation_rank_map(g, perm)
-        if allowed is not None:
-            if frozenset(rm[j] for j in allowed) != allowed:
-                continue
-        maps.append(rm)
-    return maps
+    maps = _label_permutation_rank_maps(g)
+    if allowed_ranks is None:
+        return list(maps)
+    allowed = frozenset(allowed_ranks)
+    return [rm for rm in maps if frozenset(rm[j] for j in allowed) == allowed]
 
 
 def symmetry_reduce(moves, allowed_ranks=None) -> list:

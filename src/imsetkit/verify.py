@@ -530,12 +530,6 @@ def criterion_property_suite():
     desc = face_description(Triplet.parse(g4, "a|b|c"))
     note("dimension" in desc.to_json(), "face description json")
 
-    # markov per-degree counts are tie-break invariant
-    for g, cap in ((GroundSet(3), 2), (g4, 3)):
-        a = markov_basis(configuration(g), cap, tie_break="least")
-        b = markov_basis(configuration(g), cap, tie_break="greatest")
-        note(a.per_degree_counts == b.per_degree_counts, f"tie-break n={g.n}")
-
     # canonical decomposition of semi-elementary imsets re-sums
     for i in range(10):
         t = rng.choice(all5)

@@ -6,7 +6,6 @@ import pytest
 from imsetkit.ci import (
     CIModel,
     JointTable,
-    ci_holds,
     ci_model_of_P,
     ci_model_of_imset,
     equivalence_3x3_check,
@@ -114,11 +113,11 @@ def test_multiinformation_matches_entropy_identity():
 
 def test_markov_chain_ci_model():
     g, P = markov_chain_table()
-    assert ci_holds(P, Triplet.parse(g, "a|b|c"))
-    assert not ci_holds(P, Triplet.parse(g, "a|c|b"))
-    assert not ci_holds(P, Triplet.parse(g, "a|b|0"))
-    assert ci_holds(P, Triplet(g, g.parse_subset("a"), 0, g.parse_subset("c")))  # trivial
     model = ci_model_of_P(P)
+    assert model.contains(Triplet.parse(g, "a|b|c"))
+    assert not model.contains(Triplet.parse(g, "a|c|b"))
+    assert not model.contains(Triplet.parse(g, "a|b|0"))
+    assert model.contains(Triplet(g, g.parse_subset("a"), 0, g.parse_subset("c")))  # trivial
     assert model.to_strings() == ["a|b|c"]
     closure = semigraphoid_closure(g, ["a|b|c"])
     assert model == closure

@@ -8,6 +8,7 @@ import pytest
 from imsetkit.cli import main
 from imsetkit.groundset import GroundSet, Triplet
 from imsetkit.imsets import Imset, configuration, semi_elementary
+from imsetkit.linalg import InvariantError
 from imsetkit.relations import basic_moves
 
 
@@ -253,6 +254,21 @@ def test_exit_codes(capsys, tmp_path):
     # missing file
     code, _ = run(capsys, "skeletal", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("exc", [InvariantError("pivot division was inexact"), RuntimeError("boom")])
+def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
+    import imsetkit.cli as cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_markov", broken)
+    code = main(["markov", "--n", "3", "--degree-cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 @pytest.mark.parametrize(

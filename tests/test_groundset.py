@@ -11,20 +11,18 @@ from imsetkit.groundset import (
     ElementaryIndex,
     GroundSet,
     Triplet,
-    elementary_order,
     enumerate_elementary,
     enumerate_triplets,
-    graded_set_order,
 )
 
 
 def test_graded_order_examples():
     g = GroundSet(4)
-    empty = g.parse_subset("0")
-    assert graded_set_order(g, empty, g.parse_subset("a")) == -1
-    assert graded_set_order(g, g.parse_subset("ab"), g.parse_subset("ac")) == -1
-    assert graded_set_order(g, g.parse_subset("cd"), g.parse_subset("abc")) == -1
-    assert graded_set_order(g, g.parse_subset("bc"), g.parse_subset("bc")) == 0
+    rank = lambda s: g.subset_rank(g.parse_subset(s))
+    assert rank("0") < rank("a")
+    assert rank("ab") < rank("ac")
+    assert rank("cd") < rank("abc")
+    assert rank("bc") == rank("bc") == g.subset_rank(g.parse_subset("cb"))
     # full size-2 ascending chain over a..d
     size2 = [m for m in g.masks_graded if bin(m).count("1") == 2]
     assert [g.subset_str(m) for m in size2] == ["ab", "ac", "ad", "bc", "bd", "cd"]
@@ -68,8 +66,8 @@ def test_elementary_count_formula():
 def test_elementary_order_examples():
     g = GroundSet(4)
     t = lambda s: ElementaryIndex.from_triplet(Triplet.parse(g, s))
-    assert elementary_order(t("a|b|0"), t("a|c|0")) == -1
-    assert elementary_order(t("c|d|0"), t("b|c|a")) == -1
+    assert t("a|b|0").rank < t("a|c|0").rank
+    assert t("c|d|0").rank < t("b|c|a").rank
     assert t("a|b|cd").rank == 23
     assert t("a|b|0").rank == 0
     # the first column block, conditioning on the empty set
@@ -119,14 +117,9 @@ def test_order_properties_random():
         masks = [rng.randrange(g.num_subsets) for _ in range(60)]
         for s in masks:
             for t in masks:
-                st = graded_set_order(g, s, t)
-                assert st == -graded_set_order(g, t, s)
-                if st == 0:
-                    assert s == t
-        # transitivity via rank consistency
-        for s in masks:
-            for t in masks:
-                assert (graded_set_order(g, s, t) < 0) == (g.subset_rank(s) < g.subset_rank(t)) or s == t
+                # the rank is injective and follows the graded sort key
+                assert (g.subset_rank(s) == g.subset_rank(t)) == (s == t)
+                assert (g.subset_rank(s) < g.subset_rank(t)) == (g.subset_key(s) < g.subset_key(t))
 
 
 def test_ground_set_validation():

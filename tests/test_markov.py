@@ -1,20 +1,146 @@
 """Tests for minimal Markov bases of configurations."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imsetkit.faces import subconfiguration
-from imsetkit.groundset import GroundSet, Triplet
+from imsetkit.groundset import GroundSet, Triplet, enumerate_triplets
 from imsetkit.imsets import configuration
+from imsetkit.linalg import InvariantError
 from imsetkit.markov import (
     MEMORY_BUDGET_BYTES,
+    MarkovBasisReport,
     _estimate_bytes,
+    _is_full_configuration,
+    _kernel_trivial,
+    _connecting_moves,
     _multiset_index_array,
     markov_basis,
 )
-from imsetkit.relations import BudgetError, basic_moves, reduce_to_basis, symmetry_reduce
+from imsetkit.relations import (
+    BudgetError,
+    Move,
+    _normalize_orientation,
+    basic_moves,
+    reduce_to_basis,
+    symmetry_reduce,
+)
+
+
+# The np.unique + per-fiber union-find pass that markov_basis used before
+# the hashed array pass, kept verbatim (with the removed tie-break option
+# fixed to "least") as the differential oracle.
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
+def _oracle_connecting_moves_for_fiber(members, idx, num_cols):
+    rows = [tuple(int(c) for c in idx[r]) for r in members]
+    uf = _UnionFind(len(rows))
+    first_with = {}
+    for i, row in enumerate(rows):
+        for c in set(row):
+            if c in first_with:
+                uf.union(first_with[c], i)
+            else:
+                first_with[c] = i
+    comps = {}
+    for i in range(len(rows)):
+        comps.setdefault(uf.find(i), []).append(i)
+    # components ordered by their least member (members ascend already)
+    ordered = sorted(comps.values(), key=lambda comp: comp[0])
+    out = []
+    d = len(rows[0])
+    connected = list(ordered[0])
+    for comp in ordered[1:]:
+        best = None
+        for i in comp:
+            for j in connected:
+                diff = [0] * num_cols
+                for c in rows[i]:
+                    diff[c] += 1
+                for c in rows[j]:
+                    diff[c] -= 1
+                cand = tuple(diff)
+                if best is None:
+                    best = cand
+                else:
+                    best = min(best, cand)
+        if sum(v for v in best if v > 0) != d:
+            raise InvariantError(f"connecting move has degree other than {d}")
+        out.append(best)
+        connected.extend(comp)
+    return out
+
+
+def _oracle_markov_basis(cfg, degree_cap):
+    g = cfg.ground
+    column_ranks = [e.rank for e in cfg.columns]
+    full = _is_full_configuration(cfg)
+    cols_np = np.array(cfg.matrix, dtype=np.int8)  # (num_rows, num_cols)
+    num_rows, num_cols = cols_np.shape
+
+    raw_by_degree = {}
+    for d in range(2, degree_cap + 1):
+        idx = _multiset_index_array(num_cols, d)
+        sums = cols_np[:, idx[:, 0]].astype(np.int8)
+        for t in range(1, d):
+            sums += cols_np[:, idx[:, t]]
+        keys = np.ascontiguousarray(sums.T)
+        _, inverse, counts = np.unique(
+            keys, axis=0, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        boundaries = np.cumsum(counts)
+        moves = []
+        start = 0
+        for fiber_id, stop in enumerate(boundaries):
+            if counts[fiber_id] >= 2:
+                members = order[start:stop]
+                for diff in _oracle_connecting_moves_for_fiber(members, idx, num_cols):
+                    coeffs = [0] * g.num_elementary
+                    for c, v in enumerate(diff):
+                        if v:
+                            coeffs[column_ranks[c]] = v
+                    moves.append(_normalize_orientation(Move(g, tuple(coeffs))))
+            start = stop
+        if moves:
+            raw_by_degree[d] = moves
+
+    allowed = None if full else column_ranks
+    reps = []
+    per_degree = {}
+    for d, moves in sorted(raw_by_degree.items()):
+        reduced = symmetry_reduce(moves, allowed_ranks=allowed)
+        per_degree[d] = len(reduced)
+        reps.extend(reduced)
+
+    if full:
+        complete = (g.n <= 2) or (g.n == 3 and degree_cap >= 2) or (
+            g.n == 4 and degree_cap >= 4
+        )
+    else:
+        complete = _kernel_trivial(cfg)
+    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), complete)
 
 
 def kernel_check(cfg, move):
@@ -65,18 +191,6 @@ def test_cap_below_full_degree_incomplete():
     rep = markov_basis(configuration(g), 3)
     assert rep.per_degree_counts == {2: 2, 3: 1}
     assert not rep.complete
-
-
-def test_tie_break_invariance():
-    for g, cap in [(GroundSet(3), 2), (GroundSet(4), 4)]:
-        least = markov_basis(configuration(g), cap, tie_break="least")
-        greatest = markov_basis(configuration(g), cap, tie_break="greatest")
-        assert least.per_degree_counts == greatest.per_degree_counts
-        assert least.complete == greatest.complete
-    t = Triplet.parse(GroundSet(4), "ab|cd|0")
-    sub_l = markov_basis(subconfiguration(t), 4, tie_break="least")
-    sub_g = markov_basis(subconfiguration(t), 4, tie_break="greatest")
-    assert sub_l.per_degree_counts == sub_g.per_degree_counts
 
 
 def test_subconfiguration_square_free():
@@ -144,8 +258,6 @@ def test_validation_errors():
     cfg = configuration(GroundSet(3))
     with pytest.raises(ValueError):
         markov_basis(cfg, 1)
-    with pytest.raises(ValueError):
-        markov_basis(cfg, 2, tie_break="random")
 
 
 def test_report_serialization():
@@ -175,3 +287,106 @@ def test_sums_match_numpy_pipeline():
         direct = [sum(cfg.matrix[i][j] for j in trio) for i in range(cfg.num_rows)]
         vec = cols[:, trio].sum(axis=1)
         assert direct == [int(v) for v in vec]
+
+
+def _oracle_cases():
+    # every exactly effective sub-configuration at n=3..5 with caps 2..4,
+    # then the full configurations; of the ten 48-column shapes
+    # <ab|cde|0> and its label images only the first runs at cap 4 (the
+    # oracle's row-wise np.unique takes about 3 s on each)
+    cases = []
+    for n in (3, 4, 5):
+        g = GroundSet(n)
+        wide = 0
+        for t in enumerate_triplets(g):
+            if t.a_mask | t.b_mask | t.c_mask != g.full_mask:
+                continue
+            cfg = subconfiguration(t)
+            wide += cfg.num_cols == 48
+            later_wide = cfg.num_cols == 48 and wide > 1
+            cases.append((str(t), cfg, (2, 3) if later_wide else (2, 3, 4)))
+    for n, cap in ((3, 2), (4, 4), (5, 3)):
+        cases.append((f"full n={n}", configuration(GroundSet(n)), (cap,)))
+    return cases
+
+
+def test_hashed_pass_matches_unique_union_find_oracle():
+    cases = _oracle_cases()
+    assert sum(len(caps) for _, _, caps in cases) == 357
+    for name, cfg, caps in cases:
+        want = _oracle_markov_basis(cfg, caps[-1])
+        for cap in caps:
+            got = markov_basis(cfg, cap)
+            # the oracle's degree-d pass does not depend on the cap, and
+            # `complete` only does for full configurations (run at one
+            # cap), so its report at a lower cap is this degree prefix
+            counts = {d: c for d, c in want.per_degree_counts.items() if d <= cap}
+            reps = tuple(m for m in want.representatives if m.degree <= cap)
+            assert got.per_degree_counts == counts, (name, cap)
+            assert got.representatives == reps, (name, cap)
+            assert got.complete == want.complete, (name, cap)
+
+
+def test_key_collision_raises(monkeypatch):
+    import imsetkit.markov as mk
+
+    monkeypatch.setattr(mk, "_column_keys", lambda cols_t: np.zeros(len(cols_t), dtype=np.int64))
+    with pytest.raises(InvariantError, match="equal keys"):
+        markov_basis(configuration(GroundSet(4)), 2)
+
+
+_COLLISION_SCRIPT = """
+import numpy as np
+from imsetkit import markov
+from imsetkit.groundset import GroundSet
+from imsetkit.imsets import configuration
+
+markov._column_keys = lambda cols_t: np.zeros(len(cols_t), dtype=np.int64)
+try:
+    markov.markov_basis(configuration(GroundSet(4)), 2)
+    print("unchecked")
+except markov.InvariantError as exc:
+    print("checked" if "equal keys" in str(exc) else exc)
+"""
+
+
+def test_key_collision_raises_under_python_O():
+    import imsetkit
+
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _COLLISION_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["checked"], flags
+
+
+def test_budget_estimate_covers_traced_peak():
+    import tracemalloc
+
+    g = GroundSet(5)
+    for name, cap in (("a|bcde|0", 4), ("ab|cde|0", 3)):
+        cfg = subconfiguration(Triplet.parse(g, name))
+        estimate = max(_estimate_bytes(cfg.num_cols, cfg.num_rows, d) for d in range(2, cap + 1))
+        tracemalloc.start()
+        try:
+            markov_basis(cfg, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, name
+
+
+def test_connecting_moves_pick_the_least_difference():
+    # three components {r0}, {r1, r2} (sharing column 2) and {r3}, joined
+    # in the order of their least member; on every fiber of the oracle
+    # sweep any connecting choice gives the same representatives, so the
+    # choice rule is pinned here
+    rows = np.array([[0, 1], [2, 3], [2, 4], [5, 5]], dtype=np.int16)
+    labels = np.array([0, 1, 1, 3])
+    assert _connecting_moves(rows, labels, 6) == [
+        [-1, -1, 1, 0, 1, 0],
+        [-1, -1, 0, 0, 0, 2],
+    ]
