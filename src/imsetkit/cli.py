@@ -5,7 +5,8 @@ carry a "schema": "imset-kit/1" field; --format picks json, csv, or text
 (text renders imsets in delta-notation).  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 budget exceeded, 4 internal
 error (any other exception, such as a failed exactness check: one line on
-stderr instead of a traceback).
+stderr instead of a traceback).  The argument parser is built once per
+process, on the first call to main, and reused by every later call.
 
 File conventions (JSON):
   set function   {"ground": "abcd", "values": {"ab": "1", "abc": "3/2"}}
@@ -19,6 +20,7 @@ File conventions (JSON):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -469,7 +471,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused (parsing does
+    not change it).  The handler of a command is looked up by main at call
+    time, not bound here."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
@@ -487,20 +493,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("config", parents=[common, ground], help="the configuration matrix")
-    sp.set_defaults(fn=_cmd_config)
 
     sp = sub.add_parser(
         "check-supermodular", parents=[common], help="test a set function for supermodularity"
     )
     sp.add_argument("function", help="set-function JSON file")
     sp.add_argument("--tol", type=float, default=0, help="tolerance (default exact)")
-    sp.set_defaults(fn=_cmd_check_supermodular)
 
     sp = sub.add_parser(
         "skeletal", parents=[common], help="extreme-ray test with tight-set evidence"
     )
     sp.add_argument("function", help="set-function JSON file")
-    sp.set_defaults(fn=_cmd_skeletal)
 
     sp = sub.add_parser("construct", parents=[common, ground], help="build a named set function")
     sp.add_argument(
@@ -522,43 +525,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--label", default=None, help="new variable label for extensions")
     sp.add_argument("--input", default=None, help="base set-function JSON file")
     sp.add_argument("--input2", default=None, help="second factor for product")
-    sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser(
         "decompose", parents=[common, ground], help="canonical elementary decomposition"
     )
     sp.add_argument("triplet", help="A|B|C, e.g. 'ab|cd|0'")
-    sp.set_defaults(fn=_cmd_decompose)
 
     sp = sub.add_parser(
         "classify-imset", parents=[common], help="finest imset class with a witness"
     )
     sp.add_argument("imset", help="imset JSON file")
-    sp.set_defaults(fn=_cmd_classify_imset)
 
     sp = sub.add_parser("face", parents=[common, ground], help="face data of u_<A|B|C>")
     sp.add_argument("triplet", help="A|B|C, e.g. 'a|b|cd'")
-    sp.set_defaults(fn=_cmd_face)
 
     sp = sub.add_parser(
         "face-of", parents=[common], help="the face a structural imset generates"
     )
     sp.add_argument("imset", help="imset JSON file")
-    sp.set_defaults(fn=_cmd_face_of)
 
     sp = sub.add_parser("ci-model", parents=[common], help="CI statements of a distribution or imset")
     sp.add_argument("--dist", default=None, help="joint-table JSON file")
     sp.add_argument("--imset", default=None, help="imset JSON file")
     sp.add_argument("--tol", type=float, default=1e-9, help="CI tolerance for --dist")
-    sp.set_defaults(fn=_cmd_ci_model)
 
     sp = sub.add_parser("closure", parents=[common], help="semi-graphoid closure of statements")
     sp.add_argument("statements", help="statements JSON file")
-    sp.set_defaults(fn=_cmd_closure)
 
     sp = sub.add_parser("reduce", parents=[common], help="write a move over the 2x2 basis")
     sp.add_argument("move", help="move JSON file")
-    sp.set_defaults(fn=_cmd_reduce)
 
     sp = sub.add_parser(
         "relations", parents=[common, ground], help="enumerate and classify small relations"
@@ -566,25 +561,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=3, help="max distinct imsets on the smaller side")
     sp.add_argument("--degree-max", type=int, default=6, help="degree bound")
     sp.add_argument("--coeff-bound", type=int, default=3, help="coefficient bound")
-    sp.set_defaults(fn=_cmd_relations)
 
     sp = sub.add_parser("markov", parents=[common, ground], help="minimal Markov basis by degree")
     sp.add_argument("--degree-cap", type=int, default=4)
     sp.add_argument("--sub", default=None, help="restrict to the sub-configuration of A|B|C")
-    sp.set_defaults(fn=_cmd_markov)
 
     sp = sub.add_parser("verify", parents=[common], help="run the acceptance checks")
     sp.add_argument("--suite", choices=sorted(SUITES), default="all")
-    sp.set_defaults(fn=_cmd_verify)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,16 +13,18 @@ face iff it is orthogonal to every member of M, and every outsider is
 separated by some member with inner product exactly 1.
 
 For any structural imset u, certify_face finds the least face F(u)
-containing u: every elementary imset is put inside with an LP witness or
+containing u: every elementary imset is put inside with a witness or
 outside with a separating functional (an indicator from the families above
-or a Farkas certificate), using a handful of exact LPs instead of one per
-elementary imset.  CI models are read off that face (ci.ci_model_of_imset).
+or a Farkas certificate).  The first witness comes from membership.classify,
+so a combinatorial u starts from its integer decomposition and needs no
+base LP; the indicators then exclude columns with no LP at all, and a
+handful of exact LPs settle the rest instead of one per elementary imset.
+CI models are read off that face (ci.ci_model_of_imset).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groundset import (
     ElementaryIndex,
@@ -41,22 +43,13 @@ from .imsets import (
     elementary_combination,
     elementary_imset,
     inner,
-    is_member_L_star,
 )
 from .linalg import InvariantError, lp_feasible, rank
-from .supermodular import SetFunction
+from .membership import _cut_table, _subset_indicator, _superset_indicator, classify
 
 
 def _graded_submasks(g: GroundSet, mask: int):
     return sorted(iter_submasks(mask), key=g.subset_key)
-
-
-def _superset_indicator(g: GroundSet, mask: int) -> SetFunction:
-    return SetFunction(g, tuple(1 if m & mask == mask else 0 for m in g.masks_graded))
-
-
-def _subset_indicator(g: GroundSet, mask: int) -> SetFunction:
-    return SetFunction(g, tuple(1 if m & ~mask == 0 else 0 for m in g.masks_graded))
 
 
 def _require_nontrivial(t: Triplet):
@@ -204,22 +197,6 @@ def verify_face_theorem(t: Triplet) -> dict:
     }
 
 
-@lru_cache(maxsize=32)
-def _indicator_cuts(g: GroundSet) -> tuple:
-    """(f, ranks) for every superset indicator 1_{T⊆·} and subset indicator
-    1_{·⊆T} that is positive on some elementary column: f's values and the
-    ranks of the columns w with <f, w> > 0.  Both families are supermodular,
-    so each f is nonnegative on every elementary imset."""
-    table = elementary_columns(g)
-    out = []
-    for mask in g.masks_graded:
-        for f in (_superset_indicator(g, mask), _subset_indicator(g, mask)):
-            ranks = tuple(j for j, col in enumerate(table) if column_value(f.values, col) > 0)
-            if ranks:
-                out.append((f.values, ranks))
-    return tuple(out)
-
-
 def certify_face(u: Imset) -> tuple:
     """Decide every elementary column for the least face F(u) of a
     structural imset u, each with an exact reason.
@@ -235,12 +212,13 @@ def certify_face(u: Imset) -> tuple:
 
     The reasons come in three kinds, found in this order:
 
-    1. Base LP.  Σ lam_j u_j = u (the structural test); every column of
-       positive weight is inside.  An infeasible LP, or u outside the
-       lattice, raises ValueError.
+    1. Base witness.  Σ lam_j u_j = u with mu = 1, from membership.classify:
+       the search's integer witness when u is combinatorial, the base LP's
+       witness otherwise; every column of positive weight is inside.  An
+       imset that classify does not find structural raises ValueError.
     2. Indicators, no LP.  Superset indicators 1_{T⊆·} and subset
-       indicators 1_{·⊆T} are supermodular; each one orthogonal to u puts
-       the columns it is positive on outside.
+       indicators 1_{·⊆T} (membership._cut_table) are supermodular; each
+       one orthogonal to u puts the columns it is positive on outside.
     3. LP harvest.  Let s be the sum of the still undecided columns and
        solve mu·u - Σ lam_j u_j = s over mu, lam >= 0.  A witness puts
        every summand of s inside (faces are closed under taking summands),
@@ -254,10 +232,10 @@ def certify_face(u: Imset) -> tuple:
     InvariantError (also under python -O).
     """
     g = u.ground
-    cfg = configuration(g)
-    base = is_member_L_star(u) and lp_feasible(cfg.matrix, u.values)
-    if not (base and base.feasible):
+    base = classify(u)
+    if base.membership_class not in ("combinatorial", "structural"):
         raise ValueError("imset is not structural")
+    cfg = configuration(g)
     table = elementary_columns(g)
     nonzero = [(r, v) for r, v in enumerate(u.values) if v]
     inside, outside = {}, {}
@@ -276,8 +254,9 @@ def certify_face(u: Imset) -> tuple:
             outside.setdefault(k, f)
 
     include(1, base.witness)
-    for f, ranks in _indicator_cuts(g):
-        if sum(f[r] * v for r, v in nonzero) == 0:
+    cut_table = _cut_table(g)
+    for (f, ranks), x in zip(cut_table.cuts, cut_table.inners(u.values)):
+        if x == 0:
             exclude(f, ranks)
     # columns [u | -u_j for u_j in E(N)]
     A = [(x,) + tuple(-y for y in row) for x, row in zip(u.values, cfg.matrix)]
@@ -303,9 +282,10 @@ def face_of_structural(u: Imset) -> list:
     the elementary v with mu*u - v in the cone for some mu >= 0, ascending
     by rank.
 
-    Every column is decided by certify_face with an exact reason: an LP
-    witness for each ray returned, and for each ray left out a superset or
-    subset indicator or a Farkas functional f with <f, u> = 0 < <f, v>.
+    Every column is decided by certify_face with an exact reason: a
+    witness (integer or LP) for each ray returned, and for each ray left
+    out a superset or subset indicator or a Farkas functional f with
+    <f, u> = 0 < <f, v>.
     Raises ValueError for an imset that is not structural.
     """
     inside, _ = certify_face(u)

@@ -20,7 +20,8 @@ the tableau is d times the rational one, d > 0 the last pivot, and ratios
 are compared by cross-multiplication.  Feasible answers carry an exact
 witness; infeasible answers carry an exact Farkas certificate y with
 y^T A >= 0 componentwise and y^T b < 0.  Both are re-verified by
-substitution into the caller's A and b before returning; a failed re-check
+substitution into the caller's A and b before returning, on the integer
+numerators over d (exact for rational A and b too); a failed re-check
 raises InvariantError, which (unlike assert) also runs under python -O.
 """
 
@@ -182,25 +183,30 @@ def lp_feasible(A, b) -> LPFeasibility:
         d = tab[leave][enter]
         basis[leave] = enter
 
+    # d > 0 (every pivot is positive), so x = t / d and y = z / d are checked
+    # exactly on their integer numerators t and z
     if cost[-1] == 0:
-        x = [Fraction(0)] * n
+        t = [0] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = Fraction(tab[i][-1], d)
-        # exact re-substitution check
-        if any(v < 0 for v in x):
+                t[bv] = tab[i][-1]
+        # exact re-substitution check: A t = d b
+        support = [(j, v) for j, v in enumerate(t) if v]
+        if any(v < 0 for _, v in support):
             raise InvariantError("LP witness has a negative entry")
         for i in range(m):
-            if sum(c * v for c, v in zip(A[i], x)) != b[i]:
+            row = A[i]
+            if sum(row[j] * v for j, v in support) != d * b[i]:
                 raise InvariantError(f"LP witness violates row {i}")
-        return LPFeasibility(True, tuple(x), None)
+        return LPFeasibility(True, tuple(Fraction(v, d) for v in t), None)
 
     # Farkas: y_i = 1 - (reduced cost of artificial i), then undo the row scale
-    cert = [Fraction(-scale[i] * (d - cost[n + i]), d) for i in range(m)]
-    # exact certificate check
+    z = [-scale[i] * (d - cost[n + i]) for i in range(m)]
+    # exact certificate check: z^T A >= 0 and z^T b < 0
+    rows = [(row, zi) for row, zi in zip(A, z) if zi]
     for j in range(n):
-        if sum(cert[i] * A[i][j] for i in range(m)) < 0:
+        if sum(zi * row[j] for row, zi in rows) < 0:
             raise InvariantError(f"Farkas certificate is negative on column {j}")
-    if sum(cert[i] * b[i] for i in range(m)) >= 0:
+    if sum(zi * bi for zi, bi in zip(z, b)) >= 0:
         raise InvariantError("Farkas certificate does not separate b")
-    return LPFeasibility(False, None, tuple(cert))
+    return LPFeasibility(False, None, tuple(Fraction(zi, d) for zi in z))

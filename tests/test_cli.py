@@ -2,9 +2,14 @@
 output formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imsetkit
 from imsetkit.cli import main
 from imsetkit.groundset import GroundSet, Triplet
 from imsetkit.imsets import Imset, configuration, semi_elementary
@@ -319,3 +324,63 @@ def test_text_format_renders_imsets(capsys):
     code, out = run(capsys, "face", "ab|cd|0", "--n", "4", "--format", "text")
     assert code == 0
     assert "dimension: 9" in out
+
+
+# Runs `imset-kit` argument lists (JSON, argv[1]) one after another in this
+# process and prints, per call, the exit code, stdout, stderr and the text
+# of the -o file, if any.
+_SEQUENCE_SCRIPT = """
+import contextlib, io, json, os, sys
+from imsetkit import cli
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if "-o" in argv:
+        path = argv[argv.index("-o") + 1]
+        with open(path) as fh:
+            written = fh.read()
+        os.remove(path)
+    out.append([code, stdout.getvalue(), stderr.getvalue(), written])
+print(json.dumps(out))
+"""
+
+
+def test_parser_reuse_gives_fresh_process_output(tmp_path):
+    imset = tmp_path / "u.json"
+    write_four_generator_imset(imset)
+    table = tmp_path / "P.json"
+    table.write_text(json.dumps({"labels": "ab", "cardinalities": [2, 2],
+                                 "probabilities": [0.25, 0.25, 0.25, 0.25]}))
+    out = str(tmp_path / "out.json")
+    calls = [
+        ["decompose", "a|bc|0", "--n", "3", "--format", "text"],
+        ["decompose", "a|bc|0", "--n", "3"],
+        ["face", "a|b|c", "--n", "3", "-o", out],
+        ["face", "a|b|c", "--n", "3"],
+        ["face", "a|b|c", "--no-such-flag"],
+        ["classify-imset", str(imset)],
+        ["ci-model", "--dist", str(table)],
+    ]
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def results(argvs):
+        done = subprocess.run(
+            [sys.executable, "-c", _SEQUENCE_SCRIPT, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(done.stdout)
+
+    in_sequence = results(calls)
+    assert [r[0] for r in in_sequence] == [0, 0, 0, 0, 2, 0, 0]
+    assert in_sequence[2][1] == "" and in_sequence[2][3] == in_sequence[3][1]
+    assert "unrecognized arguments: --no-such-flag" in in_sequence[4][2]
+    for argv, got in zip(calls, in_sequence):
+        assert results([argv]) == [got], argv

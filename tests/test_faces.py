@@ -242,7 +242,7 @@ def test_face_of_semi_elementary_n5(text):
 
 
 _CONFLICT_SCRIPT = """
-from imsetkit import faces
+from imsetkit import faces, membership
 from imsetkit.groundset import ElementaryIndex, GroundSet
 from imsetkit.imsets import elementary_imset
 
@@ -250,7 +250,7 @@ g = GroundSet(3)
 u = elementary_imset(ElementaryIndex.from_rank(g, 0))
 print([e.rank for e in faces.face_of_structural(u)])
 # a cut that claims to exclude column 0, which the base witness puts inside
-faces._indicator_cuts = lambda g: (((0,) * g.num_subsets, (0,)),)
+faces._cut_table = lambda g: membership._CutTable((((0,) * g.num_subsets, (0,)),), ((),), 0, ())
 try:
     faces.face_of_structural(u)
     print("unchecked")

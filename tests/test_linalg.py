@@ -263,6 +263,35 @@ try:
     print("unchecked")
 except linalg.InvariantError:
     print("checked")
+del linalg.divmod  # the builtin again
+from imsetkit import faces, membership
+from imsetkit.groundset import ElementaryIndex
+from imsetkit.imsets import elementary_imset
+g = GroundSet(3)
+# the cut table checks that every cut is 0/1 and f* is 1 on every column
+real_sub, real_star = membership._subset_indicator, membership.degree_function
+for attr, fake in (
+    ("_subset_indicator", lambda g, mask: real_sub(g, mask).scale(2)),
+    ("degree_function", lambda g: membership._superset_indicator(g, g.full_mask)),
+):
+    setattr(membership, attr, fake)
+    membership._cut_table.cache_clear()
+    try:
+        membership._cut_table(g)
+        print("unchecked")
+    except linalg.InvariantError:
+        print("checked")
+membership._subset_indicator, membership.degree_function = real_sub, real_star
+membership._cut_table.cache_clear()
+# a search witness that does not re-sum to the imset is caught before use
+u = elementary_imset(ElementaryIndex.from_rank(g, 0))
+membership._dfs_witnesses = lambda u, **kw: [(0, 1) + (0,) * (g.num_elementary - 2)]
+for fn in (membership.classify, faces.face_of_structural):
+    try:
+        fn(u)
+        print("unchecked")
+    except linalg.InvariantError:
+        print("checked")
 """
 
 
@@ -281,4 +310,4 @@ def test_exact_checks_survive_python_O():
     assert lines[0] == "11 1"
     assert "feasible=True" in lines[1] and "feasible=False" in lines[2]
     assert lines[3] == "[[-2, 1, 0]]"
-    assert lines[4:] == ["checked", "2", "checked", "True", "checked"]
+    assert lines[4:] == ["checked", "2", "checked", "True", "checked"] + ["checked"] * 4
