@@ -1,12 +1,12 @@
 """The imset-kit command line.
 
 Every command is deterministic given its inputs and flags.  JSON outputs
-carry a "schema": "imset-kit/1" field; --format picks json, csv, or text
-(text renders imsets in delta-notation).  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 budget exceeded, 4 internal
-error (any other exception, such as a failed exactness check: one line on
-stderr instead of a traceback).  The argument parser is built once per
-process, on the first call to main, and reused by every later call.
+carry a "schema": "imset-kit/1" field; --format picks json, csv, or text.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
+exceeded, 4 internal error (any other exception, such as a failed
+exactness check: one line on stderr instead of a traceback).  The
+argument parser is built once per process, on the first call to main, and
+reused by every later call.
 
 File conventions (JSON):
   set function   {"ground": "abcd", "values": {"ab": "1", "abc": "3/2"}}
@@ -446,6 +446,7 @@ def _cmd_markov(args) -> int:
         **report.to_json(),
     }
     lines = [f"degree cap: {report.degree_cap}", f"complete: {report.complete}"]
+    lines.append(f"complete source: {report.complete_source}")
     for d, c in sorted(report.per_degree_counts.items()):
         lines.append(f"degree {d}: {c} representatives")
     _emit(args, payload, text="\n".join(lines), csv_text=report.to_csv())

@@ -325,13 +325,12 @@ def enumerate_elementary(ground: GroundSet):
     return [ElementaryIndex(ground, a, b, c) for (a, b, c) in ground.elementary_triples]
 
 
-def enumerate_triplets(ground: GroundSet, elementary_only: bool = False):
+def enumerate_triplets(ground: GroundSet):
     """All canonical triplets <A|B|C> with A, B nonempty, deterministically.
 
     The order sorts by (C, B, A) in the graded set order; restricted to
-    elementary triplets this is exactly the elementary order, and with
-    elementary_only=True the list has length |E(N)| and matches
-    enumerate_elementary rank for rank.
+    elementary triplets this is exactly the elementary order, so the
+    elementary members of the list match enumerate_elementary rank for rank.
     """
     g = ground
     out = []
@@ -341,13 +340,9 @@ def enumerate_triplets(ground: GroundSet, elementary_only: bool = False):
         for b_mask in bs:
             if b_mask == 0:
                 continue
-            if elementary_only and popcount(b_mask) != 1:
-                continue
             rest = comp & ~b_mask
             for a_mask in sorted(iter_submasks(rest), key=g.subset_key):
                 if a_mask == 0:
-                    continue
-                if elementary_only and popcount(a_mask) != 1:
                     continue
                 if g.subset_key(a_mask) < g.subset_key(b_mask):
                     out.append(Triplet(g, a_mask, b_mask, c_mask))

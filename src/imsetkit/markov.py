@@ -10,25 +10,30 @@ between the two after peeling c, because all lower-degree fibers are
 already connected; conversely every lower-degree move keeps at least one
 column fixed.)
 
-Each degree is one array pass.  Column j gets the int64 key w·A_j for
-fixed seeded weights w and a multiset the sum of its column keys, so one
-stable argsort puts every fiber in one run of equal keys.  Inside a run
-the integer column sums of adjacent multisets are compared exactly: a
-mismatch (a hash collision) raises InvariantError, so no answer depends on
-the hash.  Min-label propagation over the (fiber, column) incidences finds
-the common-column components of all fibers at once.  Python runs only for
-the few fibers with two or more components, to pick the lexicographically
-least connecting difference, joining components in the order of their
-least multiset.
+Each degree is one array pass.  The lexicographic index of the size-d
+multisets is carried through the degree loop: degree d+1 is each column i
+followed by the degree-d rows that start at i or later.  Column j gets the
+int64 key w·A_j for fixed seeded weights w and a multiset the sum of its
+column keys, so one stable argsort puts every fiber in one run of equal
+keys.  Inside a run the integer column sums of adjacent multisets are
+compared exactly: a mismatch (a hash collision) raises InvariantError, so
+no answer depends on the hash.  Min-label propagation over the (fiber,
+column) incidences finds the common-column components of all fibers at
+once.  Python runs only for the few fibers with two or more components,
+to pick the lexicographically least connecting difference, joining
+components in the order of their least multiset.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
 the label-permutation action) as the stable contract, with one canonical
-choice of representatives.
+choice of representatives.  The moves of all degrees are reduced in one
+symmetry_reduce call; orbits keep the degree, so the representatives are
+then sorted stably by degree and counted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -37,26 +42,21 @@ import numpy as np
 from .groundset import GroundSet
 from .imsets import Configuration
 from .linalg import InvariantError, rank
-from .relations import BudgetError, Move, _normalize_orientation, symmetry_reduce
+from .relations import BudgetError, Move, symmetry_reduce
 
 MEMORY_BUDGET_BYTES = 2 << 30
 _KEY_SEED = 20240817
 
 
-def _multiset_index_array(num_cols: int, d: int) -> np.ndarray:
-    """All nondecreasing index tuples of length d over range(num_cols),
-    lexicographically ordered, as an (N, d) int16 array."""
-    if d == 1:
-        return np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
-    prev = _multiset_index_array(num_cols, d - 1)
-    # block b of the previous level holds tuples starting at index >= b
-    starts = prev[:, 0]
-    out_blocks = []
-    for i in range(num_cols):
-        tail = prev[starts >= i]
-        head = np.full((tail.shape[0], 1), i, dtype=np.int16)
-        out_blocks.append(np.hstack([head, tail]))
-    return np.vstack(out_blocks)
+def _extend_index(prev: np.ndarray, num_cols: int) -> np.ndarray:
+    """The lexicographic (N, d + 1) int16 index of all nondecreasing tuples
+    of length d + 1 over range(num_cols), from the one of length d: each
+    column i followed by the suffix of rows that start at i or later."""
+    starts = np.searchsorted(prev[:, 0], np.arange(num_cols))
+    return np.vstack([
+        np.column_stack([np.full(len(prev) - s, i, dtype=np.int16), prev[s:]])
+        for i, s in enumerate(starts)
+    ])
 
 
 def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
@@ -77,19 +77,26 @@ def _column_keys(cols_t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovBasisReport:
-    """Minimal-basis moves up to a degree cap, reduced by label symmetry."""
+    """Minimal-basis moves up to a degree cap, reduced by label symmetry;
+    complete_source says why they generate the kernel: "literature
+    (n <= 4)", "certified (trivial kernel)" or "unknown"."""
 
     ground: GroundSet
     degree_cap: int
     per_degree_counts: dict
     representatives: tuple
-    complete: bool
+    complete_source: str
+
+    @property
+    def complete(self) -> bool:
+        return self.complete_source != "unknown"
 
     def to_json(self) -> dict:
         return {
             "degree_cap": self.degree_cap,
             "per_degree_counts": {str(d): c for d, c in sorted(self.per_degree_counts.items())},
             "complete": self.complete,
+            "complete_source": self.complete_source,
             "representatives": [m.to_json() for m in self.representatives],
         }
 
@@ -171,7 +178,6 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
         raise ValueError("degree cap must be at least 2")
     g = cfg.ground
     column_ranks = [e.rank for e in cfg.columns]
-    full = _is_full_configuration(cfg)
     cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
     num_cols, num_rows = cols_t.shape
 
@@ -185,35 +191,32 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
             )
 
     col_keys = _column_keys(cols_t)
-    allowed = None if full else column_ranks
-    reps = []
-    per_degree = {}
-    for d in range(2, degree_cap + 1):
-        idx = _multiset_index_array(num_cols, d)
+    idx = np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
+    moves = []
+    for _ in range(2, degree_cap + 1):
+        idx = _extend_index(idx, num_cols)
         members, starts, labels = _split_fibers(idx, cols_t, col_keys)
         bounds = np.append(np.flatnonzero(starts), len(labels))
         num_comps = np.add.reduceat(labels == np.arange(len(labels)), bounds[:-1])
-        moves = []
         for f in np.flatnonzero(num_comps >= 2):
             lo, hi = bounds[f], bounds[f + 1]
             for diff in _connecting_moves(idx[members[lo:hi]], labels[lo:hi], num_cols):
                 coeffs = [0] * g.num_elementary
                 for r, v in zip(column_ranks, diff):
                     coeffs[r] = v
-                moves.append(_normalize_orientation(Move(g, tuple(coeffs))))
-        if moves:
-            reduced = symmetry_reduce(moves, allowed_ranks=allowed)
-            per_degree[d] = len(reduced)
-            reps.extend(reduced)
+                moves.append(Move(g, tuple(coeffs)))
+    reps = sorted(symmetry_reduce(moves, allowed_ranks=column_ranks), key=lambda m: m.degree)
+    per_degree = dict(Counter(m.degree for m in reps))
 
-    if full:
+    if _is_full_configuration(cfg):
         # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
-        complete = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
+        known = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
+        source = "literature (n <= 4)" if known else "unknown"
     else:
         # for a proper column subset we can certify completeness only in
         # the trivial-kernel case (no two multisets ever share a sum)
-        complete = _kernel_trivial(cfg)
-    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), complete)
+        source = "certified (trivial kernel)" if _kernel_trivial(cfg) else "unknown"
+    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
 
 
 def _kernel_trivial(cfg: Configuration) -> bool:

@@ -30,23 +30,33 @@ vectors, the pivot move reduce_to_basis uses for each leading rank and the
 elementary-rank maps of all n! label permutations (the action behind
 symmetry_reduce) are computed once per ground set and cached as tuples or
 read-only maps (keyed by the GroundSet, which hashes by its labels);
-basic_moves hands out a fresh list.
+basic_moves hands out a fresh list.  classify_relation looks z, divided by
+the gcd of its entries, up in cached sets of the basic and cyclic vectors
+(all entries in {-1, 0, 1}) and tests the cached positive sides of the
+basic moves.  markov_basis reduces all its degrees in one symmetry_reduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
+from math import comb, gcd
 from types import MappingProxyType
 
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks
 from .imsets import Imset, elementary_combination
+from .linalg import InvariantError
 from .membership import _dfs_witnesses
 
 
 class BudgetError(RuntimeError):
     """Raised when a computation would exceed its documented budget."""
+
+
+# candidate sides enumerate_small_relations may try; at about 12k (n=6) to
+# 30k (n=4) sides/s (2 cores, Python 3.11) that is 4 s at most
+MAX_RELATION_SIDES = 50_000
 
 
 @dataclass(frozen=True)
@@ -236,20 +246,17 @@ def _normalize_orientation(z: Move) -> Move:
     return z
 
 
-def _is_positive_multiple(vec: tuple, base: tuple) -> bool:
-    ratio = None
-    for v, b in zip(vec, base):
-        if b == 0:
-            if v != 0:
-                return False
-            continue
-        if v == 0 or v % b != 0:
-            return False
-        q = v // b
-        if q <= 0 or (ratio is not None and q != ratio):
-            return False
-        ratio = q
-    return ratio is not None
+@lru_cache(maxsize=32)
+def _relation_classes(g: GroundSet) -> tuple:
+    """Sets of the basic and of the cyclic coefficient tuples, all checked
+    to have entries in {-1, 0, 1}, and the basic moves' distinct positive
+    sides as rank frozensets."""
+    basics = tuple(m.coeffs for m in _basic_move_table(g).values())
+    cyclics = tuple(_cyclic_moves(g).values())
+    if any(c not in (-1, 0, 1) for vec in basics + cyclics for c in vec):
+        raise InvariantError("a basic or cyclic move has an entry outside {-1, 0, 1}")
+    sides = dict.fromkeys(frozenset(j for j, c in enumerate(v) if c > 0) for v in basics)
+    return frozenset(basics), frozenset(cyclics), tuple(sides)
 
 
 def classify_relation(z: Move) -> RelationForm:
@@ -259,33 +266,32 @@ def classify_relation(z: Move) -> RelationForm:
     basic move, or "other"."""
     if z.is_zero:
         raise ValueError("the zero move has no relation form")
-    g = z.ground
     z = _normalize_orientation(z)
     pos = frozenset(j for j, c in enumerate(z.coeffs) if c > 0)
     neg = frozenset(j for j, c in enumerate(z.coeffs) if c < 0)
-    k, m = len(pos), len(neg)
-    deg = z.degree
-
-    basics = basic_moves(g)
-    classification = None
-    for bm in basics:
-        if _is_positive_multiple(z.coeffs, bm.coeffs):
-            classification = "two-by-two-semigraphoid"
-            break
-    if classification is None:
-        for cyc in _cyclic_moves(g).values():
-            if _is_positive_multiple(z.coeffs, cyc):
-                classification = "three-by-three-cyclic"
-                break
-    if classification is None:
-        for bm in basics:
-            side = frozenset(j for j, c in enumerate(bm.coeffs) if c > 0)
-            if side <= pos or side <= neg:
-                classification = "contains-2x2"
-                break
-    if classification is None:
+    basics, cyclics, sides = _relation_classes(z.ground)
+    q = gcd(*z.coeffs)
+    primitive = tuple(c // q for c in z.coeffs)
+    if primitive in basics:
+        classification = "two-by-two-semigraphoid"
+    elif primitive in cyclics:
+        classification = "three-by-three-cyclic"
+    elif any(side <= pos or side <= neg for side in sides):
+        classification = "contains-2x2"
+    else:
         classification = "other"
-    return RelationForm(k, m, deg, classification, z)
+    return RelationForm(len(pos), len(neg), z.degree, classification, z)
+
+
+def _coeff_tuples(k: int, coeff_bound: int, degree_bound: int, prefix=()):
+    """The k-tuples over 1..coeff_bound with sum ≤ degree_bound, ascending."""
+    if len(prefix) == k:
+        yield prefix
+        return
+    # the remaining slots need at least 1 each
+    top = min(coeff_bound, degree_bound - sum(prefix) - (k - len(prefix) - 1))
+    for c in range(1, top + 1):
+        yield from _coeff_tuples(k, coeff_bound, degree_bound, prefix + (c,))
 
 
 def enumerate_small_relations(
@@ -293,31 +299,24 @@ def enumerate_small_relations(
 ) -> list:
     """All relations whose smaller side has at most k_max distinct imsets,
     with side coefficients in 1..coeff_bound and degree ≤ degree_bound,
-    classified; exhaustive within the bounds."""
+    classified; exhaustive within the bounds.  Raises BudgetError before
+    any work when there are more than MAX_RELATION_SIDES candidate sides."""
     if k_max < 2:
         raise ValueError("a relation needs at least two imsets on a side")
     num_cols = g.num_elementary
+    sides = 0
+    for k in range(2, min(k_max, num_cols) + 1):
+        tuples = islice(_coeff_tuples(k, coeff_bound, degree_bound), MAX_RELATION_SIDES + 1)
+        sides += comb(num_cols, k) * sum(1 for _ in tuples)
+        if sides > MAX_RELATION_SIDES:
+            raise BudgetError(
+                f"at least {sides} candidate sides, over the {MAX_RELATION_SIDES} budget"
+            )
     seen = {}
-
-    def coeff_tuples(k):
-        def rec(prefix):
-            if len(prefix) == k:
-                yield tuple(prefix)
-                return
-            for c in range(1, coeff_bound + 1):
-                # remaining slots need at least 1 each
-                if sum(prefix) + c + (k - len(prefix) - 1) > degree_bound:
-                    break
-                prefix.append(c)
-                yield from rec(prefix)
-                prefix.pop()
-
-        yield from rec([])
-
-    for k in range(2, k_max + 1):
+    for k in range(2, min(k_max, num_cols) + 1):
         for support in combinations(range(num_cols), k):
             support_set = set(support)
-            for alphas in coeff_tuples(k):
+            for alphas in _coeff_tuples(k, coeff_bound, degree_bound):
                 side = [0] * num_cols
                 for j, a in zip(support, alphas):
                     side[j] = a
@@ -366,26 +365,21 @@ def _orbit_canonical(coeffs: tuple, rank_maps) -> tuple:
     return best
 
 
-def permutation_rank_maps(g: GroundSet, allowed_ranks=None) -> list:
-    """Rank permutations for every label permutation; when allowed_ranks is
-    given, only permutations stabilizing that column set."""
-    maps = _label_permutation_rank_maps(g)
-    if allowed_ranks is None:
-        return list(maps)
-    allowed = frozenset(allowed_ranks)
-    return [rm for rm in maps if frozenset(rm[j] for j in allowed) == allowed]
-
-
 def symmetry_reduce(moves, allowed_ranks=None) -> list:
     """Orbit representatives of moves under label permutations and
-    negation; representative = lexicographically least orbit element."""
+    negation; representative = lexicographically least orbit element.
+    When allowed_ranks is given, only the label permutations that map that
+    set of elementary ranks onto itself act."""
     moves = list(moves)
     if not moves:
         return []
     g = moves[0].ground
     if any(m.ground != g for m in moves):
         raise ValueError("moves over different ground sets")
-    rank_maps = permutation_rank_maps(g, allowed_ranks)
+    rank_maps = _label_permutation_rank_maps(g)
+    if allowed_ranks is not None:
+        allowed = frozenset(allowed_ranks)
+        rank_maps = [rm for rm in rank_maps if frozenset(rm[j] for j in allowed) == allowed]
     reps = {}
     for m in moves:
         canon = _orbit_canonical(m.coeffs, rank_maps)

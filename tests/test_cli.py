@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,22 @@ def test_relations_counts(capsys):
     assert code == 0
     assert data["count"] == 6
     assert data["by_classification"] == {"two-by-two-semigraphoid": 6}
+
+
+@pytest.mark.parametrize("argv", [["--n", "5", "--k", "3"], ["--n", "6", "--k", "2"]])
+def test_relations_over_budget_exits_3_at_once(capsys, monkeypatch, argv):
+    from imsetkit import relations
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated a side before the budget check")
+
+    monkeypatch.setattr(relations, "Imset", no_work)
+    monkeypatch.setattr(relations, "_dfs_witnesses", no_work)
+    start = time.perf_counter()
+    code = main(["relations", *argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
 def test_ci_model_of_distribution(capsys, tmp_path):

@@ -60,7 +60,7 @@ def test_elementary_count_formula():
         g = GroundSet(n)
         expected = math.comb(n, 2) * 2 ** (n - 2)
         assert g.num_elementary == expected
-        assert len(enumerate_triplets(g, elementary_only=True)) == expected
+        assert sum(t.is_elementary for t in enumerate_triplets(g)) == expected
 
 
 def test_elementary_order_examples():
@@ -92,7 +92,7 @@ def test_enumerate_triplets_counts_and_order():
         keys = [t.key() for t in ts]
         assert keys == sorted(keys)
     g = GroundSet(4)
-    elem = enumerate_triplets(g, elementary_only=True)
+    elem = [t for t in enumerate_triplets(g) if t.is_elementary]
     assert [str(t) for t in elem] == [str(e) for e in enumerate_elementary(g)]
 
 

@@ -20,7 +20,7 @@ from imsetkit.markov import (
     _is_full_configuration,
     _kernel_trivial,
     _connecting_moves,
-    _multiset_index_array,
+    _extend_index,
     markov_basis,
 )
 from imsetkit.relations import (
@@ -35,7 +35,8 @@ from imsetkit.relations import (
 
 # The np.unique + per-fiber union-find pass that markov_basis used before
 # the hashed array pass, kept verbatim (with the removed tie-break option
-# fixed to "least") as the differential oracle.
+# fixed to "least") as the differential oracle, except that its multiset
+# index comes from itertools and its report names the complete source.
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -100,7 +101,7 @@ def _oracle_markov_basis(cfg, degree_cap):
 
     raw_by_degree = {}
     for d in range(2, degree_cap + 1):
-        idx = _multiset_index_array(num_cols, d)
+        idx = np.array(list(combinations_with_replacement(range(num_cols), d)), dtype=np.int16)
         sums = cols_np[:, idx[:, 0]].astype(np.int8)
         for t in range(1, d):
             sums += cols_np[:, idx[:, t]]
@@ -138,9 +139,10 @@ def _oracle_markov_basis(cfg, degree_cap):
         complete = (g.n <= 2) or (g.n == 3 and degree_cap >= 2) or (
             g.n == 4 and degree_cap >= 4
         )
+        source = "literature (n <= 4)" if complete else "unknown"
     else:
-        complete = _kernel_trivial(cfg)
-    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), complete)
+        source = "certified (trivial kernel)" if _kernel_trivial(cfg) else "unknown"
+    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
 
 
 def kernel_check(cfg, move):
@@ -151,9 +153,16 @@ def kernel_check(cfg, move):
         assert sum(row[j] * move.coeffs[r] for j, r in enumerate(ranks)) == 0
 
 
+def _index(num_cols, d):
+    idx = np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
+    for _ in range(1, d):
+        idx = _extend_index(idx, num_cols)
+    return idx
+
+
 def test_multiset_enumeration_matches_itertools():
     for num_cols, d in [(3, 2), (5, 3), (6, 4), (8, 2)]:
-        got = [tuple(int(v) for v in row) for row in _multiset_index_array(num_cols, d)]
+        got = [tuple(int(v) for v in row) for row in _index(num_cols, d)]
         want = list(combinations_with_replacement(range(num_cols), d))
         assert got == want
 
@@ -211,6 +220,19 @@ def test_subconfiguration_square_free():
             kernel_check(cfg, m)
 
 
+def test_complete_source_names_where_completeness_comes_from():
+    one_column = subconfiguration(Triplet.parse(GroundSet(4), "a|b|cd"))
+    cases = [
+        (configuration(GroundSet(4)), 4, "literature (n <= 4)", True),
+        (one_column, 4, "certified (trivial kernel)", True),
+        (configuration(GroundSet(5)), 3, "unknown", False),
+    ]
+    for cfg, cap, source, complete in cases:
+        rep = markov_basis(cfg, cap)
+        assert (rep.complete_source, rep.complete) == (source, complete)
+        assert rep.to_json()["complete_source"] == source
+
+
 def test_single_column_subconfiguration_complete():
     t = Triplet.parse(GroundSet(4), "a|b|cd")
     rep = markov_basis(subconfiguration(t), 4)
@@ -246,10 +268,10 @@ def test_budget_is_checked_before_any_degree_is_built(monkeypatch):
     # degree 4 does not: the whole cap is refused before any index exists
     import imsetkit.markov as mk
 
-    def no_index(num_cols, d):
-        raise AssertionError(f"built the degree-{d} index before the budget check")
+    def no_index(prev, num_cols):
+        raise AssertionError(f"built degree {prev.shape[1] + 1} before the budget check")
 
-    monkeypatch.setattr(mk, "_multiset_index_array", no_index)
+    monkeypatch.setattr(mk, "_extend_index", no_index)
     with pytest.raises(BudgetError):
         markov_basis(configuration(GroundSet(6)), 4)
 
@@ -264,9 +286,12 @@ def test_report_serialization():
     g = GroundSet(4)
     rep = markov_basis(configuration(g), 4)
     data = rep.to_json()
-    assert sorted(data) == ["complete", "degree_cap", "per_degree_counts", "representatives"]
+    assert sorted(data) == [
+        "complete", "complete_source", "degree_cap", "per_degree_counts", "representatives"
+    ]
     assert data["per_degree_counts"] == {"2": 2, "3": 1, "4": 4}
     assert data["complete"] is True
+    assert data["complete_source"] == "literature (n <= 4)"
     assert len(data["representatives"]) == 7
     for entry in data["representatives"]:
         assert set(entry) == {"lhs", "rhs"}
@@ -280,7 +305,7 @@ def test_sums_match_numpy_pipeline():
     g = GroundSet(4)
     cfg = configuration(g)
     cols = np.array(cfg.matrix, dtype=np.int8)
-    idx = _multiset_index_array(cfg.num_cols, 3)
+    idx = _index(cfg.num_cols, 3)
     take = rng.choice(len(idx), size=40, replace=False)
     for r in take:
         trio = [int(v) for v in idx[r]]
@@ -325,6 +350,7 @@ def test_hashed_pass_matches_unique_union_find_oracle():
             assert got.per_degree_counts == counts, (name, cap)
             assert got.representatives == reps, (name, cap)
             assert got.complete == want.complete, (name, cap)
+            assert got.complete_source == want.complete_source, (name, cap)
 
 
 def test_key_collision_raises(monkeypatch):

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet
 from imsetkit.imsets import configuration, elementary_combination
 from imsetkit.relations import (
+    MAX_RELATION_SIDES,
+    BudgetError,
     Move,
+    _cyclic_moves,
+    _normalize_orientation,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -185,6 +189,101 @@ def test_classify_examples():
 
     with pytest.raises(ValueError):
         classify_relation(Move(g3, (0,) * g3.num_elementary))
+
+
+# classify_relation before the set lookups, kept verbatim as the oracle:
+# it scans every basic and cyclic move for a positive multiple of z.
+def _is_positive_multiple(vec: tuple, base: tuple) -> bool:
+    ratio = None
+    for v, b in zip(vec, base):
+        if b == 0:
+            if v != 0:
+                return False
+            continue
+        if v == 0 or v % b != 0:
+            return False
+        q = v // b
+        if q <= 0 or (ratio is not None and q != ratio):
+            return False
+        ratio = q
+    return ratio is not None
+
+
+def _oracle_classification(z: Move) -> str:
+    g = z.ground
+    z = _normalize_orientation(z)
+    pos = frozenset(j for j, c in enumerate(z.coeffs) if c > 0)
+    neg = frozenset(j for j, c in enumerate(z.coeffs) if c < 0)
+
+    basics = basic_moves(g)
+    classification = None
+    for bm in basics:
+        if _is_positive_multiple(z.coeffs, bm.coeffs):
+            classification = "two-by-two-semigraphoid"
+            break
+    if classification is None:
+        for cyc in _cyclic_moves(g).values():
+            if _is_positive_multiple(z.coeffs, cyc):
+                classification = "three-by-three-cyclic"
+                break
+    if classification is None:
+        for bm in basics:
+            side = frozenset(j for j, c in enumerate(bm.coeffs) if c > 0)
+            if side <= pos or side <= neg:
+                classification = "contains-2x2"
+                break
+    if classification is None:
+        classification = "other"
+    return classification
+
+
+def _random_moves(rng, g, count):
+    """Seeded nonzero kernel moves: positive or negative multiples of one
+    basic or cyclic vector, and sums of up to three of them with
+    coefficients in -3..3."""
+    vectors = [m.coeffs for m in basic_moves(g)] + list(_cyclic_moves(g).values())
+    out = []
+    while len(out) < count:
+        coeffs = [0] * g.num_elementary
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            for j, v in enumerate(rng.choice(vectors)):
+                coeffs[j] += c * v
+        if any(coeffs):
+            out.append(Move(g, tuple(coeffs)))
+    return out
+
+
+def test_classify_relation_matches_scan_oracle():
+    g = GroundSet(4)
+    forms = enumerate_small_relations(g, 3, 3, 6) + enumerate_small_relations(g, 2, 6, 6)
+    assert len(forms) == 1088
+    moves = [f.move for f in forms]
+    rng = random.Random(8)
+    for n in (3, 4, 5):
+        moves += _random_moves(rng, GroundSet(n), 400)
+    seen = set()
+    for z in moves:
+        form = classify_relation(z)
+        assert form.classification == _oracle_classification(z), z.to_json()
+        assert form.move == _normalize_orientation(z)
+        seen.add(form.classification)
+    assert seen == {"two-by-two-semigraphoid", "three-by-three-cyclic", "contains-2x2", "other"}
+
+
+def test_relations_budget_counts_every_candidate_side(monkeypatch):
+    # n=3 has 6 columns and 9 coefficient pairs over 1..3 with sum <= 6,
+    # so C(6, 2) * 9 = 135 sides: a budget of 135 runs, 134 refuses
+    import imsetkit.relations as rel
+
+    g = GroundSet(3)
+    monkeypatch.setattr(rel, "MAX_RELATION_SIDES", 135)
+    assert len(enumerate_small_relations(g, 2, 3, 6)) == 9
+    monkeypatch.setattr(rel, "MAX_RELATION_SIDES", 134)
+    with pytest.raises(BudgetError, match="at least 135 candidate sides"):
+        enumerate_small_relations(g, 2, 3, 6)
+    # the n=4 command defaults and criterion 10 (36892 sides) stay inside
+    assert 36892 <= MAX_RELATION_SIDES
 
 
 def test_classification_normalizes_orientation():
