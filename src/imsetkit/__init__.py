@@ -4,13 +4,14 @@ The package is organized bottom-up:
 
 * groundset: ground sets, bitmask subsets, triplets, the graded and
   elementary orders.
-* imsets: imset arithmetic, semi-elementary imsets, the four-rank
+* imsets: the vector type over P(N) (SetFunction, with Imset its
+  integer-valued subclass), semi-elementary imsets, the four-rank
   elementary column table, the configuration matrix, canonical
   decomposition.
 * linalg: one fraction-free pivot step behind exact rank, nullspace and
   LP feasibility (integer-tableau simplex, Bland).
-* supermodular: set functions, supermodularity, skeletal (extreme-ray)
-  testing and constructors.
+* supermodular: supermodularity, skeletal (extreme-ray) testing, the
+  superset/subset indicators and the skeletal constructors.
 * ci: joint probability tables, multiinformation, CI models, the
   semi-graphoid closure.
 * faces: face descriptions of the structural cone for a given triplet.

@@ -32,7 +32,7 @@ from .ci import (
 )
 from .faces import face_description, face_of_structural, subconfiguration
 from .groundset import GroundSet, Triplet
-from .imsets import Imset, configuration
+from .imsets import Imset, configuration, decompose_semi_elementary
 from .membership import classify
 from .relations import BudgetError, Move, enumerate_small_relations, reduce_to_basis
 from .markov import markov_basis
@@ -52,6 +52,7 @@ from .supermodular import (
 from .verify import SUITES, format_results, run_suite
 
 SCHEMA = "imset-kit/1"
+MAX_DENSE_ENTRIES = 11_796_480  # 2^n·|E(N)| at n = 10
 
 
 class InputError(Exception):
@@ -92,34 +93,18 @@ def _ground_of(data: dict, path: str) -> GroundSet:
     return GroundSet(labels)
 
 
-def _load_set_function(path: str) -> SetFunction:
+def _load_vector(path: str, cls):
+    """cls.from_dict (cls is SetFunction or Imset) of a {"ground", "values"}
+    file."""
     data = _load_json(path)
     g = _ground_of(data, path)
     values = data.get("values")
     if not isinstance(values, dict):
         raise InputError(f"{path}: missing 'values' object")
     try:
-        return SetFunction.from_dict(g, values)
+        return cls.from_dict(g, values)
     except (TypeError, OverflowError) as exc:
-        raise InputError(f"{path}: set-function values must be numbers or 'p/q' strings") from exc
-
-
-def _load_imset(path: str) -> Imset:
-    data = _load_json(path)
-    g = _ground_of(data, path)
-    values = data.get("values")
-    if not isinstance(values, dict):
-        raise InputError(f"{path}: missing 'values' object")
-    entries = {}
-    for key, v in values.items():
-        try:
-            iv = int(v)
-        except (TypeError, OverflowError) as exc:
-            raise InputError(f"{path}: imset entries must be integers") from exc
-        if iv != v:
-            raise InputError(f"{path}: imset entries must be integers")
-        entries[key] = iv
-    return Imset.from_dict(g, entries)
+        raise InputError(f"{path}: 'values' entries must be finite numbers") from exc
 
 
 def _load_move(path: str) -> Move:
@@ -145,6 +130,21 @@ def _load_table(path: str) -> JointTable:
         return JointTable.from_json(data)
     except (TypeError, OverflowError) as exc:
         raise InputError(f"{path}: joint-table entries must be numbers") from exc
+
+
+def _check_dense_budget(g: GroundSet) -> None:
+    """Refuse (BudgetError, exit 3) a ground set whose configuration has
+    more than MAX_DENSE_ENTRIES = 2^n·|E(N)| entries, before any work.
+
+    The dense commands (config, classify-imset, ci-model --imset, face-of,
+    skeletal) build or scan a structure of that size; the cap is the n = 10
+    size, where config takes about 10 s and 1.2 GB (2 cores)."""
+    entries = g.num_subsets * g.num_elementary
+    if entries > MAX_DENSE_ENTRIES:
+        raise BudgetError(
+            f"n={g.n}: 2^n·|E(N)| = {entries:,} dense entries exceed the cap of "
+            f"{MAX_DENSE_ENTRIES:,} (n=10)"
+        )
 
 
 def _ground_flag(args) -> GroundSet:
@@ -184,6 +184,7 @@ def _emit(args, payload: dict, text: str | None = None, csv_text: str | None = N
 
 def _cmd_config(args) -> int:
     g = _ground_flag(args)
+    _check_dense_budget(g)
     cfg = configuration(g)
     payload = {
         "command": "config",
@@ -198,7 +199,7 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_check_supermodular(args) -> int:
-    f = _load_set_function(args.function)
+    f = _load_vector(args.function, SetFunction)
     violation = first_supermodularity_violation(f, tol=args.tol)
     payload = {
         "command": "check-supermodular",
@@ -211,14 +212,13 @@ def _cmd_check_supermodular(args) -> int:
 
 
 def _cmd_skeletal(args) -> int:
-    f = _load_set_function(args.function)
+    f = _load_vector(args.function, SetFunction)
+    _check_dense_budget(f.ground)
     try:
         report = skeletal_report(f)
         payload = {"command": "skeletal", "supermodular": True, **report}
     except ValueError as exc:
         payload = {"command": "skeletal", "supermodular": False, "skeletal": False, "reason": str(exc)}
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
     lines = [f"skeletal: {payload['skeletal']}"]
     for key in ("tight_count", "tight_rank", "dimension", "reason"):
         if key in payload:
@@ -242,11 +242,11 @@ def _cmd_construct(args) -> int:
     elif family == "reflect":
         if not args.input:
             raise InputError("construct --family reflect needs --input")
-        f = reflect(_load_set_function(args.input))
+        f = reflect(_load_vector(args.input, SetFunction))
     elif family in ("zero-slice", "modular-top", "duplicate"):
         if not args.input or not args.label:
             raise InputError(f"construct --family {family} needs --input and --label")
-        base = _load_set_function(args.input)
+        base = _load_vector(args.input, SetFunction)
         builder = {
             "zero-slice": extend_zero_slice,
             "modular-top": extend_modular_top,
@@ -256,7 +256,7 @@ def _cmd_construct(args) -> int:
     elif family == "product":
         if not args.input or not args.input2:
             raise InputError("construct --family product needs --input and --input2")
-        f = product(_load_set_function(args.input), _load_set_function(args.input2))
+        f = product(_load_vector(args.input, SetFunction), _load_vector(args.input2, SetFunction))
     elif family == "four-generator-witness":
         g = _ground_flag(args)
         f = four_generator_witness(g)
@@ -274,8 +274,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .imsets import decompose_semi_elementary
-
     g = _ground_flag(args)
     t = Triplet.parse(g, args.triplet)
     terms = decompose_semi_elementary(t)
@@ -292,7 +290,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify_imset(args) -> int:
-    u = _load_imset(args.imset)
+    u = _load_vector(args.imset, Imset)
+    _check_dense_budget(u.ground)
     res = classify(u)
     payload = {"command": "classify-imset", **res.to_json()}
     lines = [f"class: {payload['class']}", f"degree: {payload['degree']}"]
@@ -318,11 +317,9 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_face_of(args) -> int:
-    u = _load_imset(args.imset)
-    try:
-        face = face_of_structural(u)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    u = _load_vector(args.imset, Imset)
+    _check_dense_budget(u.ground)
+    face = face_of_structural(u)
     payload = {
         "command": "face-of",
         "face": [str(e.triplet()) for e in face],
@@ -341,11 +338,9 @@ def _cmd_ci_model(args) -> int:
         model = ci_model_of_P(P, tol=args.tol)
         source = {"source": "distribution", "tol": args.tol}
     else:
-        u = _load_imset(args.imset)
-        try:
-            model = ci_model_of_imset(u)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        u = _load_vector(args.imset, Imset)
+        _check_dense_budget(u.ground)
+        model = ci_model_of_imset(u)
         source = {"source": "imset"}
     payload = {
         "command": "ci-model",
@@ -431,11 +426,7 @@ def _cmd_relations(args) -> int:
 def _cmd_markov(args) -> int:
     g = _ground_flag(args)
     if args.sub:
-        t = Triplet.parse(g, args.sub)
-        try:
-            cfg = subconfiguration(t)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        cfg = subconfiguration(Triplet.parse(g, args.sub))
     else:
         cfg = configuration(g)
     report = markov_basis(cfg, args.degree_cap)

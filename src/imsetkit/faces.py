@@ -45,7 +45,8 @@ from .imsets import (
     inner,
 )
 from .linalg import InvariantError, lp_feasible, rank
-from .membership import _cut_table, _subset_indicator, _superset_indicator, classify
+from .membership import _cut_table, classify
+from .supermodular import _subset_indicator, _superset_indicator
 
 
 def _graded_submasks(g: GroundSet, mask: int):

@@ -240,22 +240,6 @@ class Triplet:
         return cls(ground, a, b, c)
 
     @property
-    def A(self) -> Subset:
-        return Subset(self.ground, self.a_mask)
-
-    @property
-    def B(self) -> Subset:
-        return Subset(self.ground, self.b_mask)
-
-    @property
-    def C(self) -> Subset:
-        return Subset(self.ground, self.c_mask)
-
-    @property
-    def effective_mask(self) -> int:
-        return self.a_mask | self.b_mask | self.c_mask
-
-    @property
     def is_elementary(self) -> bool:
         return popcount(self.a_mask) == 1 and popcount(self.b_mask) == 1
 

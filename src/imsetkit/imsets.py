@@ -1,7 +1,9 @@
-"""Imsets: integer-valued functions on P(N) and the configuration matrix.
+"""Vectors over P(N): set functions, imsets, and the configuration matrix.
 
-An imset is stored as a dense integer vector of length 2^n indexed by subset
-rank in the graded set order.  The basic building blocks are
+A SetFunction is a dense vector of length 2^n indexed by subset rank in the
+graded set order; its values are exact (ints, Fractions) or, for
+entropy-like quantities, floats.  An imset is an integer-valued
+SetFunction (the subclass Imset).  The basic building blocks are
 
     delta(A)             the indicator of the single subset A,
     u_<A|B|C> = delta(ABC) + delta(C) - delta(AC) - delta(BC)
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .groundset import (
@@ -41,28 +44,98 @@ from .groundset import (
 )
 
 
+def _to_value(x):
+    """Ints and floats as they are, anything else as a Fraction."""
+    if isinstance(x, (int, float)):
+        return x
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
-class Imset:
-    """Integer vector over P(N), indexed by subset rank (graded set order)."""
+class SetFunction:
+    """Vector over P(N), indexed by subset rank (graded set order): exact
+    (ints, Fractions) or, for entropy-like quantities, float values.  +, -
+    and scale keep the type, so an Imset stays an Imset."""
 
     ground: GroundSet
     values: tuple
 
     def __post_init__(self):
         if len(self.values) != self.ground.num_subsets:
-            raise ValueError("imset vector length must be 2^n")
+            raise ValueError("vector length over P(N) must be 2^n")
+
+    @classmethod
+    def from_callable(cls, ground: GroundSet, fn):
+        """fn maps a subset bitmask to a value."""
+        return cls(ground, tuple(_to_value(fn(m)) for m in ground.masks_graded))
+
+    @classmethod
+    def zero(cls, ground: GroundSet):
+        return cls(ground, (0,) * ground.num_subsets)
+
+    @classmethod
+    def from_dict(cls, ground: GroundSet, entries: dict) -> "SetFunction":
+        """Build from {subset-string: "p/q" | number}; missing subsets are 0."""
+        vals = [Fraction(0)] * ground.num_subsets
+        for key, v in entries.items():
+            vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
+        return cls(ground, tuple(vals))
+
+    def to_dict(self) -> dict:
+        """{subset-string: "p/q"} with zero entries omitted."""
+        g = self.ground
+        out = {}
+        for r, v in enumerate(self.values):
+            if v != 0:
+                out[g.subset_str(g.mask_of_rank(r))] = str(v)
+        return out
+
+    @property
+    def is_exact(self) -> bool:
+        """No float value: ints and Fractions are exact."""
+        return not any(isinstance(v, float) for v in self.values)
+
+    def at(self, mask: int):
+        """Value at the subset given as a bitmask."""
+        return self.values[self.ground.subset_rank(mask)]
+
+    def _check_same_ground(self, other):
+        if self.ground != other.ground:
+            raise ValueError("vectors over different ground sets")
+
+    def __add__(self, other):
+        self._check_same_ground(other)
+        return type(self)(self.ground, tuple(x + y for x, y in zip(self.values, other.values)))
+
+    def __sub__(self, other):
+        self._check_same_ground(other)
+        return type(self)(self.ground, tuple(x - y for x, y in zip(self.values, other.values)))
+
+    def __neg__(self):
+        return type(self)(self.ground, tuple(-x for x in self.values))
+
+    def scale(self, c):
+        c = _to_value(c)
+        return type(self)(self.ground, tuple(c * x for x in self.values))
+
+
+@dataclass(frozen=True)
+class Imset(SetFunction):
+    """Integer-valued SetFunction."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if any(not isinstance(v, int) for v in self.values):
             raise ValueError("imset values must be integers")
 
     @classmethod
-    def zero(cls, ground: GroundSet) -> "Imset":
-        return cls(ground, (0,) * ground.num_subsets)
-
-    @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "Imset":
-        """Build from a {subset-string: int} map; missing subsets are 0."""
+        """Build from a {subset-string: integer} map; missing subsets are 0.
+        A value v with int(v) != v (1.5, "2") raises ValueError."""
         vals = [0] * ground.num_subsets
         for key, v in entries.items():
+            if int(v) != v:
+                raise ValueError(f"imset values must be integers, got {v!r} at {key!r}")
             vals[ground.subset_rank(ground.parse_subset(key))] = int(v)
         return cls(ground, tuple(vals))
 
@@ -75,10 +148,6 @@ class Imset:
             if v != 0
         }
 
-    def at(self, mask: int) -> int:
-        """Value at the subset given as a bitmask."""
-        return self.values[self.ground.subset_rank(mask)]
-
     def items(self):
         """(mask, value) pairs for nonzero entries, ascending rank."""
         g = self.ground
@@ -90,25 +159,10 @@ class Imset:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def _check_same_ground(self, other: "Imset"):
-        if self.ground != other.ground:
-            raise ValueError("imsets over different ground sets")
-
-    def __add__(self, other: "Imset") -> "Imset":
-        self._check_same_ground(other)
-        return Imset(self.ground, tuple(x + y for x, y in zip(self.values, other.values)))
-
-    def __sub__(self, other: "Imset") -> "Imset":
-        self._check_same_ground(other)
-        return Imset(self.ground, tuple(x - y for x, y in zip(self.values, other.values)))
-
-    def __neg__(self) -> "Imset":
-        return Imset(self.ground, tuple(-x for x in self.values))
-
     def scale(self, c: int) -> "Imset":
         if not isinstance(c, int):
             raise ValueError("imsets scale by integers only")
-        return Imset(self.ground, tuple(c * x for x in self.values))
+        return super().scale(c)
 
     def __rmul__(self, c: int) -> "Imset":
         return self.scale(c)
@@ -146,10 +200,7 @@ class Imset:
 
 def delta(A: Subset) -> Imset:
     """The imset with value 1 at A and 0 elsewhere."""
-    g = A.ground
-    vals = [0] * g.num_subsets
-    vals[g.subset_rank(A.mask)] = 1
-    return Imset(g, tuple(vals))
+    return Imset.from_callable(A.ground, lambda m: int(m == A.mask))
 
 
 def _four_ranks(g: GroundSet, a_mask: int, b_mask: int, c_mask: int) -> tuple:

@@ -43,17 +43,13 @@ from .imsets import (
     is_member_L_star,
 )
 from .linalg import InvariantError, lp_feasible
-from .supermodular import SetFunction
+from .supermodular import SetFunction, _subset_indicator, _superset_indicator
 
 
 @lru_cache(maxsize=32)
 def degree_function(g: GroundSet) -> SetFunction:
     """f*(S) = |S|(|S|-1)/2; grades every elementary imset at exactly 1."""
-    vals = []
-    for m in g.masks_graded:
-        k = popcount(m)
-        vals.append(k * (k - 1) // 2)
-    return SetFunction(g, tuple(vals))
+    return SetFunction.from_callable(g, lambda m: popcount(m) * (popcount(m) - 1) // 2)
 
 
 def degree(u: Imset) -> int:
@@ -99,16 +95,6 @@ def _blocks_by_conditioning(g: GroundSet):
     for j, (_, _, c_mask) in enumerate(g.elementary_triples):
         blocks.setdefault(g.subset_rank(c_mask), []).append(j)
     return MappingProxyType({r: tuple(js) for r, js in blocks.items()})
-
-
-def _superset_indicator(g: GroundSet, mask: int) -> SetFunction:
-    """1_{T⊆·} for T = mask."""
-    return SetFunction(g, tuple(1 if m & mask == mask else 0 for m in g.masks_graded))
-
-
-def _subset_indicator(g: GroundSet, mask: int) -> SetFunction:
-    """1_{·⊆T} for T = mask."""
-    return SetFunction(g, tuple(1 if m & ~mask == 0 else 0 for m in g.masks_graded))
 
 
 @dataclass(frozen=True)

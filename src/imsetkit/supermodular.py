@@ -13,92 +13,25 @@ tight-constraint rank criterion: collect the elementary imsets u with
 (a space of dimension 2^n - n - 1), and ask for rank exactly one less than
 that dimension.  The zero function is not skeletal.
 
-Exactness: cone tests require Fraction values.  The CI machinery stores
-float values in the same container; tolerance-based checks accept those,
-the exact tests (is_skeletal, modular_coefficients) reject them.
+SetFunction itself lives in imsets (an Imset is its integer-valued
+subclass) and is re-exported here.  Exactness: the exact tests
+(is_skeletal, skeletal_report, modular_coefficients) accept ints and
+Fractions and reject floats, which the CI machinery stores in the same
+container for entropy-like quantities; tolerance-based checks accept all
+three.  The superset and subset indicators 1_{T⊆·}, 1_{·⊆T} are built here
+once, for indicator_superset, the membership cut table and the face
+families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .groundset import ElementaryIndex, GroundSet, Subset, popcount
-from .imsets import column_value, elementary_columns
+from .imsets import SetFunction, column_value, elementary_columns
 from .linalg import nullspace, rank
-
-
-def _to_value(x):
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
-
-
-@dataclass(frozen=True)
-class SetFunction:
-    """Rational (or float, for entropy-like quantities) vector over P(N),
-    indexed by subset rank like an Imset."""
-
-    ground: GroundSet
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.ground.num_subsets:
-            raise ValueError("set function vector length must be 2^n")
-
-    @classmethod
-    def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
-        """fn maps a subset bitmask to a value."""
-        return cls(ground, tuple(_to_value(fn(m)) for m in ground.masks_graded))
-
-    @classmethod
-    def zero(cls, ground: GroundSet) -> "SetFunction":
-        return cls(ground, (Fraction(0),) * ground.num_subsets)
-
-    @classmethod
-    def from_dict(cls, ground: GroundSet, entries: dict) -> "SetFunction":
-        """Build from {subset-string: "p/q" | number}; missing subsets are 0."""
-        vals = [Fraction(0)] * ground.num_subsets
-        for key, v in entries.items():
-            vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
-        return cls(ground, tuple(vals))
-
-    def to_dict(self) -> dict:
-        """{subset-string: "p/q"} with zero entries omitted."""
-        g = self.ground
-        out = {}
-        for r, v in enumerate(self.values):
-            if v != 0:
-                out[g.subset_str(g.mask_of_rank(r))] = str(v)
-        return out
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.values)
-
-    def at(self, mask: int):
-        return self.values[self.ground.subset_rank(mask)]
-
-    def _check_same_ground(self, other):
-        if self.ground != other.ground:
-            raise ValueError("set functions over different ground sets")
-
-    def __add__(self, other: "SetFunction") -> "SetFunction":
-        self._check_same_ground(other)
-        return SetFunction(self.ground, tuple(x + y for x, y in zip(self.values, other.values)))
-
-    def __sub__(self, other: "SetFunction") -> "SetFunction":
-        self._check_same_ground(other)
-        return SetFunction(self.ground, tuple(x - y for x, y in zip(self.values, other.values)))
-
-    def __neg__(self) -> "SetFunction":
-        return SetFunction(self.ground, tuple(-x for x in self.values))
-
-    def scale(self, c) -> "SetFunction":
-        c = _to_value(c)
-        return SetFunction(self.ground, tuple(c * x for x in self.values))
 
 
 def first_supermodularity_violation(f: SetFunction, tol=0):
@@ -211,7 +144,17 @@ def indicator_superset(A: Subset) -> SetFunction:
     """
     if A.cardinality < 2:
         raise ValueError(f"indicator_superset needs |A| >= 2, got {A}")
-    return SetFunction.from_callable(A.ground, lambda m: int(A.mask & ~m == 0))
+    return _superset_indicator(A.ground, A.mask)
+
+
+def _superset_indicator(g: GroundSet, mask: int) -> SetFunction:
+    """1_{T⊆·} for T = mask."""
+    return SetFunction(g, tuple(1 if m & mask == mask else 0 for m in g.masks_graded))
+
+
+def _subset_indicator(g: GroundSet, mask: int) -> SetFunction:
+    """1_{·⊆T} for T = mask."""
+    return SetFunction(g, tuple(1 if m & ~mask == 0 else 0 for m in g.masks_graded))
 
 
 def reflect(f: SetFunction) -> SetFunction:
@@ -278,7 +221,7 @@ def extend_zero_slice(f1: SetFunction, new_label: str) -> SetFunction:
     def fn(mask):
         if mask & new_bit:
             return f1.at(_restrict_mask(ground, small, mask & ~new_bit))
-        return Fraction(0)
+        return 0
 
     return SetFunction.from_callable(ground, fn)
 
@@ -309,7 +252,7 @@ def extend_modular_top(f0: SetFunction, new_label: str) -> SetFunction:
     def fn(mask):
         rest = _restrict_mask(ground, small, mask & ~new_bit)
         if mask & new_bit:
-            return Fraction(popcount(rest))
+            return popcount(rest)
         return f0.at(rest)
 
     return SetFunction.from_callable(ground, fn)

@@ -231,6 +231,49 @@ def test_relations_over_budget_exits_3_at_once(capsys, monkeypatch, argv):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["config", "--n", "12"],
+        ["config", "--n", "11"],
+        ["classify-imset", "@imset"],
+        ["face-of", "@imset"],
+        ["ci-model", "--imset", "@imset"],
+        ["skeletal", "@function"],
+    ],
+)
+def test_dense_commands_over_budget_exit_3_at_once(capsys, monkeypatch, tmp_path, argv):
+    import imsetkit.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started dense work before the budget check")
+
+    for name in ("configuration", "classify", "face_of_structural", "ci_model_of_imset", "skeletal_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    files = {"@imset": {"ab": 1}, "@function": {"ab": "1/2"}}
+    for i, arg in enumerate(argv):
+        if arg in files:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps({"ground": "abcdefghijkl", "values": files[arg]}))
+            argv[i] = str(path)
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: n=1")
+
+
+def test_dense_budget_admits_n10():
+    from imsetkit.cli import MAX_DENSE_ENTRIES, _check_dense_budget
+    from imsetkit.relations import BudgetError
+
+    g10 = GroundSet(10)
+    assert g10.num_subsets * g10.num_elementary == MAX_DENSE_ENTRIES
+    _check_dense_budget(g10)
+    with pytest.raises(BudgetError):
+        _check_dense_budget(GroundSet(11))
+
+
 def test_ci_model_of_distribution(capsys, tmp_path):
     from imsetkit.ci import JointTable
 
@@ -276,6 +319,20 @@ def test_exit_codes(capsys, tmp_path):
     # missing file
     code, _ = run(capsys, "skeletal", str(tmp_path / "absent.json"))
     assert code == 2
+
+    # a ValueError from the library reaches main's own "error: ..." line
+    g = GroundSet(3)
+    neg = tmp_path / "neg.json"
+    neg.write_text(json.dumps({"ground": "abc", "values": (-semi_elementary(Triplet.parse(g, "a|b|0"))).to_dict()}))
+    for argv, message in (
+        (["face-of", str(neg)], "imset is not structural"),
+        (["ci-model", "--imset", str(neg)], "imset is not structural"),
+        (["markov", "--n", "3", "--sub", "a|b|0"], "sub-configuration needs ABC = N"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("exc", [InvariantError("pivot division was inexact"), RuntimeError("boom")])

@@ -9,8 +9,10 @@ from importlib import resources
 import pytest
 
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary, enumerate_triplets, popcount
+from imsetkit import supermodular
 from imsetkit.imsets import (
     Imset,
+    SetFunction,
     configuration,
     decompose_semi_elementary,
     delta,
@@ -174,3 +176,38 @@ def test_imset_validation():
     g2 = GroundSet(2)
     with pytest.raises(ValueError):
         semi_elementary(Triplet.parse(g, "a|b|0")) + semi_elementary(Triplet.parse(g2, "a|b|0"))
+
+
+def test_imset_from_dict_rejects_non_integers():
+    g = GroundSet(3)
+    for entries in ({"ab": 1.5, "a": "2"}, {"ab": 1.5}, {"a": "2"}, {"a": Fraction(1, 2)}):
+        with pytest.raises(ValueError):
+            Imset.from_dict(g, entries)
+    for entries in ({"a": None}, {"a": [1]}):
+        with pytest.raises(TypeError):
+            Imset.from_dict(g, entries)
+    with pytest.raises(OverflowError):
+        Imset.from_dict(g, {"a": float("inf")})
+    # integral values of any numeric type are stored as ints
+    u = Imset.from_dict(g, {"ab": 2.0, "a": Fraction(-1), "0": True})
+    assert u.to_dict() == {"0": 1, "a": -1, "ab": 2}
+    assert all(type(v) is int for v in u.values)
+
+
+def test_imset_is_an_integer_valued_set_function():
+    g = GroundSet(3)
+    u = semi_elementary(Triplet.parse(g, "a|b|c"))
+    v = delta(g.subset("ab"))
+    assert supermodular.SetFunction is SetFunction and isinstance(u, SetFunction)
+    for w in (u + v, u - v, -u, u.scale(2), 2 * u, Imset.zero(g)):
+        assert type(w) is Imset
+    assert (u - v).values == tuple(x - y for x, y in zip(u.values, v.values))
+    assert u.scale(-3).values == tuple(-3 * x for x in u.values)
+    for c in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError):
+            u.scale(c)
+    # the same values as a SetFunction scale by any rational
+    f = SetFunction(g, u.values)
+    half = f.scale(Fraction(1, 2))
+    assert type(half) is SetFunction and half.at(g.full_mask) == Fraction(1, 2)
+    assert f.is_exact and half.is_exact and not f.scale(0.5).is_exact

@@ -24,8 +24,10 @@ from imsetkit.supermodular import (
     modular_coefficients,
     product,
     product_cone_extreme_check,
+    _superset_indicator,
     reflect,
     four_generator_witness,
+    skeletal_report,
     standardize,
 )
 
@@ -99,6 +101,34 @@ def test_is_skeletal_examples():
     assert not is_skeletal(SetFunction.zero(g3))
     with pytest.raises(ValueError):
         is_skeletal(SetFunction.from_callable(g3, lambda m: -popcount(m) ** 2))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exact_tests_agree_on_int_and_fraction_values(n):
+    g = GroundSet(n)
+    cases = [
+        (max_k(g, 1), True, None),
+        (max_k(g, n - 1), True, None),
+        (SetFunction.zero(g), False, (0, {l: 0 for l in g.labels})),
+        (indicator_superset(g.subset("ab")), True, None),
+        (_superset_indicator(g, 0b1), False, (0, {l: int(l == "a") for l in g.labels})),
+    ]
+    for f, skeletal, coefficients in cases:
+        ints = SetFunction(g, tuple(int(v) for v in f.values))
+        fracs = SetFunction(g, tuple(Fraction(v) for v in f.values))
+        assert ints.is_exact and fracs.is_exact
+        assert is_skeletal(ints) is is_skeletal(fracs) is skeletal
+        assert skeletal_report(ints) == skeletal_report(fracs)
+        if coefficients is None:
+            for h in (ints, fracs):
+                with pytest.raises(ValueError):
+                    modular_coefficients(h)
+        else:
+            assert modular_coefficients(ints) == modular_coefficients(fracs) == coefficients
+        floats = SetFunction(g, tuple(float(v) for v in f.values))
+        with pytest.raises(TypeError):
+            skeletal_report(floats)
+    assert is_skeletal(SetFunction(GroundSet(3), (0, 0, 0, 0, 1, 1, 1, 2)))
 
 
 def test_four_generator_witness_inner_products_and_skeletal():
