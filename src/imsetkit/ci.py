@@ -11,28 +11,30 @@ statement <A|B|C> holds for P exactly when
 testing is tolerance-based on floats while the imset side of the theory
 stays exact.
 
-A structural imset u induces the CI model {t : some positive multiple of u
-minus u_t stays a combination of elementary imsets}.  By the face theorem
-(u_t lies in the relative interior of the face spanned by E_t), t is in the
-model exactly when every elementary imset of E_t lies in the least face of
-u, so the model is read off that one certified face (faces.certify_face)
-rather than decided by one LP per triplet.
+The exact models work on elementary statements, which fix a semi-graphoid:
+a set of them is the elementary part of one exactly when the two sides of
+every basic 2x2 move imply each other (Studený 2005, Lemma 2.2).
+semigraphoid_closure closes the input's elementary components under that
+rule; ci_model_of_imset takes the least face of u (faces.certify_face),
+since by the face theorem t is in the model of u exactly when E_t lies in
+it.  One read-off, _model_of, turns either closed set into a CIModel.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
 from .faces import extreme_set, face_of_structural
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
 from .imsets import Imset, semi_elementary
-# unused here, but bench/test_bench.py checks that the tracer patches this name
-from .linalg import lp_feasible  # noqa: F401
+# lp_feasible: unused, but bench/test_bench.py checks the tracer patches it
+from .linalg import InvariantError, lp_feasible  # noqa: F401
 from .membership import classify
-from .relations import Move
+from .relations import Move, _rank_of
 from .supermodular import SetFunction
 
 SUM_TOL = 1e-12
@@ -49,6 +51,8 @@ class JointTable:
         if ground.n > 6:
             raise ValueError("joint tables support at most 6 variables")
         cards = tuple(int(c) for c in cardinalities)
+        if cards != tuple(cardinalities):
+            raise ValueError(f"cardinalities must be integers, got {list(cardinalities)!r}")
         if len(cards) != ground.n or any(not 1 <= c <= 8 for c in cards):
             raise ValueError("need one cardinality in 1..8 per variable")
         size = math.prod(cards)
@@ -62,12 +66,6 @@ class JointTable:
         self.ground = ground
         self.cardinalities = cards
         self.probabilities = probs
-        # strides for row-major indexing
-        self._strides = [0] * ground.n
-        acc = 1
-        for i in range(ground.n - 1, -1, -1):
-            self._strides[i] = acc
-            acc *= cards[i]
 
     @classmethod
     def normalized(cls, ground: GroundSet, cardinalities, weights) -> "JointTable":
@@ -77,6 +75,10 @@ class JointTable:
             raise ValueError("weights must have a positive sum")
         return cls(ground, cardinalities, [w / total for w in weights])
 
+    def _cells(self):
+        """(state tuple, probability) per cell, in row-major order."""
+        return zip(itertools.product(*map(range, self.cardinalities)), self.probabilities)
+
     def marginal(self, mask: int):
         """Marginal table over the variables in `mask`, row-major in label
         order."""
@@ -84,14 +86,9 @@ class JointTable:
         cards = [self.cardinalities[i] for i in idx]
         size = math.prod(cards) if cards else 1
         out = [0.0] * size
-        n = self.ground.n
-        state = [0] * n
-        for flat, p in enumerate(self.probabilities):
+        for state, p in self._cells():
             if p == 0.0:
                 continue
-            rem = flat
-            for i in range(n):
-                state[i], rem = divmod(rem, self._strides[i])
             pos = 0
             for i in idx:
                 pos = pos * self.cardinalities[i] + state[i]
@@ -117,14 +114,8 @@ class JointTable:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(list(self.ground.labels) + ["p"])
-        n = self.ground.n
-        for flat, p in enumerate(self.probabilities):
-            rem = flat
-            state = []
-            for i in range(n):
-                state.append(rem // self._strides[i])
-                rem %= self._strides[i]
-            w.writerow(state + [repr(p)])
+        for state, p in self._cells():
+            w.writerow([*state, repr(p)])
         return buf.getvalue()
 
     @classmethod
@@ -138,13 +129,11 @@ class JointTable:
         states = [[int(x) for x in r[:-1]] for r in body]
         cards = [max(s[i] for s in states) + 1 for i in range(len(labels))]
         probs = [0.0] * math.prod(cards)
-        strides = [0] * len(cards)
-        acc = 1
-        for i in range(len(cards) - 1, -1, -1):
-            strides[i] = acc
-            acc *= cards[i]
         for r, s in zip(body, states):
-            probs[sum(st * strides[i] for i, st in enumerate(s))] = float(r[-1])
+            flat = 0
+            for card, st in zip(cards, s):
+                flat = flat * card + st
+            probs[flat] = float(r[-1])
         return cls(ground, cards, probs)
 
 
@@ -225,55 +214,63 @@ def ci_model_of_P(P: JointTable, tol: float = 1e-9) -> CIModel:
     return CIModel.from_triplets(g, stmts)
 
 
-def _closure_step(ground: GroundSet, stmts: set) -> set:
-    """One round of semi-graphoid derivations on canonical (x, y, c) masks."""
-    new = set(stmts)
-    as_masks = [(t.a_mask, t.b_mask, t.c_mask) for t in stmts]
+def _elementary_closure(g: GroundSet, ranks) -> set:
+    """Least superset of the elementary ranks closed under the elementary
+    semi-graphoid rule: the two sides of each basic 2x2 move
+    <a|y|C> + <a|z|yC> = <a|z|C> + <a|y|zC> imply each other.  Each rank
+    taken off the worklist checks only the 2·(n-2) moves through it."""
+    closed = set(ranks)
+    todo = list(closed)
+    while todo:
+        x, y, d = g.elementary_triples[todo.pop()]
+        for a, b in ((x, y), (y, x)):
+            for z in bit_indices(g.full_mask & ~(1 << a | 1 << b)):
+                c = d & ~(1 << z)
+                left = (_rank_of(g, a, b, c), _rank_of(g, a, z, c | 1 << b))
+                right = (_rank_of(g, a, z, c), _rank_of(g, a, b, c | 1 << z))
+                for side, other in ((left, right), (right, left)):
+                    if side[0] in closed and side[1] in closed:
+                        new = [r for r in other if r not in closed]
+                        closed.update(new)
+                        todo.extend(new)
+    return closed
 
-    def add(a, b, c):
-        if a and b:
-            new.add(Triplet(ground, a, b, c))
 
-    for a, b, c in as_masks:
-        for first, second in ((a, b), (b, a)):
-            # decomposition and weak union over proper nonempty parts of
-            # the second slot
-            sub = (second - 1) & second
-            while sub > 0:
-                rest = second & ~sub
-                add(first, sub, c)          # decomposition
-                add(first, sub, c | rest)   # weak union
-                sub = (sub - 1) & second
-    # contraction: <X|D|BC> and <X|B|C> give <X|BD|C>
-    items = list(new)
-    for t1 in items:
-        for x1, d1 in ((t1.a_mask, t1.b_mask), (t1.b_mask, t1.a_mask)):
-            for t2 in items:
-                for x2, b2 in ((t2.a_mask, t2.b_mask), (t2.b_mask, t2.a_mask)):
-                    if x1 != x2:
-                        continue
-                    # t1 = <X|D|B2 ∪ C2> with C2 = t2.c, B2 = b2
-                    if t1.c_mask == (b2 | t2.c_mask) and not d1 & b2:
-                        add(x1, b2 | d1, t2.c_mask)
-    return new
+def _model_of(g: GroundSet, ranks) -> CIModel:
+    """The model {t : E_t ⊆ ranks} of a closed set of elementary ranks,
+    grown level by level in |A| + |B| from the elementary pairs: in a
+    semi-graphoid <A|Bx|C> holds exactly when <A|B|C> and <A|x|BC> do.
+    The growth keeps both orientations (A, B, C) and (B, A, C); Triplet
+    puts the one with A < B as masks into canonical order."""
+    level = set()
+    for r in ranks:
+        a, b, c = g.elementary_triples[r]
+        level |= {(1 << a, 1 << b, c), (1 << b, 1 << a, c)}
+    found = set(level)
+    while level:
+        grown = set()
+        for a, b, c in level:
+            for x in bit_indices(g.full_mask & ~(a | b | c)):
+                if (a, 1 << x, b | c) in found:
+                    grown |= {(a, b | 1 << x, c), (b | 1 << x, a, c)}
+        found |= grown
+        level = grown
+    return CIModel(g, frozenset(Triplet(g, a, b, c) for a, b, c in found if a < b))
 
 
 def semigraphoid_closure(ground: GroundSet, statements) -> CIModel:
     """Least superset closed under symmetry, decomposition, weak union, and
-    contraction.  Symmetry is implicit in the canonical triplet form."""
-    stmts = set()
+    contraction, read off the elementary closure of the statements'
+    elementary components (a semi-graphoid is fixed by its elementary part)."""
+    ranks = set()
     for t in statements:
         if isinstance(t, str):
             t = Triplet.parse(ground, t)
         if t.ground != ground:
             raise ValueError("statement over a different ground set")
         if not t.is_trivial:
-            stmts.add(t)
-    while True:
-        grown = _closure_step(ground, stmts)
-        if grown == stmts:
-            return CIModel(ground, frozenset(stmts))
-        stmts = grown
+            ranks.update(e.rank for e in extreme_set(t))
+    return _model_of(ground, _elementary_closure(ground, ranks))
 
 
 def is_structural(u: Imset) -> bool:
@@ -291,12 +288,15 @@ def ci_model_of_imset(u: Imset) -> CIModel:
     elementary imsets w.  Since u_t lies in the relative interior of the
     face spanned by E_t = extreme_set(t), that holds iff E_t lies in the
     least face F(u) of u.  F(u) is computed once, with an exact reason per
-    elementary column (faces.certify_face), and the model is read off it.
+    elementary column (faces.certify_face), and the model is read off its
+    elementary ranks by the same _model_of as semigraphoid_closure.
     """
     g = u.ground
     face = {e.rank for e in face_of_structural(u)}
-    stmts = [t for t in enumerate_triplets(g) if all(e.rank in face for e in extreme_set(t))]
-    return CIModel.from_triplets(g, stmts)
+    # the read-off needs a closed set; a structural model is a semi-graphoid
+    if _elementary_closure(g, face) != face:
+        raise InvariantError("face of a structural imset is not semi-graphoid closed")
+    return _model_of(g, face)
 
 
 def equivalence_3x3_check(ground: GroundSet | None = None) -> dict:

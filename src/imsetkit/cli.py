@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .ci import (
@@ -463,6 +464,17 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0 (else exit 2)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused (parsing does
@@ -490,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check-supermodular", parents=[common], help="test a set function for supermodularity"
     )
     sp.add_argument("function", help="set-function JSON file")
-    sp.add_argument("--tol", type=float, default=0, help="tolerance (default exact)")
+    sp.add_argument("--tol", type=_tolerance, default=0, help="tolerance (default exact)")
 
     sp = sub.add_parser(
         "skeletal", parents=[common], help="extreme-ray test with tight-set evidence"
@@ -539,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ci-model", parents=[common], help="CI statements of a distribution or imset")
     sp.add_argument("--dist", default=None, help="joint-table JSON file")
     sp.add_argument("--imset", default=None, help="imset JSON file")
-    sp.add_argument("--tol", type=float, default=1e-9, help="CI tolerance for --dist")
+    sp.add_argument("--tol", type=_tolerance, default=1e-9, help="CI tolerance for --dist")
 
     sp = sub.add_parser("closure", parents=[common], help="semi-graphoid closure of statements")
     sp.add_argument("statements", help="statements JSON file")

@@ -55,7 +55,9 @@ def _to_value(x):
 class SetFunction:
     """Vector over P(N), indexed by subset rank (graded set order): exact
     (ints, Fractions) or, for entropy-like quantities, float values.  +, -
-    and scale keep the type, so an Imset stays an Imset."""
+    and scale keep the type, so an Imset stays an Imset.  A SetFunction and
+    an Imset never compare equal, and + or - between them raises TypeError,
+    whatever the operand order."""
 
     ground: GroundSet
     values: tuple
@@ -100,6 +102,8 @@ class SetFunction:
         return self.values[self.ground.subset_rank(mask)]
 
     def _check_same_ground(self, other):
+        if type(self) is not type(other):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
         if self.ground != other.ground:
             raise ValueError("vectors over different ground sets")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, prod
 from time import perf_counter
 
 from .ci import (
@@ -94,10 +94,7 @@ def _product_table(cards, margins) -> JointTable:
     g = GroundSet(len(cards))
     probs = []
     idx = [0] * len(cards)
-    total = 1
-    for c in cards:
-        total *= c
-    for flat in range(total):
+    for flat in range(prod(cards)):
         rest = flat
         p = 1.0
         for i in reversed(range(len(cards))):
@@ -107,16 +104,6 @@ def _product_table(cards, margins) -> JointTable:
             p *= m[idx[i]]
         probs.append(p)
     return JointTable(g, tuple(cards), tuple(probs))
-
-
-def _random_table(rng, cards) -> JointTable:
-    g = GroundSet(len(cards))
-    total = 1
-    for c in cards:
-        total *= c
-    raw = [rng.random() + 0.05 for _ in range(total)]
-    s = sum(raw)
-    return JointTable(g, tuple(cards), tuple(v / s for v in raw))
 
 
 def _random_kernel_vector(rng, g, basics, max_terms=5, bound=5) -> Move:
@@ -428,8 +415,8 @@ def criterion_ci_semantics():
     closure = semigraphoid_closure(g, ["a|b|c"])
     if model != closure:
         return False, f"chain model {model.to_strings()} != closure {closure.to_strings()}"
-    prod = _product_table((2, 3, 2), ([0.4, 0.6], [0.2, 0.5, 0.3], [0.7, 0.3]))
-    m = multiinformation(prod)
+    independent = _product_table((2, 3, 2), ([0.4, 0.6], [0.2, 0.5, 0.3], [0.7, 0.3]))
+    m = multiinformation(independent)
     worst = max(abs(v) for v in m.values)
     if worst >= 1e-12:
         return False, f"product multiinformation reaches {worst:.2e}"
@@ -454,7 +441,8 @@ def criterion_property_suite():
     # multiinformation is supermodular within 1e-9
     for i in range(5):
         cards = rng.choice([(2, 2, 2), (2, 3, 2), (3, 2, 2)])
-        P = _random_table(rng, cards)
+        weights = [rng.random() + 0.05 for _ in range(prod(cards))]
+        P = JointTable.normalized(GroundSet(3), cards, weights)
         m = multiinformation(P)
         note(first_supermodularity_violation(m, tol=1e-9) is None, f"supermod #{i}")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,14 +7,68 @@ import pytest
 from imsetkit.ci import (
     CIModel,
     JointTable,
+    _elementary_closure,
     ci_model_of_P,
     ci_model_of_imset,
     equivalence_3x3_check,
     multiinformation,
     semigraphoid_closure,
 )
-from imsetkit.groundset import GroundSet, Triplet
-from imsetkit.imsets import Imset, semi_elementary
+from imsetkit.faces import extreme_set, face_of_structural
+from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary, enumerate_triplets
+from imsetkit.imsets import Imset, elementary_imset, semi_elementary
+
+
+def _closure_step(ground, stmts):
+    # one round of the four semi-graphoid axioms on canonical triplets
+    new = set(stmts)
+    as_masks = [(t.a_mask, t.b_mask, t.c_mask) for t in stmts]
+
+    def add(a, b, c):
+        if a and b:
+            new.add(Triplet(ground, a, b, c))
+
+    for a, b, c in as_masks:
+        for first, second in ((a, b), (b, a)):
+            # decomposition and weak union over proper nonempty parts of
+            # the second slot
+            sub = (second - 1) & second
+            while sub > 0:
+                rest = second & ~sub
+                add(first, sub, c)          # decomposition
+                add(first, sub, c | rest)   # weak union
+                sub = (sub - 1) & second
+    # contraction: <X|D|BC> and <X|B|C> give <X|BD|C>
+    items = list(new)
+    for t1 in items:
+        for x1, d1 in ((t1.a_mask, t1.b_mask), (t1.b_mask, t1.a_mask)):
+            for t2 in items:
+                for x2, b2 in ((t2.a_mask, t2.b_mask), (t2.b_mask, t2.a_mask)):
+                    if x1 == x2 and t1.c_mask == (b2 | t2.c_mask) and not d1 & b2:
+                        add(x1, b2 | d1, t2.c_mask)
+    return new
+
+
+def four_axiom_closure(ground, statements):
+    # differential oracle: the four axioms repeated to a fixed point
+    stmts = set()
+    for t in statements:
+        t = Triplet.parse(ground, t) if isinstance(t, str) else t
+        if not t.is_trivial:
+            stmts.add(t)
+    while True:
+        grown = _closure_step(ground, stmts)
+        if grown == stmts:
+            return CIModel(ground, frozenset(stmts))
+        stmts = grown
+
+
+def face_sweep_model(u):
+    # differential oracle: t is in the model iff E_t lies in the face of u
+    g = u.ground
+    face = {e.rank for e in face_of_structural(u)}
+    stmts = [t for t in enumerate_triplets(g) if all(e.rank in face for e in extreme_set(t))]
+    return CIModel.from_triplets(g, stmts)
 
 
 def product_table(ground, margins):
@@ -63,6 +118,11 @@ def test_joint_table_validation():
         JointTable(g, (2, 9), [1.0 / 18] * 18)  # too many states
     with pytest.raises(ValueError):
         JointTable(GroundSet(7), (2,) * 7, [1.0 / 128] * 128)  # too many variables
+    # cardinalities follow the integer rule of Imset.from_dict
+    for cards in ([2.7, 2], ["2", True], [2, 2.5]):
+        with pytest.raises(ValueError, match="cardinalities must be integers"):
+            JointTable(g, cards, [0.25] * 4)
+    assert JointTable(g, [2.0, 2], [0.25] * 4).cardinalities == (2, 2)
     t = JointTable.normalized(g, (2, 2), [1, 2, 3, 4])
     assert abs(sum(t.probabilities) - 1.0) < 1e-15
     assert t.probabilities[3] == 0.4
@@ -218,3 +278,44 @@ def test_ci_model_serialization():
     # statements over a mismatched ground set are rejected
     with pytest.raises(ValueError):
         CIModel.from_triplets(g, [Triplet.parse(GroundSet(4), "a|b|cd")])
+
+
+@pytest.mark.parametrize("n, count", [(2, 40), (3, 160), (4, 200), (5, 140), (6, 60)])
+def test_semigraphoid_closure_matches_four_axiom_oracle(n, count):
+    rng = random.Random(1000 + n)
+    g = GroundSet(n)
+    triplets = enumerate_triplets(g)
+    for i in range(count):
+        k = 0 if i == 0 else rng.randint(1, 3)
+        stmts = rng.sample(triplets, min(k, len(triplets)))
+        # half of the inputs pass Triplets, half their strings
+        given = stmts if i % 2 else [str(t) for t in stmts]
+        assert semigraphoid_closure(g, given) == four_axiom_closure(g, stmts), stmts
+
+
+@pytest.mark.parametrize("n, count", [(3, 50), (4, 40), (5, 15)])
+def test_ci_model_of_imset_matches_face_sweep_oracle(n, count):
+    rng = random.Random(2000 + n)
+    g = GroundSet(n)
+    elems = enumerate_elementary(g)
+    triplets = enumerate_triplets(g)
+    for _ in range(count):
+        u = Imset.zero(g)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                u = u + elementary_imset(rng.choice(elems)).scale(rng.randint(1, 2))
+            else:
+                u = u + semi_elementary(rng.choice(triplets))
+        assert ci_model_of_imset(u) == face_sweep_model(u), u.to_dict()
+
+
+@pytest.mark.parametrize("n, closed", [(2, 2), (3, 22)])
+def test_elementary_closed_sets_are_the_semigraphoids(n, closed):
+    # every subset of E(N) closed under the elementary rule is the
+    # elementary part of one semi-graphoid: 22 at n = 3
+    g = GroundSet(n)
+    ranks = range(g.num_elementary)
+    subsets = [
+        set(s) for k in range(len(ranks) + 1) for s in itertools.combinations(ranks, k)
+    ]
+    assert sum(_elementary_closure(g, s) == s for s in subsets) == closed

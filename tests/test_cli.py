@@ -334,6 +334,25 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    # --tol must be a finite number >= 0; the shared argparse type turns
+    # any other value into exit 2 before any work (an exact run of the same
+    # file finds the violation)
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"ground": "ab", "values": {"ab": -1}}))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"cardinalities": [2, 2], "probabilities": [0.25] * 4}))
+    code, out = run(capsys, "check-supermodular", str(sub), "--format", "text")
+    assert code == 0 and out == "violated at a|b|0\n"
+    for command in (["check-supermodular", str(sub)], ["ci-model", "--dist", str(table)]):
+        for tol in ("nan", "inf", "-inf", "-1e-9", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + [f"--tol={tol}"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "argument --tol: must be a finite number >= 0" in captured.err
+        code, _ = run(capsys, *command, "--tol", "0")
+        assert code == 0
+
 
 @pytest.mark.parametrize("exc", [InvariantError("pivot division was inexact"), RuntimeError("boom")])
 def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
@@ -371,6 +390,9 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
         ("ci-model --dist", {"cardinalities": [2], "probabilities": [[1], 0]}),
         ("classify-imset", {"ground": ["ab", "c"], "values": {"ab": 1}}),
         ("ci-model --dist", {"labels": 3, "cardinalities": [2, 2, 2], "probabilities": [0.125] * 8}),
+        ("ci-model --dist", {"cardinalities": [2.7, 2], "probabilities": [0.25] * 4}),
+        ("ci-model --dist", {"cardinalities": ["2", True], "probabilities": [0.5, 0.5]}),
+        ("ci-model --dist", {"cardinalities": [float("nan"), 2], "probabilities": [0.5, 0.5]}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

@@ -211,3 +211,20 @@ def test_imset_is_an_integer_valued_set_function():
     half = f.scale(Fraction(1, 2))
     assert type(half) is SetFunction and half.at(g.full_mask) == Fraction(1, 2)
     assert f.is_exact and half.is_exact and not f.scale(0.5).is_exact
+
+
+def test_set_function_and_imset_never_mix():
+    g = GroundSet(3)
+    u = semi_elementary(Triplet.parse(g, "a|b|c"))
+    f = SetFunction(g, u.values)
+    exact = SetFunction.from_dict(g, u.to_dict())  # integral Fraction values
+    # equal values, different types: never equal, in either order
+    assert f.values == u.values and exact.values == u.values
+    assert u != f and f != u and u != exact and exact != u
+    # + and - raise whatever the operand order
+    for left, right in ((u, f), (f, u), (u, exact), (exact, u)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op(left, right)
+    assert f + exact == SetFunction(g, tuple(2 * x for x in u.values))
+    assert type(u + u) is Imset
