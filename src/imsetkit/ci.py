@@ -51,11 +51,13 @@ class JointTable:
         if ground.n > 6:
             raise ValueError("joint tables support at most 6 variables")
         cards = tuple(int(c) for c in cardinalities)
-        if cards != tuple(cardinalities):
+        if cards != tuple(cardinalities) or any(isinstance(c, bool) for c in cardinalities):
             raise ValueError(f"cardinalities must be integers, got {list(cardinalities)!r}")
         if len(cards) != ground.n or any(not 1 <= c <= 8 for c in cards):
             raise ValueError("need one cardinality in 1..8 per variable")
         size = math.prod(cards)
+        if any(isinstance(p, bool) for p in probabilities):
+            raise ValueError("probabilities must be numbers, not true/false")
         probs = [float(p) for p in probabilities]
         if len(probs) != size:
             raise ValueError(f"need {size} probabilities, got {len(probs)}")

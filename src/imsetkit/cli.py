@@ -15,6 +15,8 @@ File conventions (JSON):
   statements     {"ground": "abcd", "statements": ["a|b|c", ...]}
   joint table    {"labels": "abc", "cardinalities": [2, 2, 2],
                   "probabilities": [...]}  (row-major, last label fastest)
+JSON true/false is never read as a number: a bool where a number is
+expected exits 2.
 """
 
 from __future__ import annotations

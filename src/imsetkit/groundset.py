@@ -16,6 +16,7 @@ Conventions:
 * Elementary triplets <a|b|C> have singleton A and B.  The elementary order
   compares C in the graded set order, then b, then a; ranks
   0 .. |E(N)| - 1 with |E(N)| = C(n,2) * 2^(n-2).
+* The rank tables of both orders depend on n only: built once per n, read-only.
 
 Serialization: a subset prints as its labels concatenated in index order
 ("acd"), the empty set prints as "0"; a triplet prints as "A|B|C", e.g.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
+from types import MappingProxyType
 
 
 MAX_GROUND_SIZE = 12
@@ -59,7 +61,7 @@ def iter_submasks(mask: int):
 
 
 class GroundSet:
-    """A fixed set of variables with labels; owns subset/elementary ranking.
+    """A fixed set of variables with labels; ranks subsets and elementary triplets.
 
     All other types hold a reference to their GroundSet, and two objects are
     only comparable/combinable when they share one (same labels).
@@ -96,27 +98,25 @@ class GroundSet:
 
     # -- subset ranking ------------------------------------------------
 
-    def subset_key(self, mask: int):
+    @staticmethod
+    def subset_key(mask: int):
         """Sort key realizing the graded set order."""
         return (popcount(mask), bit_indices(mask))
 
-    @cached_property
+    @property
     def masks_graded(self) -> tuple[int, ...]:
         """All subset masks ascending in the graded set order."""
-        return tuple(sorted(range(self.num_subsets), key=self.subset_key))
+        return _subset_tables(self.n)[0]
 
-    @cached_property
+    @property
     def _rank_of_mask(self) -> tuple[int, ...]:
-        rank = [0] * self.num_subsets
-        for r, m in enumerate(self.masks_graded):
-            rank[m] = r
-        return tuple(rank)
+        return _subset_tables(self.n)[1]
 
     def subset_rank(self, mask: int) -> int:
-        return self._rank_of_mask[mask]
+        return _subset_tables(self.n)[1][mask]
 
     def mask_of_rank(self, rank: int) -> int:
-        return self.masks_graded[rank]
+        return _subset_tables(self.n)[0][rank]
 
     # -- subset parsing/formatting ---------------------------------------
 
@@ -157,26 +157,35 @@ class GroundSet:
 
     # -- elementary ranking ----------------------------------------------
 
-    @cached_property
+    @property
     def elementary_triples(self) -> tuple[tuple[int, int, int], ...]:
         """(a_bit, b_bit, c_mask) for all elementary triplets, ascending rank."""
-        out = []
-        for c_mask in self.masks_graded:
-            rest = bit_indices(self.full_mask & ~c_mask)
-            for j, b in enumerate(rest):
-                for a in rest[:j]:
-                    out.append((a, b, c_mask))
-        # masks_graded ascends in C; within a C block the loops ascend in
-        # (b, a), which is exactly the elementary order.
-        return tuple(out)
+        return _elementary_tables(self.n)[0]
 
-    @cached_property
-    def _elementary_rank(self) -> dict:
-        return {t: r for r, t in enumerate(self.elementary_triples)}
+    @property
+    def _elementary_rank(self) -> MappingProxyType:
+        return _elementary_tables(self.n)[1]
 
     @property
     def num_elementary(self) -> int:
         return len(self.elementary_triples)
+
+
+@cache
+def _subset_tables(n: int):
+    """masks_graded and _rank_of_mask (its inverse permutation) at size n."""
+    masks = tuple(sorted(range(1 << n), key=GroundSet.subset_key))
+    return masks, tuple(sorted(range(1 << n), key=masks.__getitem__))
+
+
+@cache
+def _elementary_tables(n: int):
+    """elementary_triples (C in graded order, then b, then a) and _elementary_rank at size n."""
+    triples = []
+    for c_mask in _subset_tables(n)[0]:
+        rest = bit_indices(((1 << n) - 1) & ~c_mask)
+        triples += [(a, b, c_mask) for j, b in enumerate(rest) for a in rest[:j]]
+    return tuple(triples), MappingProxyType({t: r for r, t in enumerate(triples)})
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,12 @@ class SetFunction:
 
     @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "SetFunction":
-        """Build from {subset-string: "p/q" | number}; missing subsets are 0."""
+        """Build from {subset-string: "p/q" | number}; missing subsets are 0.
+        A bool raises ValueError."""
         vals = [Fraction(0)] * ground.num_subsets
         for key, v in entries.items():
+            if isinstance(v, bool):  # JSON true/false are not numbers
+                raise ValueError(f"set function values must be numbers, got {v!r} at {key!r}")
             vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
         return cls(ground, tuple(vals))
 
@@ -135,10 +138,10 @@ class Imset(SetFunction):
     @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "Imset":
         """Build from a {subset-string: integer} map; missing subsets are 0.
-        A value v with int(v) != v (1.5, "2") raises ValueError."""
+        A value v with int(v) != v (1.5, "2") or a bool raises ValueError."""
         vals = [0] * ground.num_subsets
         for key, v in entries.items():
-            if int(v) != v:
+            if isinstance(v, bool) or int(v) != v:
                 raise ValueError(f"imset values must be integers, got {v!r} at {key!r}")
             vals[ground.subset_rank(ground.parse_subset(key))] = int(v)
         return cls(ground, tuple(vals))

@@ -105,7 +105,7 @@ class Move:
             for name, mult in data.get(key, {}).items():
                 t = Triplet.parse(ground, name)
                 m = int(mult)
-                if m != mult:
+                if isinstance(mult, bool) or m != mult:
                     raise ValueError(f"multiplicity of {name} must be an integer, got {mult!r}")
                 coeffs[ElementaryIndex.from_triplet(t).rank] += sign * m
         return cls(ground, tuple(coeffs))

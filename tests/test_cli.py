@@ -393,6 +393,12 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
         ("ci-model --dist", {"cardinalities": [2.7, 2], "probabilities": [0.25] * 4}),
         ("ci-model --dist", {"cardinalities": ["2", True], "probabilities": [0.5, 0.5]}),
         ("ci-model --dist", {"cardinalities": [float("nan"), 2], "probabilities": [0.5, 0.5]}),
+        # JSON true/false are not numbers
+        ("classify-imset", {"ground": "abcd", "values": {"abcd": True}}),
+        ("reduce", {"ground": "abcd", "lhs": {"a|b|0": True, "a|c|b": 1}, "rhs": {"a|c|0": 1, "a|b|c": 1}}),
+        ("check-supermodular", {"ground": "ab", "values": {"ab": True}}),
+        ("ci-model --dist", {"cardinalities": [True, 2], "probabilities": [0.5, 0.5]}),
+        ("ci-model --dist", {"cardinalities": [1], "probabilities": [True]}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

@@ -11,9 +11,28 @@ from imsetkit.groundset import (
     ElementaryIndex,
     GroundSet,
     Triplet,
+    bit_indices,
     enumerate_elementary,
     enumerate_triplets,
 )
+
+TABLES = ("masks_graded", "_rank_of_mask", "elementary_triples", "_elementary_rank")
+
+
+def per_instance_tables(g):
+    """The per-GroundSet construction the shared per-n tables replaced, kept
+    as the reference they must match."""
+    masks_graded = tuple(sorted(range(g.num_subsets), key=g.subset_key))
+    rank = [0] * g.num_subsets
+    for r, m in enumerate(masks_graded):
+        rank[m] = r
+    triples = []
+    for c_mask in masks_graded:
+        rest = bit_indices(g.full_mask & ~c_mask)
+        for j, b in enumerate(rest):
+            for a in rest[:j]:
+                triples.append((a, b, c_mask))
+    return masks_graded, tuple(rank), tuple(triples), {t: r for r, t in enumerate(triples)}
 
 
 def test_graded_order_examples():
@@ -131,3 +150,25 @@ def test_ground_set_validation():
         GroundSet(["a", "a"])
     g = GroundSet(["x", "y", "z"])
     assert g.subset_str(g.parse_subset("xz")) == "xz"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_shared_tables_match_per_instance_oracle(n):
+    for g in (GroundSet(n), GroundSet("zyxwvuts"[:n])):
+        for name, want in zip(TABLES, per_instance_tables(g)):
+            assert getattr(g, name) == want, name
+
+
+def test_tables_are_shared_per_n_and_read_only():
+    for n in (1, 4, 7):
+        g, h = GroundSet(n), GroundSet("ZYXWVUT"[:n])
+        for name in TABLES:
+            assert getattr(g, name) is getattr(h, name), name
+    assert GroundSet("abcd")._elementary_rank is not GroundSet("abc")._elementary_rank
+    g = GroundSet(4)
+    with pytest.raises(TypeError):
+        g._elementary_rank[(0, 1, 0)] = 7
+    for name in TABLES:
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    assert g._elementary_rank[(0, 1, 0)] == 0

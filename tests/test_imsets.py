@@ -180,7 +180,7 @@ def test_imset_validation():
 
 def test_imset_from_dict_rejects_non_integers():
     g = GroundSet(3)
-    for entries in ({"ab": 1.5, "a": "2"}, {"ab": 1.5}, {"a": "2"}, {"a": Fraction(1, 2)}):
+    for entries in ({"ab": 1.5, "a": "2"}, {"ab": 1.5}, {"a": "2"}, {"a": Fraction(1, 2)}, {"0": True}):
         with pytest.raises(ValueError):
             Imset.from_dict(g, entries)
     for entries in ({"a": None}, {"a": [1]}):
@@ -188,8 +188,8 @@ def test_imset_from_dict_rejects_non_integers():
             Imset.from_dict(g, entries)
     with pytest.raises(OverflowError):
         Imset.from_dict(g, {"a": float("inf")})
-    # integral values of any numeric type are stored as ints
-    u = Imset.from_dict(g, {"ab": 2.0, "a": Fraction(-1), "0": True})
+    # integral values of any numeric type but bool are stored as ints
+    u = Imset.from_dict(g, {"ab": 2.0, "a": Fraction(-1), "0": 1})
     assert u.to_dict() == {"0": 1, "a": -1, "ab": 2}
     assert all(type(v) is int for v in u.values)
 

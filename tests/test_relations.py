@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet
+from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet, enumerate_elementary
 from imsetkit.imsets import configuration, elementary_combination
 from imsetkit.relations import (
     MAX_RELATION_SIDES,
@@ -341,3 +341,34 @@ def test_move_json_round_trip():
     assert data["lhs"] == {"a|b|c": 1, "a|c|d": 1, "a|d|b": 1}
     assert data["rhs"] == {"a|c|b": 1, "a|d|c": 1, "a|b|d": 1}
     assert Move.from_json(g, data) == z
+
+
+def test_kernel_answers_do_not_depend_on_labels():
+    # GroundSets of one size share their rank tables, so relabelling the
+    # ground set must leave coefficients, relation forms and ranks unchanged.
+    g, h = GroundSet("abcd"), GroundSet("wxyz")
+    rng = random.Random(4713)
+    basis = basic_moves(g)
+    classes = set()
+    for _ in range(40):
+        vec = [0] * g.num_elementary
+        for m in rng.sample(basis, rng.randint(1, 4)):
+            c = rng.choice((-2, -1, 1, 2))
+            for j, mc in enumerate(m.coeffs):
+                vec[j] += c * mc
+        if not any(vec):
+            continue
+        z_g, z_h = Move(g, tuple(vec)), Move(h, tuple(vec))
+        terms_g = [(m.coeffs, c) for m, c in reduce_to_basis(z_g)]
+        assert terms_g == [(m.coeffs, c) for m, c in reduce_to_basis(z_h)]
+        assert resum(g, reduce_to_basis(z_g)) == z_g.coeffs
+        f_g, f_h = classify_relation(z_g), classify_relation(z_h)
+        assert (f_g.k, f_g.m, f_g.degree, f_g.classification, f_g.move.coeffs) == (
+            f_h.k, f_h.m, f_h.degree, f_h.classification, f_h.move.coeffs
+        )
+        classes.add(f_g.classification)
+    assert len(classes) >= 2
+    rename = str.maketrans("abcd", "wxyz")
+    for r, e in enumerate(enumerate_elementary(g)):
+        t = Triplet.parse(h, str(e).translate(rename))
+        assert ElementaryIndex.from_triplet(t).rank == e.rank == r
