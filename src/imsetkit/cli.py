@@ -33,12 +33,12 @@ from .ci import (
     ci_model_of_P,
     semigraphoid_closure,
 )
-from .faces import face_description, face_of_structural, subconfiguration
+from .faces import extreme_set, face_description, face_of_structural, subconfiguration
 from .groundset import GroundSet, Triplet
 from .imsets import Imset, configuration, decompose_semi_elementary
 from .membership import classify
 from .relations import BudgetError, Move, enumerate_small_relations, reduce_to_basis
-from .markov import markov_basis
+from .markov import check_degree_cap, markov_basis
 from .supermodular import (
     SetFunction,
     duplicate_coordinate,
@@ -428,10 +428,10 @@ def _cmd_relations(args) -> int:
 
 def _cmd_markov(args) -> int:
     g = _ground_flag(args)
-    if args.sub:
-        cfg = subconfiguration(Triplet.parse(g, args.sub))
-    else:
-        cfg = configuration(g)
+    t = Triplet.parse(g, args.sub) if args.sub else None
+    # the budget needs only the shape: check it before building the matrix
+    check_degree_cap(len(extreme_set(t)) if t else g.num_elementary, g.num_subsets, args.degree_cap)
+    cfg = subconfiguration(t) if t else configuration(g)
     report = markov_basis(cfg, args.degree_cap)
     payload = {
         "command": "markov",

@@ -78,12 +78,15 @@ class SetFunction:
     @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "SetFunction":
         """Build from {subset-string: "p/q" | number}; missing subsets are 0.
-        A bool raises ValueError."""
+        A bool or a zero denominator ("1/0") raises ValueError."""
         vals = [Fraction(0)] * ground.num_subsets
         for key, v in entries.items():
             if isinstance(v, bool):  # JSON true/false are not numbers
                 raise ValueError(f"set function values must be numbers, got {v!r} at {key!r}")
-            vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
+            try:
+                vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {v!r} at {key!r}") from None
         return cls(ground, tuple(vals))
 
     def to_dict(self) -> dict:

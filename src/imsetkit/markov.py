@@ -69,6 +69,21 @@ def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
     return n_multi * (60 * d + num_rows + 40)
 
 
+def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> None:
+    """ValueError for a cap below 2, BudgetError if some degree up to the cap
+    would exceed MEMORY_BUDGET_BYTES; needs only the configuration's shape,
+    so it can run before the configuration is built."""
+    if degree_cap < 2:
+        raise ValueError("degree cap must be at least 2")
+    for d in range(2, degree_cap + 1):
+        estimate = _estimate_bytes(num_cols, num_rows, d)
+        if estimate > MEMORY_BUDGET_BYTES:
+            raise BudgetError(
+                f"degree {d} needs about {estimate >> 20} MiB, over the "
+                f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
+            )
+
+
 def _column_keys(cols_t: np.ndarray) -> np.ndarray:
     """int64 key w·A_j of each column j (row j of cols_t), w fixed and seeded."""
     w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=cols_t.shape[1])
@@ -174,22 +189,11 @@ def _is_full_configuration(cfg: Configuration) -> bool:
 def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     """Minimal Markov basis moves of degree ≤ degree_cap, with per-degree
     representative counts under the label-permutation action."""
-    if degree_cap < 2:
-        raise ValueError("degree cap must be at least 2")
+    check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
     column_ranks = [e.rank for e in cfg.columns]
     cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-    num_cols, num_rows = cols_t.shape
-
-    # every degree is checked against the budget before any index is built
-    for d in range(2, degree_cap + 1):
-        estimate = _estimate_bytes(num_cols, num_rows, d)
-        if estimate > MEMORY_BUDGET_BYTES:
-            raise BudgetError(
-                f"degree {d} needs about {estimate >> 20} MiB, over the "
-                f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
-            )
-
+    num_cols = cols_t.shape[0]
     col_keys = _column_keys(cols_t)
     idx = np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
     moves = []

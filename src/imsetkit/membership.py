@@ -178,20 +178,22 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=(), budget=None):
     found = []
     steps = 0
 
-    def first_nonzero():
-        for r, v in enumerate(residual):
-            if v != 0:
+    def first_nonzero(start):
+        for r in range(start, len(residual)):
+            if residual[r] != 0:
                 return r
         return None
 
-    def rec(pos):
+    # a summand taken at lead C changes only C and strict supersets of C,
+    # so the next lead is never below the current one: rescan from there
+    def rec(pos, lead):
         nonlocal steps
         if limit is not None and len(found) >= limit:
             return
         steps += 1
         if budget is not None and steps > budget:
             raise _OutOfBudget
-        r = first_nonzero()
+        r = first_nonzero(lead)
         if r is None:
             found.append(tuple(counts))
             return
@@ -215,7 +217,7 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=(), budget=None):
             residual[ac] += 1
             residual[bc] += 1
             counts[j] += 1
-            rec(j)
+            rec(j, r)
             counts[j] -= 1
             residual[abc] += 1
             residual[c] += 1
@@ -225,7 +227,7 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=(), budget=None):
                 sums[ti] += 1
 
     try:
-        rec(0)
+        rec(0, 0)
     except _OutOfBudget:
         return None
     return found

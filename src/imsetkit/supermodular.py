@@ -13,6 +13,10 @@ tight-constraint rank criterion: collect the elementary imsets u with
 (a space of dimension 2^n - n - 1), and ask for rank exactly one less than
 that dimension.  The zero function is not skeletal.
 
+The skeletal constructors check their hypotheses, then map values over one
+pullback: a base f on labels A read as f(S ∩ A) for every S ⊆ N, in N's
+graded order.  reflect reverses the values: complementation reverses it.
+
 SetFunction itself lives in imsets (an Imset is its integer-valued
 subclass) and is re-exported here.  Exactness: the exact tests
 (is_skeletal, skeletal_report, modular_coefficients) accept ints and
@@ -83,19 +87,14 @@ def standardize(f: SetFunction) -> SetFunction:
 
 
 def is_standardized(f: SetFunction) -> bool:
-    g = f.ground
-    if f.at(0) != 0:
-        return False
-    return all(f.at(1 << i) == 0 for i in range(g.n))
+    return f.at(0) == 0 and all(f.at(1 << i) == 0 for i in range(f.ground.n))
 
 
 def skeletal_report(f: SetFunction) -> dict:
     """is_skeletal with its tight-set evidence (counts and ranks)."""
     if not f.is_exact:
         raise TypeError("the skeletal test requires exact rational values")
-    bad = first_supermodularity_violation(f)
-    if bad is not None:
-        raise ValueError(f"not supermodular: violated at {bad}")
+    _require_supermodular(f)
     g = f.ground
     fbar = standardize(f)
     dim = g.num_subsets - g.n - 1
@@ -160,26 +159,27 @@ def _subset_indicator(g: GroundSet, mask: int) -> SetFunction:
 def reflect(f: SetFunction) -> SetFunction:
     """g(S) = f(N \\ S); maps supermodular to supermodular, skeletal to
     skeletal, and is an involution."""
+    _require_supermodular(f, "reflect input")
+    # complementation reverses the graded set order
+    return SetFunction(f.ground, f.values[::-1])
+
+
+def _require_supermodular(f: SetFunction, what: str = "") -> None:
+    """ValueError "<what> not supermodular: violated at <t>" unless f is."""
     bad = first_supermodularity_violation(f)
     if bad is not None:
-        raise ValueError(f"reflect input not supermodular: violated at {bad}")
-    g = f.ground
-    return SetFunction.from_callable(g, lambda m: f.at(g.full_mask & ~m))
+        raise ValueError(f"{what} not supermodular: violated at {bad}".lstrip())
 
 
-def _merged_ground(*label_groups) -> GroundSet:
-    labels = sorted(set().union(*label_groups))
-    return GroundSet(labels)
-
-
-def _restrict_mask(big: GroundSet, small: GroundSet, mask: int) -> int:
-    """Rewrite a mask over `big` (restricted to small's labels) as a mask
-    over `small`."""
-    out = 0
-    for i, lab in enumerate(big.labels):
-        if mask & (1 << i) and lab in small._label_index:
-            out |= 1 << small._label_index[lab]
-    return out
+def _pullback(f: SetFunction, ground: GroundSet) -> tuple:
+    """f(S ∩ A) for every S ⊆ N in N's graded order, where A (f's labels)
+    is a subset of N (ground's labels)."""
+    index = f.ground._label_index
+    meet = [0]  # meet[S] = the mask of S ∩ A over A, S a mask over N
+    for lab in ground.labels:
+        bit = 1 << index[lab] if lab in index else 0
+        meet += [m | bit for m in meet]
+    return tuple(f.at(meet[m]) for m in ground.masks_graded)
 
 
 def extend_marginal(g_fn: SetFunction, ground: GroundSet) -> SetFunction:
@@ -187,10 +187,8 @@ def extend_marginal(g_fn: SetFunction, ground: GroundSet) -> SetFunction:
     small = g_fn.ground
     if any(lab not in ground._label_index for lab in small.labels):
         raise ValueError("target ground set must contain the source labels")
-    bad = first_supermodularity_violation(g_fn)
-    if bad is not None:
-        raise ValueError(f"extend_marginal input not supermodular: violated at {bad}")
-    return SetFunction.from_callable(ground, lambda m: g_fn.at(_restrict_mask(ground, small, m)))
+    _require_supermodular(g_fn, "extend_marginal input")
+    return SetFunction(ground, _pullback(g_fn, ground))
 
 
 def extend_zero_slice(f1: SetFunction, new_label: str) -> SetFunction:
@@ -202,9 +200,7 @@ def extend_zero_slice(f1: SetFunction, new_label: str) -> SetFunction:
     small = f1.ground
     if new_label in small._label_index:
         raise ValueError(f"label {new_label!r} already present")
-    bad = first_supermodularity_violation(f1)
-    if bad is not None:
-        raise ValueError(f"extend_zero_slice input not supermodular: violated at {bad}")
+    _require_supermodular(f1, "extend_zero_slice input")
     if f1.at(0) != 0:
         raise ValueError("extend_zero_slice needs f1(∅) = 0")
     for i in range(small.n):
@@ -215,15 +211,10 @@ def extend_zero_slice(f1: SetFunction, new_label: str) -> SetFunction:
                     f"extend_zero_slice needs f1 nondecreasing; decreases adding "
                     f"{small.labels[i]!r} to {small.subset_str(m)}"
                 )
-    ground = _merged_ground(small.labels, [new_label])
+    ground = GroundSet(sorted((*small.labels, new_label)))
     new_bit = 1 << ground._label_index[new_label]
-
-    def fn(mask):
-        if mask & new_bit:
-            return f1.at(_restrict_mask(ground, small, mask & ~new_bit))
-        return 0
-
-    return SetFunction.from_callable(ground, fn)
+    pull = zip(ground.masks_graded, _pullback(f1, ground))
+    return SetFunction(ground, tuple(v if m & new_bit else 0 for m, v in pull))
 
 
 def extend_modular_top(f0: SetFunction, new_label: str) -> SetFunction:
@@ -246,16 +237,10 @@ def extend_modular_top(f0: SetFunction, new_label: str) -> SetFunction:
             raise ValueError(
                 f"extend_modular_top needs Δ_i f0(N'\\i) = 1; fails at {small.labels[i]!r}"
             )
-    ground = _merged_ground(small.labels, [new_label])
+    ground = GroundSet(sorted((*small.labels, new_label)))
     new_bit = 1 << ground._label_index[new_label]
-
-    def fn(mask):
-        rest = _restrict_mask(ground, small, mask & ~new_bit)
-        if mask & new_bit:
-            return popcount(rest)
-        return f0.at(rest)
-
-    return SetFunction.from_callable(ground, fn)
+    pull = zip(ground.masks_graded, _pullback(f0, ground))
+    return SetFunction(ground, tuple(popcount(m) - 1 if m & new_bit else v for m, v in pull))
 
 
 def duplicate_coordinate(f_prime: SetFunction, new_label: str) -> SetFunction:
@@ -265,21 +250,15 @@ def duplicate_coordinate(f_prime: SetFunction, new_label: str) -> SetFunction:
     small = f_prime.ground
     if new_label in small._label_index:
         raise ValueError(f"label {new_label!r} already present")
-    bad = first_supermodularity_violation(f_prime)
-    if bad is not None:
-        raise ValueError(f"duplicate_coordinate input not supermodular: violated at {bad}")
-    t_bit_small = 1 << (small.n - 1)
-    ground = _merged_ground(small.labels, [new_label])
+    _require_supermodular(f_prime, "duplicate_coordinate input")
+    ground = GroundSet(sorted((*small.labels, new_label)))
     new_bit = 1 << ground._label_index[new_label]
     t_bit = 1 << ground._label_index[small.labels[-1]]
-
-    def fn(mask):
-        rest = _restrict_mask(ground, small, mask & ~(new_bit | t_bit)) & ~t_bit_small
-        if (mask & new_bit) and (mask & t_bit):
-            return f_prime.at(rest | t_bit_small)
-        return f_prime.at(rest)
-
-    return SetFunction.from_callable(ground, fn)
+    pull = _pullback(f_prime, ground)
+    return SetFunction(ground, tuple(
+        pull[ground.subset_rank(m & ~t_bit)] if m & (t_bit | new_bit) == t_bit else v
+        for m, v in zip(ground.masks_graded, pull)
+    ))
 
 
 def product(g_fn: SetFunction, h_fn: SetFunction) -> SetFunction:
@@ -291,16 +270,12 @@ def product(g_fn: SetFunction, h_fn: SetFunction) -> SetFunction:
     if set(ga.labels) & set(gb.labels):
         raise ValueError("product needs disjoint label sets")
     for name, fn in (("left", g_fn), ("right", h_fn)):
-        bad = first_supermodularity_violation(fn)
-        if bad is not None:
-            raise ValueError(f"product {name} factor not supermodular: violated at {bad}")
+        _require_supermodular(fn, f"product {name} factor")
         if not is_standardized(fn):
             raise ValueError(f"product {name} factor must be standardized")
-    ground = _merged_ground(ga.labels, gb.labels)
-    return SetFunction.from_callable(
-        ground,
-        lambda m: g_fn.at(_restrict_mask(ground, ga, m)) * h_fn.at(_restrict_mask(ground, gb, m)),
-    )
+    ground = GroundSet(sorted(ga.labels + gb.labels))
+    pairs = zip(_pullback(g_fn, ground), _pullback(h_fn, ground))
+    return SetFunction(ground, tuple(x * y for x, y in pairs))
 
 
 def four_generator_witness(g: GroundSet) -> SetFunction:

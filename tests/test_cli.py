@@ -369,6 +369,24 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize("sub", [[], ["--sub", "a|bcdefghijkl|0"]])
+def test_markov_budget_is_checked_before_the_configuration_is_built(capsys, monkeypatch, sub):
+    import imsetkit.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("configuration built before the budget check")
+
+    monkeypatch.setattr(cli, "configuration", refuse)
+    monkeypatch.setattr(cli, "subconfiguration", refuse)
+    start = time.perf_counter()
+    code = main(["markov", "--n", "12", "--degree-cap", "2", *sub])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: degree 2 needs about ")
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize(
     "command, body",
     [
@@ -399,6 +417,9 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
         ("check-supermodular", {"ground": "ab", "values": {"ab": True}}),
         ("ci-model --dist", {"cardinalities": [True, 2], "probabilities": [0.5, 0.5]}),
         ("ci-model --dist", {"cardinalities": [1], "probabilities": [True]}),
+        # a zero denominator is an input error, not an internal one
+        ("check-supermodular", {"ground": "ab", "values": {"ab": "1/0"}}),
+        ("skeletal", {"ground": "ab", "values": {"ab": "1/0"}}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

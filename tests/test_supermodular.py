@@ -271,3 +271,204 @@ def test_constructor_parameter_validation():
     with pytest.raises(ValueError):
         four_generator_witness(g)
     assert is_skeletal(four_generator_witness(GroundSet(4)))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-mask constructors (restrict each mask, then from_callable)
+# ---------------------------------------------------------------------------
+
+
+def _restrict_mask(big, small, mask):
+    """A mask over `big`, restricted to small's labels, as a mask over `small`."""
+    out = 0
+    for i, lab in enumerate(big.labels):
+        if mask & (1 << i) and lab in small._label_index:
+            out |= 1 << small._label_index[lab]
+    return out
+
+
+def _merged_ground(*label_groups):
+    return GroundSet(sorted(set().union(*label_groups)))
+
+
+def _guard(f, what):
+    bad = first_supermodularity_violation(f)
+    if bad is not None:
+        raise ValueError(f"{what} not supermodular: violated at {bad}")
+
+
+def _new_label(small, new_label):
+    if new_label in small._label_index:
+        raise ValueError(f"label {new_label!r} already present")
+
+
+def oracle_reflect(f):
+    _guard(f, "reflect input")
+    g = f.ground
+    return SetFunction.from_callable(g, lambda m: f.at(g.full_mask & ~m))
+
+
+def oracle_marginal(g_fn, ground):
+    small = g_fn.ground
+    if any(lab not in ground._label_index for lab in small.labels):
+        raise ValueError("target ground set must contain the source labels")
+    _guard(g_fn, "extend_marginal input")
+    return SetFunction.from_callable(ground, lambda m: g_fn.at(_restrict_mask(ground, small, m)))
+
+
+def oracle_zero_slice(f1, new_label):
+    small = f1.ground
+    _new_label(small, new_label)
+    _guard(f1, "extend_zero_slice input")
+    if f1.at(0) != 0:
+        raise ValueError("extend_zero_slice needs f1(∅) = 0")
+    for i in range(small.n):
+        bit = 1 << i
+        for m in small.masks_graded:
+            if not m & bit and f1.at(m | bit) < f1.at(m):
+                raise ValueError(
+                    f"extend_zero_slice needs f1 nondecreasing; decreases adding "
+                    f"{small.labels[i]!r} to {small.subset_str(m)}"
+                )
+    ground = _merged_ground(small.labels, [new_label])
+    new_bit = 1 << ground._label_index[new_label]
+
+    def fn(mask):
+        if mask & new_bit:
+            return f1.at(_restrict_mask(ground, small, mask & ~new_bit))
+        return 0
+
+    return SetFunction.from_callable(ground, fn)
+
+
+def oracle_modular_top(f0, new_label):
+    small = f0.ground
+    _new_label(small, new_label)
+    if f0.at(0) != 0 or any(f0.at(1 << i) != 0 for i in range(small.n)):
+        raise ValueError("extend_modular_top needs a standardized base")
+    if not is_skeletal(f0):
+        raise ValueError("extend_modular_top needs a skeletal base")
+    top = f0.at(small.full_mask)
+    for i in range(small.n):
+        if top - f0.at(small.full_mask & ~(1 << i)) != 1:
+            raise ValueError(
+                f"extend_modular_top needs Δ_i f0(N'\\i) = 1; fails at {small.labels[i]!r}"
+            )
+    ground = _merged_ground(small.labels, [new_label])
+    new_bit = 1 << ground._label_index[new_label]
+
+    def fn(mask):
+        rest = _restrict_mask(ground, small, mask & ~new_bit)
+        if mask & new_bit:
+            return popcount(rest)
+        return f0.at(rest)
+
+    return SetFunction.from_callable(ground, fn)
+
+
+def oracle_duplicate(f_prime, new_label):
+    small = f_prime.ground
+    _new_label(small, new_label)
+    _guard(f_prime, "duplicate_coordinate input")
+    t_bit_small = 1 << (small.n - 1)
+    ground = _merged_ground(small.labels, [new_label])
+    new_bit = 1 << ground._label_index[new_label]
+    t_bit = 1 << ground._label_index[small.labels[-1]]
+
+    def fn(mask):
+        rest = _restrict_mask(ground, small, mask & ~(new_bit | t_bit)) & ~t_bit_small
+        if (mask & new_bit) and (mask & t_bit):
+            return f_prime.at(rest | t_bit_small)
+        return f_prime.at(rest)
+
+    return SetFunction.from_callable(ground, fn)
+
+
+def oracle_product(g_fn, h_fn):
+    ga, gb = g_fn.ground, h_fn.ground
+    if set(ga.labels) & set(gb.labels):
+        raise ValueError("product needs disjoint label sets")
+    for name, fn in (("left", g_fn), ("right", h_fn)):
+        _guard(fn, f"product {name} factor")
+        if fn.at(0) != 0 or any(fn.at(1 << i) != 0 for i in range(fn.ground.n)):
+            raise ValueError(f"product {name} factor must be standardized")
+    ground = _merged_ground(ga.labels, gb.labels)
+    return SetFunction.from_callable(
+        ground,
+        lambda m: g_fn.at(_restrict_mask(ground, ga, m)) * h_fn.at(_restrict_mask(ground, gb, m)),
+    )
+
+
+def _outcome(constructor, *args):
+    """(labels, values, value types) of the result, or the ValueError text."""
+    try:
+        f = constructor(*args)
+    except ValueError as exc:
+        return str(exc)
+    return f.ground.labels, f.values, tuple(type(v) for v in f.values)
+
+
+def _seeded_base(rng, labels):
+    """A max_k, indicator or reflected base on `labels`, sometimes negated,
+    shifted, scaled or tilted by a modular function so that each hypothesis
+    check fires somewhere."""
+    g = GroundSet(labels)
+    family = rng.choice(("max_k", "indicator", "reflect"))
+    if family == "max_k":
+        f = max_k(g, rng.randrange(1, g.n))
+    else:
+        f = indicator_superset(g.subset(rng.sample(labels, rng.randint(2, g.n))))
+    if family == "reflect":
+        f = reflect(f)
+    card = SetFunction.from_callable(g, popcount)
+    tweak = rng.choice(("none", "none", "negate", "shift", "scale", "tilt_up", "tilt_down"))
+    if tweak == "negate":
+        f = -f
+    elif tweak == "shift":
+        f = f + SetFunction.from_callable(g, lambda m: 1)
+    elif tweak == "scale":
+        f = f.scale(Fraction(3, 2))
+    elif tweak == "tilt_up":
+        f = f + card
+    elif tweak == "tilt_down":
+        f = f - card
+    return f
+
+
+def test_constructors_match_the_per_mask_oracle():
+    rng = random.Random(14)
+    pool = "abcdefgh"
+    pairs = [
+        (reflect, oracle_reflect),
+        (extend_zero_slice, oracle_zero_slice),
+        (extend_modular_top, oracle_modular_top),
+        (duplicate_coordinate, oracle_duplicate),
+    ]
+    seen = {}
+
+    def compare(new, old, *args):
+        got, want = _outcome(new, *args), _outcome(old, *args)
+        assert got == want, (new.__name__, args)
+        seen.setdefault(new.__name__, set()).add(isinstance(got, str))
+
+    # a label that falls mid-order in the merged ground set
+    ace = max_k(GroundSet("ace"), 1)
+    compare(extend_zero_slice, oracle_zero_slice, ace, "b")
+    compare(duplicate_coordinate, oracle_duplicate, ace, "b")
+    for _ in range(150):
+        labels = rng.sample(pool, rng.randint(2, 3))
+        f = _seeded_base(rng, labels)
+        for new, old in pairs:
+            extra = rng.choice([l for l in pool if l not in labels] + labels[:1])
+            compare(new, old, *((f,) if new is reflect else (f, extra)))
+        wider = labels + rng.sample([l for l in pool if l not in labels], rng.randint(0, 2))
+        if rng.random() < 0.15:
+            wider.remove(rng.choice(labels))
+        rng.shuffle(wider)
+        compare(extend_marginal, oracle_marginal, f, GroundSet(wider))
+        rest = [l for l in pool if l not in labels] + ([labels[0]] if rng.random() < 0.15 else [])
+        h = _seeded_base(rng, rng.sample(rest, 2))
+        compare(product, oracle_product, f, h)
+        compare(product, oracle_product, h, f)
+    # every constructor built something and refused something
+    assert seen == {name: {False, True} for name in seen} and len(seen) == 6
