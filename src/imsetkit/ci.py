@@ -9,7 +9,10 @@ statement <A|B|C> holds for P exactly when
 
 (the left side is the conditional mutual information, always >= 0), so CI
 testing is tolerance-based on floats while the imset side of the theory
-stays exact.
+stays exact.  A JointTable keeps its cells once as a C-order numpy array
+with axis i for label i (`array`); its flat row-major `probabilities` are
+that array raveled.  A marginal is a sum over the other axes, and m_P
+compares it with the outer product of the single marginals.
 
 The exact models work on elementary statements, which fix a semi-graphoid:
 a set of them is the elementary part of one exactly when the two sides of
@@ -23,10 +26,12 @@ it.  One read-off, _model_of, turns either closed set into a CIModel.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .faces import extreme_set, face_of_structural
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
@@ -34,7 +39,7 @@ from .imsets import Imset, semi_elementary
 # lp_feasible: unused, but bench/test_bench.py checks the tracer patches it
 from .linalg import InvariantError, lp_feasible  # noqa: F401
 from .membership import classify
-from .relations import Move, _rank_of
+from .relations import Move
 from .supermodular import SetFunction
 
 SUM_TOL = 1e-12
@@ -61,6 +66,8 @@ class JointTable:
         probs = [float(p) for p in probabilities]
         if len(probs) != size:
             raise ValueError(f"need {size} probabilities, got {len(probs)}")
+        if not all(map(math.isfinite, probs)):
+            raise ValueError("probabilities must be finite")
         if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(probs) - 1.0) > SUM_TOL:
@@ -68,6 +75,7 @@ class JointTable:
         self.ground = ground
         self.cardinalities = cards
         self.probabilities = probs
+        self.array = np.array(probs).reshape(cards)
 
     @classmethod
     def normalized(cls, ground: GroundSet, cardinalities, weights) -> "JointTable":
@@ -77,25 +85,11 @@ class JointTable:
             raise ValueError("weights must have a positive sum")
         return cls(ground, cardinalities, [w / total for w in weights])
 
-    def _cells(self):
-        """(state tuple, probability) per cell, in row-major order."""
-        return zip(itertools.product(*map(range, self.cardinalities)), self.probabilities)
-
-    def marginal(self, mask: int):
-        """Marginal table over the variables in `mask`, row-major in label
-        order."""
-        idx = bit_indices(mask)
-        cards = [self.cardinalities[i] for i in idx]
-        size = math.prod(cards) if cards else 1
-        out = [0.0] * size
-        for state, p in self._cells():
-            if p == 0.0:
-                continue
-            pos = 0
-            for i in idx:
-                pos = pos * self.cardinalities[i] + state[i]
-            out[pos] += p
-        return out
+    def marginal(self, mask: int) -> np.ndarray:
+        """Marginal table over the variables in `mask`, a flat array
+        row-major in label order: the sum over every other axis."""
+        other = tuple(i for i in range(self.ground.n) if not mask >> i & 1)
+        return self.array.sum(axis=other).ravel()
 
     def to_json(self) -> dict:
         return {
@@ -116,52 +110,43 @@ class JointTable:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(list(self.ground.labels) + ["p"])
-        for state, p in self._cells():
+        for state, p in zip(np.ndindex(self.array.shape), self.probabilities):
             w.writerow([*state, repr(p)])
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "JointTable":
+        """Inverse of to_csv; each variable gets 1 + its largest state, and a
+        negative state raises ValueError."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or len(rows[0]) < 2 or rows[0][-1] != "p":
             raise ValueError("CSV joint table needs a header of labels then 'p'")
-        labels = rows[0][:-1]
-        ground = GroundSet(labels)
         body = [r for r in rows[1:] if r]
-        states = [[int(x) for x in r[:-1]] for r in body]
-        cards = [max(s[i] for s in states) + 1 for i in range(len(labels))]
-        probs = [0.0] * math.prod(cards)
-        for r, s in zip(body, states):
-            flat = 0
-            for card, st in zip(cards, s):
-                flat = flat * card + st
-            probs[flat] = float(r[-1])
-        return cls(ground, cards, probs)
+        states = np.array([[int(x) for x in r[:-1]] for r in body])
+        cards = states.max(axis=0) + 1
+        probs = np.zeros(math.prod(cards))
+        probs[np.ravel_multi_index(states.T, cards)] = [float(r[-1]) for r in body]
+        return cls(GroundSet(rows[0][:-1]), cards.tolist(), probs)
 
 
 def multiinformation(P: JointTable) -> SetFunction:
-    """m_P as a float-valued SetFunction; m_P(S) = D(P^S || Π_i P^i)."""
+    """m_P as a float-valued SetFunction; m_P(S) = D(P^S || Π_i P^i), the
+    sum of p·(log p - log q) over the cells of P^S with p > 0, where log q
+    is the outer sum of the logs of the single marginals."""
     g = P.ground
     singles = [P.marginal(1 << i) for i in range(g.n)]
+    # a zero single marginal lies only under cells with p = 0, which drop out
+    log_singles = [np.log(np.where(s > 0, s, 1.0)) for s in singles]
     values = []
     for mask in g.masks_graded:
         idx = bit_indices(mask)
         if len(idx) <= 1:
             values.append(0.0)
             continue
-        marg = P.marginal(mask)
-        cards = [P.cardinalities[i] for i in idx]
-        total = 0.0
-        for pos, p in enumerate(marg):
-            if p <= 0.0:
-                continue
-            rem = pos
-            log_prod = 0.0
-            for j in range(len(idx) - 1, -1, -1):
-                rem, st = divmod(rem, cards[j])
-                log_prod += math.log(singles[idx[j]][st])
-            total += p * (math.log(p) - log_prod)
-        values.append(total)
+        p = P.marginal(mask)
+        log_q = functools.reduce(np.add.outer, [log_singles[i] for i in idx]).ravel()
+        pos = p > 0
+        values.append(float(np.dot(p[pos], np.log(p[pos]) - log_q[pos])))
     return SetFunction(g, tuple(values))
 
 
@@ -228,8 +213,8 @@ def _elementary_closure(g: GroundSet, ranks) -> set:
         for a, b in ((x, y), (y, x)):
             for z in bit_indices(g.full_mask & ~(1 << a | 1 << b)):
                 c = d & ~(1 << z)
-                left = (_rank_of(g, a, b, c), _rank_of(g, a, z, c | 1 << b))
-                right = (_rank_of(g, a, z, c), _rank_of(g, a, b, c | 1 << z))
+                left = (g.elementary_rank(a, b, c), g.elementary_rank(a, z, c | 1 << b))
+                right = (g.elementary_rank(a, z, c), g.elementary_rank(a, b, c | 1 << z))
                 for side, other in ((left, right), (right, left)):
                     if side[0] in closed and side[1] in closed:
                         new = [r for r in other if r not in closed]

@@ -164,7 +164,7 @@ def _ground_flag(args) -> GroundSet:
 def _emit(args, payload: dict, text: str | None = None, csv_text: str | None = None) -> None:
     fmt = args.format
     if fmt == "json":
-        out = json.dumps({"schema": SCHEMA, **payload}, indent=2) + "\n"
+        out = json.dumps({"schema": SCHEMA, "command": args.command, **payload}, indent=2) + "\n"
     elif fmt == "csv":
         if csv_text is None:
             raise InputError(f"'{args.command}' has no csv rendering; use json or text")
@@ -190,7 +190,6 @@ def _cmd_config(args) -> int:
     _check_dense_budget(g)
     cfg = configuration(g)
     payload = {
-        "command": "config",
         "ground": "".join(g.labels),
         "column_labels": [str(e) for e in cfg.columns],
         "row_labels": [g.subset_str(m) for m in g.masks_graded],
@@ -205,7 +204,6 @@ def _cmd_check_supermodular(args) -> int:
     f = _load_vector(args.function, SetFunction)
     violation = first_supermodularity_violation(f, tol=args.tol)
     payload = {
-        "command": "check-supermodular",
         "supermodular": violation is None,
         "violation": None if violation is None else str(violation.triplet()),
     }
@@ -219,9 +217,9 @@ def _cmd_skeletal(args) -> int:
     _check_dense_budget(f.ground)
     try:
         report = skeletal_report(f)
-        payload = {"command": "skeletal", "supermodular": True, **report}
+        payload = {"supermodular": True, **report}
     except ValueError as exc:
-        payload = {"command": "skeletal", "supermodular": False, "skeletal": False, "reason": str(exc)}
+        payload = {"supermodular": False, "skeletal": False, "reason": str(exc)}
     lines = [f"skeletal: {payload['skeletal']}"]
     for key in ("tight_count", "tight_rank", "dimension", "reason"):
         if key in payload:
@@ -266,7 +264,6 @@ def _cmd_construct(args) -> int:
     else:
         raise InputError(f"unknown construct family {family!r}")
     payload = {
-        "command": "construct",
         "family": family,
         "ground": "".join(f.ground.labels),
         "values": f.to_dict(),
@@ -281,7 +278,6 @@ def _cmd_decompose(args) -> int:
     t = Triplet.parse(g, args.triplet)
     terms = decompose_semi_elementary(t)
     payload = {
-        "command": "decompose",
         "triplet": str(t),
         "terms": [{"elementary": str(e.triplet()), "coefficient": c} for e, c in terms],
     }
@@ -296,7 +292,7 @@ def _cmd_classify_imset(args) -> int:
     u = _load_vector(args.imset, Imset)
     _check_dense_budget(u.ground)
     res = classify(u)
-    payload = {"command": "classify-imset", **res.to_json()}
+    payload = res.to_json()
     lines = [f"class: {payload['class']}", f"degree: {payload['degree']}"]
     if payload["witness"]:
         lines.append("witness: " + ", ".join(f"{k} x{v}" for k, v in payload["witness"].items()))
@@ -308,7 +304,7 @@ def _cmd_face(args) -> int:
     g = _ground_flag(args)
     t = Triplet.parse(g, args.triplet)
     desc = face_description(t)
-    payload = {"command": "face", **desc.to_json()}
+    payload = desc.to_json()
     lines = [
         f"triplet: {t}",
         f"dimension: {desc.dimension}",
@@ -324,7 +320,6 @@ def _cmd_face_of(args) -> int:
     _check_dense_budget(u.ground)
     face = face_of_structural(u)
     payload = {
-        "command": "face-of",
         "face": [str(e.triplet()) for e in face],
         "imset": u.to_dict(),
     }
@@ -346,7 +341,6 @@ def _cmd_ci_model(args) -> int:
         model = ci_model_of_imset(u)
         source = {"source": "imset"}
     payload = {
-        "command": "ci-model",
         **source,
         "ground": "".join(model.ground.labels),
         "statements": model.to_strings(),
@@ -363,7 +357,6 @@ def _cmd_closure(args) -> int:
         raise InputError(f"{args.statements}: missing 'statements' list of strings")
     model = semigraphoid_closure(g, stmts)
     payload = {
-        "command": "closure",
         "ground": "".join(g.labels),
         "input": list(stmts),
         "statements": model.to_strings(),
@@ -376,7 +369,6 @@ def _cmd_reduce(args) -> int:
     z = _load_move(args.move)
     combo = reduce_to_basis(z)
     payload = {
-        "command": "reduce",
         "terms": [{"coefficient": c, **m.to_json()} for m, c in combo],
     }
     lines = []
@@ -398,7 +390,6 @@ def _cmd_relations(args) -> int:
     for r in forms:
         by_class[r.classification] = by_class.get(r.classification, 0) + 1
     payload = {
-        "command": "relations",
         "ground": "".join(g.labels),
         "k_max": args.k,
         "coeff_bound": args.coeff_bound,
@@ -434,7 +425,6 @@ def _cmd_markov(args) -> int:
     cfg = subconfiguration(t) if t else configuration(g)
     report = markov_basis(cfg, args.degree_cap)
     payload = {
-        "command": "markov",
         "ground": "".join(g.labels),
         "sub": args.sub,
         **report.to_json(),
@@ -451,7 +441,6 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
     ok = all(r["ok"] for r in results)
     payload = {
-        "command": "verify",
         "suite": args.suite,
         "passed": ok,
         "results": results,

@@ -63,17 +63,14 @@ def extreme_set(t: Triplet) -> list:
     ascending in the elementary order."""
     _require_nontrivial(t)
     g = t.ground
-    abc = t.a_mask | t.b_mask | t.c_mask
-    out = []
-    for a in bit_indices(t.a_mask):
-        for b in bit_indices(t.b_mask):
-            pair = (1 << a) | (1 << b)
-            free = abc & ~pair & ~t.c_mask
-            for extra in iter_submasks(free):
-                lo, hi = (a, b) if a < b else (b, a)
-                out.append(ElementaryIndex(g, lo, hi, t.c_mask | extra))
-    out.sort(key=lambda e: e.rank)
-    return out
+    ab = t.a_mask | t.b_mask
+    ranks = sorted(
+        g.elementary_rank(a, b, t.c_mask | extra)
+        for a in bit_indices(t.a_mask)
+        for b in bit_indices(t.b_mask)
+        for extra in iter_submasks(ab & ~(1 << a | 1 << b))
+    )
+    return [ElementaryIndex.from_rank(g, r) for r in ranks]
 
 
 def _orthogonal_with_descriptors(t: Triplet) -> list:

@@ -166,6 +166,12 @@ class GroundSet:
     def _elementary_rank(self) -> MappingProxyType:
         return _elementary_tables(self.n)[1]
 
+    def elementary_rank(self, x: int, y: int, c_mask: int) -> int:
+        """Rank of the elementary triplet <x|y|C>, label indices x != y in
+        either order."""
+        lo, hi = (x, y) if x < y else (y, x)
+        return _elementary_tables(self.n)[1][(lo, hi, c_mask)]
+
     @property
     def num_elementary(self) -> int:
         return len(self.elementary_triples)

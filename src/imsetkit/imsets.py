@@ -51,6 +51,18 @@ def _to_value(x):
     return Fraction(x)
 
 
+def _ranked_entries(ground: GroundSet, entries: dict):
+    """(subset rank, key, value) per entry of a {subset-string: value} map;
+    ValueError when two keys name the same subset."""
+    seen = {}
+    for key, v in entries.items():
+        r = ground.subset_rank(ground.parse_subset(key))
+        if r in seen:
+            raise ValueError(f"keys {seen[r]!r} and {key!r} name the same subset")
+        seen[r] = key
+        yield r, key, v
+
+
 @dataclass(frozen=True)
 class SetFunction:
     """Vector over P(N), indexed by subset rank (graded set order): exact
@@ -78,13 +90,14 @@ class SetFunction:
     @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "SetFunction":
         """Build from {subset-string: "p/q" | number}; missing subsets are 0.
-        A bool or a zero denominator ("1/0") raises ValueError."""
+        A bool, a zero denominator ("1/0") or two keys for one subset ("ab",
+        "ba") raises ValueError."""
         vals = [Fraction(0)] * ground.num_subsets
-        for key, v in entries.items():
+        for r, key, v in _ranked_entries(ground, entries):
             if isinstance(v, bool):  # JSON true/false are not numbers
                 raise ValueError(f"set function values must be numbers, got {v!r} at {key!r}")
             try:
-                vals[ground.subset_rank(ground.parse_subset(key))] = Fraction(v)
+                vals[r] = Fraction(v)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {v!r} at {key!r}") from None
         return cls(ground, tuple(vals))
@@ -141,12 +154,13 @@ class Imset(SetFunction):
     @classmethod
     def from_dict(cls, ground: GroundSet, entries: dict) -> "Imset":
         """Build from a {subset-string: integer} map; missing subsets are 0.
-        A value v with int(v) != v (1.5, "2") or a bool raises ValueError."""
+        A value v with int(v) != v (1.5, "2"), a bool or two keys for one
+        subset raise ValueError."""
         vals = [0] * ground.num_subsets
-        for key, v in entries.items():
+        for r, key, v in _ranked_entries(ground, entries):
             if isinstance(v, bool) or int(v) != v:
                 raise ValueError(f"imset values must be integers, got {v!r} at {key!r}")
-            vals[ground.subset_rank(ground.parse_subset(key))] = int(v)
+            vals[r] = int(v)
         return cls(ground, tuple(vals))
 
     def to_dict(self) -> dict:
@@ -360,12 +374,11 @@ def decompose_semi_elementary(t: Triplet):
             split(a_mask & ~d, b_mask, c_mask)
             split(d, b_mask, (a_mask & ~d) | c_mask)
         else:
-            a, b = a_mask.bit_length() - 1, b_mask.bit_length() - 1
-            e = ElementaryIndex(g, min(a, b), max(a, b), c_mask)
-            counts[e] = counts.get(e, 0) + 1
+            r = g.elementary_rank(a_mask.bit_length() - 1, b_mask.bit_length() - 1, c_mask)
+            counts[r] = counts.get(r, 0) + 1
 
     split(t.a_mask, t.b_mask, t.c_mask)
-    return sorted(counts.items(), key=lambda kv: kv[0].rank)
+    return [(ElementaryIndex.from_rank(g, r), k) for r, k in sorted(counts.items())]
 
 
 def is_member_L_star(u: Imset) -> bool:

@@ -195,9 +195,14 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
     num_cols = cols_t.shape[0]
     col_keys = _column_keys(cols_t)
+    full = _is_full_configuration(cfg)
+    # for a proper column subset we can certify completeness only in the
+    # trivial-kernel case, where no two multisets share a sum: no degree
+    # has moves, so the loop is skipped
+    trivial = not full and _kernel_trivial(cfg)
     idx = np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
     moves = []
-    for _ in range(2, degree_cap + 1):
+    for _ in range(2, 2 if trivial else degree_cap + 1):
         idx = _extend_index(idx, num_cols)
         members, starts, labels = _split_fibers(idx, cols_t, col_keys)
         bounds = np.append(np.flatnonzero(starts), len(labels))
@@ -212,14 +217,12 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     reps = sorted(symmetry_reduce(moves, allowed_ranks=column_ranks), key=lambda m: m.degree)
     per_degree = dict(Counter(m.degree for m in reps))
 
-    if _is_full_configuration(cfg):
+    if full:
         # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
         known = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
         source = "literature (n <= 4)" if known else "unknown"
     else:
-        # for a proper column subset we can certify completeness only in
-        # the trivial-kernel case (no two multisets ever share a sum)
-        source = "certified (trivial kernel)" if _kernel_trivial(cfg) else "unknown"
+        source = "certified (trivial kernel)" if trivial else "unknown"
     return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
 
 

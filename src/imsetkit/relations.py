@@ -111,11 +111,6 @@ class Move:
         return cls(ground, tuple(coeffs))
 
 
-def _rank_of(g: GroundSet, x: int, y: int, c_mask: int) -> int:
-    lo, hi = (x, y) if x < y else (y, x)
-    return g._elementary_rank[(lo, hi, c_mask)]
-
-
 def basic_moves(g: GroundSet) -> list:
     """All 2x2 moves δ_<a|b1|C> + δ_<a|b2|b1C> - δ_<a|b2|C> - δ_<a|b1|b2C>
     over ordered distinct (a, b1, b2) and C ⊆ N∖{a,b1,b2}; includes each
@@ -139,10 +134,10 @@ def _basic_move_table(g: GroundSet):
                 free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
                 for c_mask in sorted(iter_submasks(free), key=g.subset_key):
                     coeffs = [0] * g.num_elementary
-                    coeffs[_rank_of(g, a, b1, c_mask)] += 1
-                    coeffs[_rank_of(g, a, b2, c_mask | (1 << b1))] += 1
-                    coeffs[_rank_of(g, a, b2, c_mask)] -= 1
-                    coeffs[_rank_of(g, a, b1, c_mask | (1 << b2))] -= 1
+                    coeffs[g.elementary_rank(a, b1, c_mask)] += 1
+                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b1))] += 1
+                    coeffs[g.elementary_rank(a, b2, c_mask)] -= 1
+                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b2))] -= 1
                     out[(a, b1, b2, c_mask)] = Move(g, tuple(coeffs))
     return MappingProxyType(out)
 
@@ -212,12 +207,12 @@ def _cyclic_moves(g: GroundSet):
             for c_mask in iter_submasks(free):
                 for b1, b2, b3 in ((trio[0], trio[1], trio[2]), (trio[0], trio[2], trio[1])):
                     coeffs = [0] * g.num_elementary
-                    coeffs[_rank_of(g, a, b1, c_mask | (1 << b2))] += 1
-                    coeffs[_rank_of(g, a, b2, c_mask | (1 << b3))] += 1
-                    coeffs[_rank_of(g, a, b3, c_mask | (1 << b1))] += 1
-                    coeffs[_rank_of(g, a, b2, c_mask | (1 << b1))] -= 1
-                    coeffs[_rank_of(g, a, b3, c_mask | (1 << b2))] -= 1
-                    coeffs[_rank_of(g, a, b1, c_mask | (1 << b3))] -= 1
+                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b2))] += 1
+                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b3))] += 1
+                    coeffs[g.elementary_rank(a, b3, c_mask | (1 << b1))] += 1
+                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b1))] -= 1
+                    coeffs[g.elementary_rank(a, b3, c_mask | (1 << b2))] -= 1
+                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b3))] -= 1
                     out[(a, b1, b2, b3, c_mask)] = tuple(coeffs)
     return MappingProxyType(out)
 
@@ -342,7 +337,7 @@ def _label_permutation_rank_maps(g: GroundSet) -> tuple:
             pc = 0
             for i in bit_indices(c_mask):
                 pc |= 1 << perm[i]
-            row.append(_rank_of(g, perm[a], perm[b], pc))
+            row.append(g.elementary_rank(perm[a], perm[b], pc))
         out.append(tuple(row))
     return tuple(out)
 

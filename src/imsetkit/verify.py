@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from importlib import resources
 from math import comb, prod
 from time import perf_counter
+
+import numpy as np
 
 from .ci import (
     JointTable,
@@ -90,20 +93,10 @@ def _markov_chain_table() -> JointTable:
     return JointTable(GroundSet(3), (2, 2, 2), tuple(probs))
 
 
-def _product_table(cards, margins) -> JointTable:
-    g = GroundSet(len(cards))
-    probs = []
-    idx = [0] * len(cards)
-    for flat in range(prod(cards)):
-        rest = flat
-        p = 1.0
-        for i in reversed(range(len(cards))):
-            idx[i] = rest % cards[i]
-            rest //= cards[i]
-        for i, m in enumerate(margins):
-            p *= m[idx[i]]
-        probs.append(p)
-    return JointTable(g, tuple(cards), tuple(probs))
+def _product_table(margins) -> JointTable:
+    """Independent variables with the given one-dimensional margins."""
+    probs = reduce(np.multiply.outer, map(np.asarray, margins))
+    return JointTable(GroundSet(len(margins)), probs.shape, probs.ravel().tolist())
 
 
 def _random_kernel_vector(rng, g, basics, max_terms=5, bound=5) -> Move:
@@ -415,7 +408,7 @@ def criterion_ci_semantics():
     closure = semigraphoid_closure(g, ["a|b|c"])
     if model != closure:
         return False, f"chain model {model.to_strings()} != closure {closure.to_strings()}"
-    independent = _product_table((2, 3, 2), ([0.4, 0.6], [0.2, 0.5, 0.3], [0.7, 0.3]))
+    independent = _product_table(([0.4, 0.6], [0.2, 0.5, 0.3], [0.7, 0.3]))
     m = multiinformation(independent)
     worst = max(abs(v) for v in m.values)
     if worst >= 1e-12:

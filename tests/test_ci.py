@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
+import imsetkit.ci as ci
 from imsetkit.ci import (
     CIModel,
     JointTable,
@@ -15,8 +17,15 @@ from imsetkit.ci import (
     semigraphoid_closure,
 )
 from imsetkit.faces import extreme_set, face_of_structural
-from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary, enumerate_triplets
+from imsetkit.groundset import (
+    GroundSet,
+    Triplet,
+    bit_indices,
+    enumerate_elementary,
+    enumerate_triplets,
+)
 from imsetkit.imsets import Imset, elementary_imset, semi_elementary
+from imsetkit.supermodular import SetFunction
 
 
 def _closure_step(ground, stmts):
@@ -106,6 +115,86 @@ def entropy(dist):
     return -sum(p * math.log(p) for p in dist if p > 0)
 
 
+def loop_marginal(P, mask):
+    # differential oracle: the cell loop over row-major states
+    idx = bit_indices(mask)
+    out = [0.0] * math.prod(P.cardinalities[i] for i in idx)
+    for state, p in zip(itertools.product(*map(range, P.cardinalities)), P.probabilities):
+        if p == 0.0:
+            continue
+        pos = 0
+        for i in idx:
+            pos = pos * P.cardinalities[i] + state[i]
+        out[pos] += p
+    return out
+
+
+def loop_multiinformation(P):
+    # differential oracle: D(P^S || Π_i P^i) cell by cell, decoding each
+    # row-major position of P^S into its states
+    g = P.ground
+    singles = [loop_marginal(P, 1 << i) for i in range(g.n)]
+    values = []
+    for mask in g.masks_graded:
+        idx = bit_indices(mask)
+        if len(idx) <= 1:
+            values.append(0.0)
+            continue
+        cards = [P.cardinalities[i] for i in idx]
+        total = 0.0
+        for pos, p in enumerate(loop_marginal(P, mask)):
+            if p <= 0.0:
+                continue
+            rem = pos
+            log_prod = 0.0
+            for j in range(len(idx) - 1, -1, -1):
+                rem, st = divmod(rem, cards[j])
+                log_prod += math.log(singles[idx[j]][st])
+            total += p * (math.log(p) - log_prod)
+        values.append(total)
+    return SetFunction(g, tuple(values))
+
+
+def random_distribution(rng, k, zeros):
+    weights = [rng.random() if rng.random() >= zeros else 0.0 for _ in range(k)]
+    weights[rng.randrange(k)] += 0.1
+    return [w / sum(weights) for w in weights]
+
+
+def chain_table(rng, g, cards):
+    # Markov chain over the labels in order, zero transitions allowed
+    p0 = random_distribution(rng, cards[0], 0.3)
+    steps = [
+        [random_distribution(rng, cards[i], 0.3) for _ in range(cards[i - 1])]
+        for i in range(1, g.n)
+    ]
+    probs = []
+    for state in itertools.product(*map(range, cards)):
+        p = p0[state[0]]
+        for i in range(1, g.n):
+            p *= steps[i - 1][state[i - 1]][state[i]]
+        probs.append(p)
+    return JointTable.normalized(g, cards, probs)
+
+
+def seeded_tables(count, seed):
+    # n = 1..5, 1 to 3 states (mostly 2 or 3): generic, zero-cell, product
+    # and chain tables
+    rng = random.Random(seed)
+    for i in range(count):
+        g = GroundSet(1 + i % 5)
+        cards = [rng.choice((1, 2, 2, 3, 3)) for _ in range(g.n)]
+        kind = i // 5 % 4
+        if kind == 0:
+            yield JointTable.normalized(g, cards, [rng.random() for _ in range(math.prod(cards))])
+        elif kind == 1:
+            yield JointTable(g, cards, random_distribution(rng, math.prod(cards), 0.5))
+        elif kind == 2:
+            yield product_table(g, [random_distribution(rng, c, 0.3) for c in cards])
+        else:
+            yield chain_table(rng, g, cards)
+
+
 def test_joint_table_validation():
     g = GroundSet(2)
     with pytest.raises(ValueError):
@@ -126,6 +215,12 @@ def test_joint_table_validation():
     t = JointTable.normalized(g, (2, 2), [1, 2, 3, 4])
     assert abs(sum(t.probabilities) - 1.0) < 1e-15
     assert t.probabilities[3] == 0.4
+    # NaN passes the sum check (abs(nan - 1) > tol is False)
+    with pytest.raises(ValueError, match="finite"):
+        JointTable(g, (2, 2), [math.nan, 0.5, 0.25, 0.25])
+    # a negative CSV state is an error, not a wrapped index
+    with pytest.raises(ValueError):
+        JointTable.from_csv("a,b,p\n0,0,0.5\n1,-1,0.5\n")
 
 
 def test_marginal_consistency():
@@ -169,6 +264,29 @@ def test_multiinformation_matches_entropy_identity():
     # nonnegativity of multiinformation
     for mask in range(8):
         assert m.at(mask) > -1e-12
+
+
+def test_array_passes_match_the_cell_loop_oracle(monkeypatch):
+    tables = list(seeded_tables(250, 15))
+    for P in tables:
+        for mask in range(P.ground.num_subsets):
+            assert P.marginal(mask) == pytest.approx(loop_marginal(P, mask), rel=0, abs=1e-12)
+        fast, slow = multiinformation(P).values, loop_multiinformation(P).values
+        assert fast == pytest.approx(slow, rel=0, abs=1e-12), P.to_json()
+    models = {tol: [ci_model_of_P(P, tol) for P in tables] for tol in (1e-9, 1e-6)}
+    monkeypatch.setattr(ci, "multiinformation", loop_multiinformation)
+    for tol, fast in models.items():
+        assert fast == [ci_model_of_P(P, tol) for P in tables]
+
+
+def test_ci_model_of_P_at_the_largest_table_size():
+    rng = random.Random(68)
+    g = GroundSet(6)
+    P = JointTable.normalized(g, (8,) * 6, [rng.random() for _ in range(8**6)])
+    start = time.perf_counter()
+    model = ci_model_of_P(P)
+    assert time.perf_counter() - start < 1
+    assert model.to_strings() == []
 
 
 def test_markov_chain_ci_model():

@@ -27,7 +27,8 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     data = json.loads(out)
-    assert data["schema"] == "imset-kit/1"
+    assert list(data)[:2] == ["schema", "command"]
+    assert data["schema"] == "imset-kit/1" and data["command"] == argv[0]
     return code, data
 
 
@@ -420,6 +421,11 @@ def test_markov_budget_is_checked_before_the_configuration_is_built(capsys, monk
         # a zero denominator is an input error, not an internal one
         ("check-supermodular", {"ground": "ab", "values": {"ab": "1/0"}}),
         ("skeletal", {"ground": "ab", "values": {"ab": "1/0"}}),
+        # NaN passes the sum-to-1 check
+        ("ci-model --dist", {"cardinalities": [2, 2], "probabilities": [float("nan"), 0.5, 0.25, 0.25]}),
+        # two keys for one subset
+        ("classify-imset", {"ground": "abcd", "values": {"ab": 1, "ba": 1, "0": 1, "a": -1, "b": -1}}),
+        ("check-supermodular", {"ground": "ab", "values": {"0": 1, "": 2}}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

@@ -99,6 +99,10 @@ def test_elementary_rank_roundtrip():
         g = GroundSet(n)
         for r in range(g.num_elementary):
             assert ElementaryIndex.from_rank(g, r).rank == r
+        # the unordered rank takes the two singletons in either order
+        for a, b, c in g.elementary_triples:
+            rank = ElementaryIndex(g, a, b, c).rank
+            assert g.elementary_rank(a, b, c) == g.elementary_rank(b, a, c) == rank
 
 
 def test_enumerate_triplets_counts_and_order():

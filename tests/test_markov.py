@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -239,6 +240,16 @@ def test_single_column_subconfiguration_complete():
     assert rep.per_degree_counts == {}
     assert rep.representatives == ()
     assert rep.complete
+
+
+def test_trivial_kernel_skips_the_degree_loop():
+    # one column: every fiber is a singleton at every degree, so a high cap
+    # must not run the degrees one by one
+    start = time.perf_counter()
+    rep = markov_basis(subconfiguration(Triplet.parse(GroundSet(3), "a|b|c")), 3000)
+    assert time.perf_counter() - start < 1
+    assert rep.per_degree_counts == {}
+    assert rep.complete_source == "certified (trivial kernel)"
 
 
 def test_representatives_reduce_to_basic_moves():
