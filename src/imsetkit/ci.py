@@ -39,7 +39,7 @@ from .imsets import Imset, semi_elementary
 # lp_feasible: unused, but bench/test_bench.py checks the tracer patches it
 from .linalg import InvariantError, lp_feasible  # noqa: F401
 from .membership import classify
-from .relations import Move
+from .relations import Move, _basic_move_ranks
 from .supermodular import SetFunction
 
 SUM_TOL = 1e-12
@@ -74,8 +74,11 @@ class JointTable:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         self.ground = ground
         self.cardinalities = cards
-        self.probabilities = probs
         self.array = np.array(probs).reshape(cards)
+
+    @property
+    def probabilities(self) -> list:
+        return self.array.ravel().tolist()
 
     @classmethod
     def normalized(cls, ground: GroundSet, cardinalities, weights) -> "JointTable":
@@ -95,7 +98,7 @@ class JointTable:
         return {
             "labels": "".join(self.ground.labels),
             "cardinalities": list(self.cardinalities),
-            "probabilities": list(self.probabilities),
+            "probabilities": self.probabilities,
         }
 
     @classmethod
@@ -117,15 +120,20 @@ class JointTable:
     @classmethod
     def from_csv(cls, text: str) -> "JointTable":
         """Inverse of to_csv; each variable gets 1 + its largest state, and a
-        negative state raises ValueError."""
+        negative or repeated state raises ValueError."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or len(rows[0]) < 2 or rows[0][-1] != "p":
             raise ValueError("CSV joint table needs a header of labels then 'p'")
         body = [r for r in rows[1:] if r]
         states = np.array([[int(x) for x in r[:-1]] for r in body])
         cards = states.max(axis=0) + 1
+        cells = np.ravel_multi_index(states.T, cards)
+        counts = np.bincount(cells)
+        if counts.max() > 1:
+            state = np.unravel_index(counts.argmax(), cards)
+            raise ValueError(f"state {','.join(map(str, state))} is in more than one row")
         probs = np.zeros(math.prod(cards))
-        probs[np.ravel_multi_index(states.T, cards)] = [float(r[-1]) for r in body]
+        probs[cells] = [float(r[-1]) for r in body]
         return cls(GroundSet(rows[0][:-1]), cards.tolist(), probs)
 
 
@@ -204,17 +212,15 @@ def ci_model_of_P(P: JointTable, tol: float = 1e-9) -> CIModel:
 def _elementary_closure(g: GroundSet, ranks) -> set:
     """Least superset of the elementary ranks closed under the elementary
     semi-graphoid rule: the two sides of each basic 2x2 move
-    <a|y|C> + <a|z|yC> = <a|z|C> + <a|y|zC> imply each other.  Each rank
-    taken off the worklist checks only the 2·(n-2) moves through it."""
+    <a|b|C> + <a|z|bC> = <a|z|C> + <a|b|zC> imply each other.  Each rank
+    taken off the worklist derives only the 2·(n-2) moves through it."""
     closed = set(ranks)
     todo = list(closed)
     while todo:
         x, y, d = g.elementary_triples[todo.pop()]
         for a, b in ((x, y), (y, x)):
             for z in bit_indices(g.full_mask & ~(1 << a | 1 << b)):
-                c = d & ~(1 << z)
-                left = (g.elementary_rank(a, b, c), g.elementary_rank(a, z, c | 1 << b))
-                right = (g.elementary_rank(a, z, c), g.elementary_rank(a, b, c | 1 << z))
+                left, right = _basic_move_ranks(g, a, b, z, d & ~(1 << z))
                 for side, other in ((left, right), (right, left)):
                     if side[0] in closed and side[1] in closed:
                         new = [r for r in other if r not in closed]

@@ -17,6 +17,7 @@ Conventions:
   compares C in the graded set order, then b, then a; ranks
   0 .. |E(N)| - 1 with |E(N)| = C(n,2) * 2^(n-2).
 * The rank tables of both orders depend on n only: built once per n, read-only.
+  per_n gives the same rule to every other table that holds no label.
 
 Serialization: a subset prints as its labels concatenated in index order
 ("acd"), the empty set prints as "0"; a triplet prints as "A|B|C", e.g.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from types import MappingProxyType
 
 
@@ -192,6 +193,24 @@ def _elementary_tables(n: int):
         rest = bit_indices(((1 << n) - 1) & ~c_mask)
         triples += [(a, b, c_mask) for j, b in enumerate(rest) for a in rest[:j]]
     return tuple(triples), MappingProxyType({t: r for r, t in enumerate(triples)})
+
+
+def per_n(build):
+    """Cache build(g) by g.n: one table per size, shared by every GroundSet
+    of that size.  Only for tables that hold no label (ranks, bit indices,
+    values), since the first ground set of a size builds the table for all
+    of them; the table must be read-only.  cache_clear() empties it."""
+    tables = {}
+
+    @wraps(build)
+    def table(g):
+        try:
+            return tables[g.n]
+        except KeyError:
+            return tables.setdefault(g.n, build(g))
+
+    table.cache_clear = tables.clear
+    return table
 
 
 @dataclass(frozen=True)

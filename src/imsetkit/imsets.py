@@ -15,15 +15,15 @@ of the ground set.
 
 Every elementary column has exactly four nonzeros: +1 at abC and C, -1 at
 aC and bC.  elementary_columns(g) lists those four subset ranks per
-elementary rank; it is computed once per ground set (cached on the
-GroundSet, which hashes by its labels, so fresh GroundSet objects with the
-same labels share it).  Products of the configuration with a coefficient
-vector (elementary_combination), the configuration matrix itself and the
-kernel checks elsewhere all read this table, so an exact product costs
-O(4·nnz(z)) instead of O(2^n·|E(N)|).  The full configuration is cached
-per ground set as well; it is frozen and built of tuples.  An inner
-product <f, u> with an elementary imset is column_value(f.values, column),
-four lookups; the supermodularity, skeletal and face tests all use it.
+elementary rank; it holds no label, so it is built once per n and shared
+by every ground set of that size (groundset.per_n).  Products of the
+configuration with a coefficient vector (elementary_combination), the
+configuration matrix itself and the kernel checks elsewhere all read this
+table, so an exact product costs O(4·nnz(z)) instead of O(2^n·|E(N)|).
+The full configuration is cached per ground set, which it carries; it is
+frozen and built of tuples.  An inner product <f, u> with an elementary
+imset is column_value(f.values, column), four lookups; the
+supermodularity, skeletal and face tests all use it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .groundset import (
     Subset,
     Triplet,
     enumerate_elementary,
+    per_n,
     popcount,
 )
 
@@ -296,7 +297,7 @@ class Configuration:
         return buf.getvalue()
 
 
-@lru_cache(maxsize=32)
+@per_n
 def elementary_columns(g: GroundSet) -> tuple:
     """(abC, C, aC, bC) subset ranks of every elementary column, ascending
     in the elementary order; u_<a|b|C> is +1 at the first two and -1 at the

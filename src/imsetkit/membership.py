@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .groundset import ElementaryIndex, GroundSet, popcount
+from .groundset import ElementaryIndex, GroundSet, per_n, popcount
 from .imsets import (
     Imset,
     column_value,
@@ -87,10 +87,10 @@ class MembershipResult:
         }
 
 
-@lru_cache(maxsize=32)
+@per_n
 def _blocks_by_conditioning(g: GroundSet):
     """elementary ranks grouped by the subset rank of their conditioning
-    set; cached per ground set."""
+    set; built once per n."""
     blocks = {}
     for j, (_, _, c_mask) in enumerate(g.elementary_triples):
         blocks.setdefault(g.subset_rank(c_mask), []).append(j)
@@ -112,11 +112,10 @@ class _CutTable:
         return [sum(map(values.__getitem__, ones)) for ones in self.ones[:count]]
 
 
-@lru_cache(maxsize=32)
+@per_n
 def _cut_table(g: GroundSet) -> _CutTable:
     """The superset indicators 1_{T⊆·} and then the subset indicators
-    1_{·⊆T} that are positive on some elementary column; cached per ground
-    set.
+    1_{·⊆T} that are positive on some elementary column; built once per n.
 
     cuts[i] = (f, ranks): f's rank-indexed values and the ranks of the
     columns w with <f, w> = 1; ones[i] holds the subset ranks where f is 1.

@@ -28,12 +28,13 @@ nonzero coefficients through the four-rank column table of
 imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
 vectors, the pivot move reduce_to_basis uses for each leading rank and the
 elementary-rank maps of all n! label permutations (the action behind
-symmetry_reduce) are computed once per ground set and cached as tuples or
-read-only maps (keyed by the GroundSet, which hashes by its labels);
-basic_moves hands out a fresh list.  classify_relation looks z, divided by
-the gcd of its entries, up in cached sets of the basic and cyclic vectors
-(all entries in {-1, 0, 1}) and tests the cached positive sides of the
-basic moves.  markov_basis reduces all its degrees in one symmetry_reduce.
+symmetry_reduce) are cached once per n (groundset.per_n), except the
+basic and pivot moves, which carry their ground set and are cached per
+ground set; basic_moves hands out a fresh list.  classify_relation looks
+z, divided by the gcd of its entries, up in cached sets of the basic and
+cyclic vectors (all entries in {-1, 0, 1}) and tests the cached positive
+sides of the basic moves.  markov_basis reduces all its degrees in one
+symmetry_reduce.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import combinations, islice, permutations
 from math import comb, gcd
 from types import MappingProxyType
 
-from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks
+from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks, per_n
 from .imsets import Imset, elementary_combination
 from .linalg import InvariantError
 from .membership import _dfs_witnesses
@@ -105,8 +106,8 @@ class Move:
             for name, mult in data.get(key, {}).items():
                 t = Triplet.parse(ground, name)
                 m = int(mult)
-                if isinstance(mult, bool) or m != mult:
-                    raise ValueError(f"multiplicity of {name} must be an integer, got {mult!r}")
+                if isinstance(mult, bool) or m != mult or m < 1:
+                    raise ValueError(f"multiplicity of {name} must be an integer >= 1, got {mult!r}")
                 coeffs[ElementaryIndex.from_triplet(t).rank] += sign * m
         return cls(ground, tuple(coeffs))
 
@@ -119,6 +120,13 @@ def basic_moves(g: GroundSet) -> list:
     return list(_basic_move_table(g).values())
 
 
+def _basic_move_ranks(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tuple:
+    """Ranks of the sides (<a|b1|C>, <a|b2|b1C>) and (<a|b2|C>, <a|b1|b2C>)
+    of the basic move (a, b1, b2, C)."""
+    r, b1c, b2c = g.elementary_rank, c_mask | 1 << b1, c_mask | 1 << b2
+    return (r(a, b1, c_mask), r(a, b2, b1c)), (r(a, b2, c_mask), r(a, b1, b2c))
+
+
 @lru_cache(maxsize=32)
 def _basic_move_table(g: GroundSet):
     """Read-only map (a, b1, b2, C mask) -> basic move, in basic_moves
@@ -126,19 +134,14 @@ def _basic_move_table(g: GroundSet):
     if g.n < 3:
         raise ValueError("no kernel relations exist with fewer than 3 variables")
     out = {}
-    for a in range(g.n):
-        for b1 in range(g.n):
-            for b2 in range(g.n):
-                if len({a, b1, b2}) != 3:
-                    continue
-                free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
-                for c_mask in sorted(iter_submasks(free), key=g.subset_key):
-                    coeffs = [0] * g.num_elementary
-                    coeffs[g.elementary_rank(a, b1, c_mask)] += 1
-                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b1))] += 1
-                    coeffs[g.elementary_rank(a, b2, c_mask)] -= 1
-                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b2))] -= 1
-                    out[(a, b1, b2, c_mask)] = Move(g, tuple(coeffs))
+    for a, b1, b2 in permutations(range(g.n), 3):
+        free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
+        for c_mask in sorted(iter_submasks(free), key=g.subset_key):
+            (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
+            coeffs = [0] * g.num_elementary
+            coeffs[p1] = coeffs[p2] = 1
+            coeffs[m1] = coeffs[m2] = -1
+            out[(a, b1, b2, c_mask)] = Move(g, tuple(coeffs))
     return MappingProxyType(out)
 
 
@@ -192,7 +195,7 @@ def reduce_to_basis(z: Move) -> list:
         out.append((move, c))
 
 
-@lru_cache(maxsize=32)
+@per_n
 def _cyclic_moves(g: GroundSet):
     """One vector per cyclic 3x3 relation (both cycle orientations), as a
     read-only map (a, b1, b2, b3, C mask) -> coefficients of
@@ -207,12 +210,9 @@ def _cyclic_moves(g: GroundSet):
             for c_mask in iter_submasks(free):
                 for b1, b2, b3 in ((trio[0], trio[1], trio[2]), (trio[0], trio[2], trio[1])):
                     coeffs = [0] * g.num_elementary
-                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b2))] += 1
-                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b3))] += 1
-                    coeffs[g.elementary_rank(a, b3, c_mask | (1 << b1))] += 1
-                    coeffs[g.elementary_rank(a, b2, c_mask | (1 << b1))] -= 1
-                    coeffs[g.elementary_rank(a, b3, c_mask | (1 << b2))] -= 1
-                    coeffs[g.elementary_rank(a, b1, c_mask | (1 << b3))] -= 1
+                    for x, y in ((b1, b2), (b2, b3), (b3, b1)):
+                        coeffs[g.elementary_rank(a, x, c_mask | 1 << y)] += 1
+                        coeffs[g.elementary_rank(a, y, c_mask | 1 << x)] -= 1
                     out[(a, b1, b2, b3, c_mask)] = tuple(coeffs)
     return MappingProxyType(out)
 
@@ -241,7 +241,7 @@ def _normalize_orientation(z: Move) -> Move:
     return z
 
 
-@lru_cache(maxsize=32)
+@per_n
 def _relation_classes(g: GroundSet) -> tuple:
     """Sets of the basic and of the cyclic coefficient tuples, all checked
     to have entries in {-1, 0, 1}, and the basic moves' distinct positive
@@ -326,7 +326,7 @@ def enumerate_small_relations(
     return forms
 
 
-@lru_cache(maxsize=32)
+@per_n
 def _label_permutation_rank_maps(g: GroundSet) -> tuple:
     """Elementary-rank permutation induced by every label permutation
     (perm[i] = image of label index i), in itertools.permutations order."""

@@ -221,6 +221,12 @@ def test_joint_table_validation():
     # a negative CSV state is an error, not a wrapped index
     with pytest.raises(ValueError):
         JointTable.from_csv("a,b,p\n0,0,0.5\n1,-1,0.5\n")
+    # a repeated CSV state is an error, not a silent overwrite
+    with pytest.raises(ValueError, match="state 1 is in more than one row"):
+        JointTable.from_csv("a,p\n0,0.5\n1,0.5\n1,0.5\n")
+    # the cells are held once, in the array; probabilities is a view of it
+    with pytest.raises(AttributeError):
+        t.probabilities = [0.25] * 4
 
 
 def test_marginal_consistency():

@@ -426,6 +426,10 @@ def test_markov_budget_is_checked_before_the_configuration_is_built(capsys, monk
         # two keys for one subset
         ("classify-imset", {"ground": "abcd", "values": {"ab": 1, "ba": 1, "0": 1, "a": -1, "b": -1}}),
         ("check-supermodular", {"ground": "ab", "values": {"0": 1, "": 2}}),
+        # multiplicities are positive: a negative one does not move to the other side
+        ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1, "a|c|b": 1, "a|c|0": -1, "a|b|c": -1}}),
+        ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1, "a|c|b": 1, "b|c|0": 0},
+                    "rhs": {"a|c|0": 1, "a|b|c": 1}}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

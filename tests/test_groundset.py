@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 
+from imsetkit import imsets, membership, relations
 from imsetkit.groundset import (
     ElementaryIndex,
     GroundSet,
@@ -17,6 +19,15 @@ from imsetkit.groundset import (
 )
 
 TABLES = ("masks_graded", "_rank_of_mask", "elementary_triples", "_elementary_rank")
+# derived tables that hold ranks and values, never a label
+LABEL_FREE = (
+    imsets.elementary_columns,
+    membership._blocks_by_conditioning,
+    membership._cut_table,
+    relations._cyclic_moves,
+    relations._relation_classes,
+    relations._label_permutation_rank_maps,
+)
 
 
 def per_instance_tables(g):
@@ -176,3 +187,35 @@ def test_tables_are_shared_per_n_and_read_only():
         with pytest.raises(AttributeError):
             setattr(g, name, ())
     assert g._elementary_rank[(0, 1, 0)] == 0
+
+
+def is_read_only(x):
+    """Built of ints, tuples, frozensets, read-only maps and frozen
+    dataclasses all the way down."""
+    if isinstance(x, int):
+        return True
+    if isinstance(x, MappingProxyType):
+        return all(map(is_read_only, x.keys())) and all(map(is_read_only, x.values()))
+    if isinstance(x, membership._CutTable):
+        return is_read_only(tuple(vars(x).values()))
+    return isinstance(x, (tuple, frozenset)) and all(map(is_read_only, x))
+
+
+@pytest.mark.parametrize("table", LABEL_FREE, ids=lambda t: t.__name__)
+def test_label_free_tables_are_shared_per_n_and_read_only(table):
+    assert table(GroundSet("abcd")) is table(GroundSet("wxyz"))
+    assert table(GroundSet("abcd")) is not table(GroundSet("abc"))
+    assert is_read_only(table(GroundSet("wxyz")))
+    # the first ground set of a size builds the table for every label set
+    table.cache_clear()
+    first = table(GroundSet("wxyz"))
+    table.cache_clear()
+    assert first == table(GroundSet(4))
+
+
+def test_tables_of_grounded_objects_stay_per_ground_set():
+    for g in (GroundSet(4), GroundSet("wxyz")):
+        assert {m.ground for m in relations.basic_moves(g)} == {g}
+        assert {p[0].ground for p in relations._pivot_table(g) if p} == {g}
+        assert imsets.configuration(g).ground == g
+        assert membership.degree_function(g).ground == g

@@ -18,3 +18,34 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# bench/test_bench.py asserts that the tracer patched ci.lp_feasible, so ci
+# keeps that import without using it
+UNUSED_IMPORTS_ALLOWED = {"ci.py:lp_feasible"}
+
+
+def test_library_has_no_unused_imports():
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.add(name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(elt.value for elt in node.value.elts)
+        found += [
+            f"{path.name}:{name}"
+            for name in sorted(imported)
+            if name not in used and f"{path.name}:{name}" not in UNUSED_IMPORTS_ALLOWED
+        ]
+    assert found == []
