@@ -35,7 +35,7 @@ import numpy as np
 
 from .faces import extreme_set, face_of_structural
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
-from .imsets import Imset, semi_elementary
+from .imsets import Imset, _four_ranks, column_value, semi_elementary
 # lp_feasible: unused, but bench/test_bench.py checks the tracer patches it
 from .linalg import InvariantError, lp_feasible  # noqa: F401
 from .membership import classify
@@ -159,10 +159,7 @@ def multiinformation(P: JointTable) -> SetFunction:
 
 
 def _ci_value(m: SetFunction, t: Triplet) -> float:
-    abc = t.a_mask | t.b_mask | t.c_mask
-    return (
-        m.at(abc) + m.at(t.c_mask) - m.at(t.a_mask | t.c_mask) - m.at(t.b_mask | t.c_mask)
-    )
+    return column_value(m.values, _four_ranks(t.ground, t.a_mask, t.b_mask, t.c_mask))
 
 
 @dataclass(frozen=True)

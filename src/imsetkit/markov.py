@@ -33,6 +33,7 @@ then sorted stably by degree and counted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -75,13 +76,18 @@ def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> None:
     so it can run before the configuration is built."""
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    for d in range(2, degree_cap + 1):
+    # the estimate is nondecreasing in d: bisect for the least failing degree
+    degrees = range(2, degree_cap + 1)
+    i = bisect_left(
+        degrees, True, key=lambda d: _estimate_bytes(num_cols, num_rows, d) > MEMORY_BUDGET_BYTES
+    )
+    if i < len(degrees):
+        d = degrees[i]
         estimate = _estimate_bytes(num_cols, num_rows, d)
-        if estimate > MEMORY_BUDGET_BYTES:
-            raise BudgetError(
-                f"degree {d} needs about {estimate >> 20} MiB, over the "
-                f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
-            )
+        raise BudgetError(
+            f"degree {d} needs about {estimate >> 20} MiB, over the "
+            f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
+        )
 
 
 def _column_keys(cols_t: np.ndarray) -> np.ndarray:

@@ -21,8 +21,11 @@ when nothing cheaper decides: the L* sums, then the grade (a nonzero u of
 degree <= 0 is outside the cone), then the superset and subset indicator
 cuts (supermodular, 0/1 on every elementary imset, so <f, u> < 0 puts u
 outside the cone), then an integer witness from the search, and only then
-the LP.  The same cut table prunes the search and gives faces.certify_face
-its LP-free exclusions.
+the LP.  The same cut table gives faces.certify_face its LP-free
+exclusions, and every cut in it prunes the search: a summand adds 0 or 1 to
+each cut, so a prefix that takes a cut below 0 has no completion.  The
+search is a generator; classify pauses it around the LP rather than
+running it twice.
 """
 
 from __future__ import annotations
@@ -103,13 +106,17 @@ class _CutTable:
 
     cuts: tuple
     ones: tuple
-    superset: int
     hits: tuple
 
-    def inners(self, values, count=None) -> list:
-        """<f, u> for the first `count` cuts f (all by default), u given by
-        its rank-indexed values."""
-        return [sum(map(values.__getitem__, ones)) for ones in self.ones[:count]]
+    def inners(self, values) -> list:
+        """<f, u> for every cut f, u given by its rank-indexed values; costs
+        the nonzeros of u."""
+        sums = [0] * len(self.cuts)
+        for x, on in zip(values, self.ones):
+            if x:
+                for i in on:
+                    sums[i] += x
+        return sums
 
 
 @per_n
@@ -118,12 +125,11 @@ def _cut_table(g: GroundSet) -> _CutTable:
     1_{·⊆T} that are positive on some elementary column; built once per n.
 
     cuts[i] = (f, ranks): f's rank-indexed values and the ranks of the
-    columns w with <f, w> = 1; ones[i] holds the subset ranks where f is 1.
-    The first `superset` cuts are the superset indicators (those with
-    |T| >= 2), and hits[j] lists the superset cuts that are 1 on column j.
-    Both families are supermodular, so every cut is 0 or 1 on every
-    elementary imset: <f, u> < 0 proves u outside the cone, and <f, u> = 0
-    puts every column in `ranks` outside the least face of u.
+    columns w with <f, w> = 1; ones[r] lists the cuts that are 1 at the
+    subset of rank r, and hits[j] the cuts that are 1 on column j.  Both
+    families are supermodular, so every cut is 0 or 1 on every elementary
+    imset: <f, u> < 0 proves u outside the cone, and <f, u> = 0 puts every
+    column in `ranks` outside the least face of u.
 
     Built with an exact check that every cut is 0/1 and f* is 1 on every
     elementary column; a failure raises InvariantError.
@@ -132,7 +138,7 @@ def _cut_table(g: GroundSet) -> _CutTable:
     star = degree_function(g).values
     if any(column_value(star, col) != 1 for col in table):
         raise InvariantError("f* is not 1 on every elementary column")
-    cuts, hits, superset = [], [[] for _ in table], 0
+    cuts, ones, hits = [], [[] for _ in range(g.num_subsets)], [[] for _ in table]
     for family in (_superset_indicator, _subset_indicator):
         for mask in g.masks_graded:
             f = family(g, mask).values
@@ -142,39 +148,33 @@ def _cut_table(g: GroundSet) -> _CutTable:
             ranks = tuple(j for j, x in enumerate(on) if x)
             if not ranks:
                 continue
-            if family is _superset_indicator:
-                for j in ranks:
-                    hits[j].append(len(cuts))
-                superset += 1
+            for r in (r for r, x in enumerate(f) if x):
+                ones[r].append(len(cuts))
+            for j in ranks:
+                hits[j].append(len(cuts))
             cuts.append((f, ranks))
-    ones = tuple(tuple(r for r, x in enumerate(f) if x) for f, _ in cuts)
-    return _CutTable(tuple(cuts), ones, superset, tuple(map(tuple, hits)))
+    return _CutTable(tuple(cuts), tuple(map(tuple, ones)), tuple(map(tuple, hits)))
 
 
-class _OutOfBudget(Exception):
-    """The search took more steps than its budget allows."""
-
-
-def _dfs_witnesses(u: Imset, limit=None, excluded=(), budget=None):
+def _dfs_witnesses(u: Imset, excluded=(), pause=None):
     """Nonnegative-integer witnesses (as coefficient tuples) for u, one per
-    multiset of elementary imsets, in nondecreasing-sequence order; columns
-    in `excluded` are never used.  With a budget, a search that would visit
-    more than `budget` nodes stops and returns None instead."""
+    multiset of elementary imsets, yielded in nondecreasing-sequence order;
+    columns in `excluded` are never used.  With a pause, the search yields
+    None once after `pause` nodes and goes on when resumed."""
     g = u.ground
     table = elementary_columns(g)
     blocks = _blocks_by_conditioning(g)
     excluded = frozenset(excluded)
     residual = list(u.values)
     counts = [0] * g.num_elementary
-    # <1_{T⊆·}, r> >= 0 for every superset cut and every residual r along a
-    # witness prefix, since each summand adds 0 or 1; a branch that drives
-    # one negative can never be completed and is cut
+    # <f, r> >= 0 for every indicator cut f and every residual r along a
+    # witness prefix, since each summand adds 0 or 1 to it; a summand that
+    # hits a cut at 0 can never be completed and is cut
     cut_table = _cut_table(g)
     hits = cut_table.hits
-    sums = cut_table.inners(residual, cut_table.superset)
+    sums = cut_table.inners(residual)
     if any(s < 0 for s in sums):
-        return []
-    found = []
+        return
     steps = 0
 
     def first_nonzero(start):
@@ -187,49 +187,36 @@ def _dfs_witnesses(u: Imset, limit=None, excluded=(), budget=None):
     # so the next lead is never below the current one: rescan from there
     def rec(pos, lead):
         nonlocal steps
-        if limit is not None and len(found) >= limit:
-            return
+        if steps == pause:
+            yield None
         steps += 1
-        if budget is not None and steps > budget:
-            raise _OutOfBudget
         r = first_nonzero(lead)
         if r is None:
-            found.append(tuple(counts))
+            yield tuple(counts)
             return
         if residual[r] < 0:
             return
         for j in blocks.get(r, ()):
-            if j < pos or j in excluded:
+            if j < pos or j in excluded or not all(map(sums.__getitem__, hits[j])):
                 continue
-            dead = False
-            for ti in hits[j]:
-                sums[ti] -= 1
-                if sums[ti] < 0:
-                    dead = True
-            if dead:
-                for ti in hits[j]:
-                    sums[ti] += 1
-                continue
+            for i in hits[j]:
+                sums[i] -= 1
             abc, c, ac, bc = table[j]
             residual[abc] -= 1
             residual[c] -= 1
             residual[ac] += 1
             residual[bc] += 1
             counts[j] += 1
-            rec(j, r)
+            yield from rec(j, r)
             counts[j] -= 1
             residual[abc] += 1
             residual[c] += 1
             residual[ac] -= 1
             residual[bc] -= 1
-            for ti in hits[j]:
-                sums[ti] += 1
+            for i in hits[j]:
+                sums[i] += 1
 
-    try:
-        rec(0, 0)
-    except _OutOfBudget:
-        return None
-    return found
+    yield from rec(0, 0)
 
 
 def classify(u: Imset) -> MembershipResult:
@@ -247,12 +234,12 @@ def classify(u: Imset) -> MembershipResult:
     5. The exact LP over the configuration: structural with its witness
        when feasible, lattice otherwise.
 
-    The search in step 4 first gets a budget of 2^n·|E(N)| nodes, the size
-    of the configuration and about the work of one LP at n = 4 and 5.  A
-    search that runs out of it hands over to the LP, and runs again without
-    a budget only when the LP is feasible.  So an input that passes every
-    cut but is not combinatorial costs at most about one LP more than the
-    LP alone, however large its degree.
+    The search in step 4 pauses after 2^n·|E(N)| nodes, the size of the
+    configuration and about the work of one LP at n = 4 and 5.  A paused
+    search hands over to the LP, and is resumed only when the LP is
+    feasible.  So an input that passes every cut but is not combinatorial
+    costs at most about one LP more than the LP alone, however large its
+    degree.
     """
     g = u.ground
     deg = degree(u)
@@ -263,13 +250,13 @@ def classify(u: Imset) -> MembershipResult:
     if any(x < 0 for x in _cut_table(g).inners(u.values)):
         return MembershipResult(g, "lattice", None, deg)
     lp = None
-    found = _dfs_witnesses(u, limit=1, budget=g.num_subsets * g.num_elementary)
-    if found is None:
+    search = _dfs_witnesses(u, pause=g.num_subsets * g.num_elementary)
+    witness = next(search, ())
+    if witness is None:
         lp = lp_feasible(configuration(g).matrix, u.values)
-        found = _dfs_witnesses(u, limit=1) if lp.feasible else []
-    if found:
-        witness = found[0]
-        if min(witness, default=0) < 0 or elementary_combination(g, witness) != list(u.values):
+        witness = next(search, ()) if lp.feasible else ()
+    if witness:
+        if min(witness) < 0 or elementary_combination(g, witness) != list(u.values):
             raise InvariantError("search witness does not re-sum to the imset")
         return MembershipResult(g, "combinatorial", witness, deg)
     if lp is None:
@@ -282,7 +269,7 @@ def classify(u: Imset) -> MembershipResult:
 def combinatorial_decompositions(u: Imset, limit: int = 10) -> list:
     """All (up to `limit`) nonnegative-integer witnesses for u, sorted
     lexicographically by coefficient vector."""
-    found = _dfs_witnesses(u)
+    found = list(_dfs_witnesses(u))
     if not found:
         raise ValueError("imset is not combinatorial")
     found.sort()

@@ -300,18 +300,23 @@ def enumerate_small_relations(
         raise ValueError("a relation needs at least two imsets on a side")
     num_cols = g.num_elementary
     sides = 0
+    tuples_by_k = {}
     for k in range(2, min(k_max, num_cols) + 1):
-        tuples = islice(_coeff_tuples(k, coeff_bound, degree_bound), MAX_RELATION_SIDES + 1)
-        sides += comb(num_cols, k) * sum(1 for _ in tuples)
+        tuples = list(islice(_coeff_tuples(k, coeff_bound, degree_bound), MAX_RELATION_SIDES + 1))
+        # none for k when coeff_bound < 1 or k > degree_bound, nor for any larger k
+        if not tuples:
+            break
+        sides += comb(num_cols, k) * len(tuples)
         if sides > MAX_RELATION_SIDES:
             raise BudgetError(
                 f"at least {sides} candidate sides, over the {MAX_RELATION_SIDES} budget"
             )
+        tuples_by_k[k] = tuples
     seen = {}
-    for k in range(2, min(k_max, num_cols) + 1):
+    for k, tuples in tuples_by_k.items():
         for support in combinations(range(num_cols), k):
             support_set = set(support)
-            for alphas in _coeff_tuples(k, coeff_bound, degree_bound):
+            for alphas in tuples:
                 side = [0] * num_cols
                 for j, a in zip(support, alphas):
                     side[j] = a

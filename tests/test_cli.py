@@ -233,6 +233,18 @@ def test_relations_over_budget_exits_3_at_once(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
+    "argv", [["--n", "6", "--k", "4"], ["--n", "12", "--k", "100000"]]
+)
+def test_relations_without_coefficient_tuples_walk_no_support(capsys, argv):
+    # coefficient bound 0 leaves no side, whatever the supports
+    start = time.perf_counter()
+    code, data = run_json(capsys, "relations", *argv, "--coeff-bound", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert data["count"] == 0 and data["relations"] == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["config", "--n", "12"],
@@ -385,6 +397,18 @@ def test_markov_budget_is_checked_before_the_configuration_is_built(capsys, monk
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("budget exceeded: degree 2 needs about ")
+    assert elapsed < 1
+
+
+def test_markov_budget_check_does_not_walk_every_degree(capsys):
+    # one column: every degree has one multiset, so the least degree over
+    # the budget is in the tens of millions
+    start = time.perf_counter()
+    code = main(["markov", "--n", "3", "--sub", "a|b|c", "--degree-cap", str(10**9)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: degree 35791394 needs about ")
     assert elapsed < 1
 
 

@@ -250,7 +250,7 @@ g = GroundSet(3)
 u = elementary_imset(ElementaryIndex.from_rank(g, 0))
 print([e.rank for e in faces.face_of_structural(u)])
 # a cut that claims to exclude column 0, which the base witness puts inside
-faces._cut_table = lambda g: membership._CutTable((((0,) * g.num_subsets, (0,)),), ((),), 0, ())
+faces._cut_table = lambda g: membership._CutTable((((0,) * g.num_subsets, (0,)),), ((),), ())
 try:
     faces.face_of_structural(u)
     print("unchecked")

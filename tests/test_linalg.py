@@ -285,7 +285,7 @@ membership._subset_indicator, membership.degree_function = real_sub, real_star
 membership._cut_table.cache_clear()
 # a search witness that does not re-sum to the imset is caught before use
 u = elementary_imset(ElementaryIndex.from_rank(g, 0))
-membership._dfs_witnesses = lambda u, **kw: [(0, 1) + (0,) * (g.num_elementary - 2)]
+membership._dfs_witnesses = lambda u, **kw: iter([(0, 1) + (0,) * (g.num_elementary - 2)])
 for fn in (membership.classify, faces.face_of_structural):
     try:
         fn(u)

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,12 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from imsetkit import faces, membership
 from imsetkit.faces import extreme_set, face_of_structural
-from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet
+from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet, enumerate_triplets
 from imsetkit.imsets import (
     Imset,
+    column_value,
     configuration,
     decompose_semi_elementary,
     delta,
+    elementary_columns,
     elementary_combination,
     elementary_imset,
     is_member_L_star,
@@ -25,6 +28,7 @@ from imsetkit.membership import (
     degree,
     degree_function,
 )
+from imsetkit.supermodular import _superset_indicator
 
 
 def resum(g, witness):
@@ -211,9 +215,9 @@ def _oracle_classify(u: Imset) -> MembershipResult:
     lp = lp_feasible(cfg.matrix, u.values)
     if not lp.feasible:
         return MembershipResult(g, "lattice", None, deg)
-    hits = _dfs_witnesses(u, limit=1)
-    if hits:
-        return MembershipResult(g, "combinatorial", hits[0], deg)
+    witness = next(_dfs_witnesses(u), ())
+    if witness:
+        return MembershipResult(g, "combinatorial", witness, deg)
     return MembershipResult(g, "structural", lp.witness, deg)
 
 
@@ -254,15 +258,23 @@ _UNCAUGHT = (
     combination(_G5, {"b|c|0": 2, "b|c|a": -1, "c|d|a": 2, "d|e|b": 1, "b|c|ade": 2}, multiple=8),
 )
 
-# inputs whose first search runs out of its budget, so that the LP decides
-# whether the unbudgeted search runs
-_OVER_BUDGET = (
+# inputs that ran out of the budget of a search pruned by the superset cuts
+# only; every cut now decides them inside it
+_FORMERLY_OVER_BUDGET = (
     combination(_G4, {"a|c|0": 2, "a|d|0": 2, "b|c|a": 1, "b|d|a": 1, "c|d|a": 1, "b|c|d": 1}, multiple=3),
     combination(_G4, {"a|b|0": 3, "c|d|0": 1, "a|d|b": 2, "a|d|c": -1, "a|d|bc": 3}, multiple=3),
     combination(_G5, {"a|e|0": 1, "c|d|b": 1, "d|e|b": 1, "a|e|c": 1, "c|d|ae": 1, "a|d|be": 1, "a|b|ce": 1},
                 multiple=3),
     combination(_G5, {"d|e|0": 2, "b|c|a": 1, "a|c|d": 3, "b|c|d": 3, "b|d|ac": -1, "b|d|ace": 3},
                 multiple=3),
+)
+
+# inputs whose search pauses before it decides them, so that the LP decides
+# whether the search resumes
+_OVER_BUDGET = (
+    combination(_G4, {"a|c|b": 1, "a|c|0": 3, "a|d|c": 1, "a|b|cd": 2, "b|d|0": 3}, multiple=3),
+    combination(_G4, {"a|b|0": 3, "c|d|b": -1, "b|d|0": 3, "c|d|ab": 2, "a|d|0": 3}, multiple=4),
+    combination(_G5, {"d|e|c": 1, "a|e|d": 1, "c|e|d": 1, "a|c|e": 2, "a|d|bce": 1, "a|b|e": 3}, multiple=4),
 )
 
 
@@ -281,7 +293,10 @@ _OVER_BUDGET = (
 @example(_OVER_BUDGET[0])
 @example(_OVER_BUDGET[1])
 @example(_OVER_BUDGET[2])
-@example(_OVER_BUDGET[3])
+@example(_FORMERLY_OVER_BUDGET[0])
+@example(_FORMERLY_OVER_BUDGET[1])
+@example(_FORMERLY_OVER_BUDGET[2])
+@example(_FORMERLY_OVER_BUDGET[3])
 def test_classify_matches_lp_first_oracle(u):
     assert classify(u) == _oracle_classify(u)
 
@@ -297,15 +312,91 @@ def test_over_budget_inputs_exhaust_the_first_search():
     classes = []
     for u in _OVER_BUDGET:
         g = u.ground
-        assert _dfs_witnesses(u, limit=1, budget=g.num_subsets * g.num_elementary) is None
+        assert next(_dfs_witnesses(u, pause=g.num_subsets * g.num_elementary)) is None
         classes.append(classify(u).membership_class)
-    assert classes == ["combinatorial", "lattice"] * 2
+    assert classes == ["combinatorial", "lattice", "combinatorial"]
+
+
+# the search as it was with the superset cuts only, returning a list: the
+# reference for the lazy search that every cut prunes
+def _superset_pruned_witnesses(u: Imset, excluded=()) -> list:
+    g = u.ground
+    table = elementary_columns(g)
+    blocks = membership._blocks_by_conditioning(g)
+    cuts = [_superset_indicator(g, mask).values for mask in g.masks_graded]
+    hits = [[i for i, f in enumerate(cuts) if column_value(f, col)] for col in table]
+    residual = list(u.values)
+    counts = [0] * g.num_elementary
+    sums = [sum(map(operator.mul, f, residual)) for f in cuts]
+    if any(s < 0 for s in sums):
+        return []
+    found = []
+
+    def rec(pos, lead):
+        r = next((r for r in range(lead, len(residual)) if residual[r]), None)
+        if r is None:
+            found.append(tuple(counts))
+            return
+        if residual[r] < 0:
+            return
+        for j in blocks.get(r, ()):
+            if j < pos or j in excluded:
+                continue
+            dead = False
+            for i in hits[j]:
+                sums[i] -= 1
+                dead = dead or sums[i] < 0
+            if not dead:
+                abc, c, ac, bc = table[j]
+                for rank, step in ((abc, -1), (c, -1), (ac, 1), (bc, 1)):
+                    residual[rank] += step
+                counts[j] += 1
+                rec(j, r)
+                counts[j] -= 1
+                for rank, step in ((abc, 1), (c, 1), (ac, -1), (bc, -1)):
+                    residual[rank] += step
+            for i in hits[j]:
+                sums[i] += 1
+
+    rec(0, 0)
+    return found
+
+
+def test_search_matches_superset_pruned_oracle():
+    # sums of semi-elementary imsets have many witnesses; the elementary
+    # terms, some negative, and the excluded columns take some away
+    rng = random.Random(18)
+    for n in (3, 4, 5):
+        g = GroundSet(n)
+        triplets = [t for t in enumerate_triplets(g) if not t.is_trivial]
+        for _ in range(150):
+            coeffs = [0] * g.num_elementary
+            for _ in range(rng.randint(0, 2)):
+                coeffs[rng.randrange(g.num_elementary)] += rng.choice((-1, 1, 2))
+            u = Imset(g, tuple(elementary_combination(g, coeffs)))
+            for _ in range(rng.randint(1, 2)):
+                u = u + semi_elementary(rng.choice(triplets))
+            excluded = set(rng.sample(range(g.num_elementary), rng.randint(0, 3)))
+            assert list(_dfs_witnesses(u, excluded)) == _superset_pruned_witnesses(u, excluded)
+
+
+def test_degree_32_combination_is_found_before_the_pause():
+    # the superset cuts alone let this search pause at 2560 nodes, and its
+    # unpaused run took minutes
+    g = GroundSet(5)
+    rng = random.Random(5)
+    coeffs = [0] * g.num_elementary
+    for _ in range(32):
+        coeffs[rng.randrange(g.num_elementary)] += 1
+    u = Imset(g, tuple(elementary_combination(g, coeffs)))
+    witness = next(_dfs_witnesses(u, pause=g.num_subsets * g.num_elementary), ())
+    assert witness is not None and resum(g, witness) == u
 
 
 def test_lp_branch_gives_structural_with_the_lp_witness(monkeypatch):
     g = GroundSet(4)
     u = semi_elementary(Triplet.parse(g, "ab|cd|0"))
-    monkeypatch.setattr(membership, "_dfs_witnesses", lambda u, **kw: [])
+    monkeypatch.setattr(membership, "_dfs_witnesses", lambda u, **kw: iter(()))
     res = classify(u)
     assert res == MembershipResult(g, "structural", lp_feasible(configuration(g).matrix, u.values).witness, 4)
     assert min(res.witness) >= 0 and elementary_combination(g, res.witness) == list(u.values)
