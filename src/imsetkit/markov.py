@@ -13,15 +13,20 @@ column fixed.)
 Each degree is one array pass.  The lexicographic index of the size-d
 multisets is carried through the degree loop: degree d+1 is each column i
 followed by the degree-d rows that start at i or later.  Column j gets the
-int64 key w·A_j for fixed seeded weights w and a multiset the sum of its
-column keys, so one stable argsort puts every fiber in one run of equal
-keys.  Inside a run the integer column sums of adjacent multisets are
-compared exactly: a mismatch (a hash collision) raises InvariantError, so
-no answer depends on the hash.  Min-label propagation over the (fiber,
-column) incidences finds the common-column components of all fibers at
-once.  Python runs only for the few fibers with two or more components,
-to pick the lexicographically least connecting difference, joining
-components in the order of their least multiset.
+int64 key w·A_j for fixed seeded weights w (drawn once per process) and a
+multiset the sum of its column keys, so one argsort puts every fiber in
+one run of equal keys.  The sort is unstable: a second argsort by (fiber,
+multiset), over the fiber members only, makes the fiber order explicit
+and puts each fiber's members in ascending order.  Inside a run the
+integer column sums of adjacent multisets are compared exactly: a
+mismatch (a hash collision) raises InvariantError, so no answer depends
+on the hash.  A two-member fiber has two components exactly when its two
+multisets share no column, one (k, d, d) comparison for all such fibers.
+Min-label propagation over the (fiber, column) incidences finds the
+common-column components of all fibers of three or more members at once.
+Python runs only for the few fibers with two or more components, to pick
+the lexicographically least connecting difference, joining components in
+the order of their least multiset.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
@@ -36,11 +41,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
 
-from .groundset import GroundSet
+from .groundset import MAX_GROUND_SIZE, GroundSet
 from .imsets import Configuration
 from .linalg import InvariantError, rank
 from .relations import BudgetError, Move, symmetry_reduce
@@ -61,11 +67,12 @@ def _extend_index(prev: np.ndarray, num_cols: int) -> np.ndarray:
 
 
 def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
-    """Bytes for degree d, per multiset: the int16 index (2d), the keys
-    with their temporary, order and sorted keys (8d + 16), and, for at most
-    as many fiber members, their int16 rows, int8 column sums, ids and
-    labels (2d + num_rows + 24) and the int64 incidence arrays live during
-    the propagation (48d)."""
+    """An upper bound on the bytes of degree d, not a per-array account:
+    per multiset, the int16 index (2d), the keys with their temporary,
+    order and sorted keys (8d + 16), and, for at most as many fiber
+    members, their int16 rows, int8 column sums, ids and labels
+    (2d + num_rows + 24) and the int64 incidence arrays of the
+    propagation (48d)."""
     n_multi = comb(num_cols + d - 1, d)
     return n_multi * (60 * d + num_rows + 40)
 
@@ -90,10 +97,20 @@ def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> None:
         )
 
 
+@cache
+def _key_weights() -> np.ndarray:
+    """One seeded weight per subset of the largest ground set, drawn on
+    first use (importing numpy.random costs every process megabytes); a
+    longer draw extends a shorter one, so a configuration's keys are those
+    of a draw of its row count."""
+    w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=1 << MAX_GROUND_SIZE)
+    w.flags.writeable = False
+    return w
+
+
 def _column_keys(cols_t: np.ndarray) -> np.ndarray:
     """int64 key w·A_j of each column j (row j of cols_t), w fixed and seeded."""
-    w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=cols_t.shape[1])
-    return cols_t.astype(np.int64) @ w
+    return cols_t.astype(np.int64) @ _key_weights()[: cols_t.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -133,35 +150,67 @@ def _split_fibers(idx, cols_t, col_keys):
     into idx (fiber by fiber, ascending inside a fiber), a flag on each
     fiber's first member, and each member's component label (the position
     of the component's least member)."""
-    keys = col_keys[idx].sum(axis=1)
-    order = np.argsort(keys, kind="stable")
+    n_multi, d = idx.shape
+    keys = np.take(col_keys, idx[:, 0])
+    for t in range(1, d):
+        keys += np.take(col_keys, idx[:, t])
+    order = np.argsort(keys)
     keys = keys[order]
     same = keys[1:] == keys[:-1]
-    pos = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-    members, starts = order[pos], np.r_[True, ~same][pos]
-    rows = idx[members]
+    pos = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+    starts = np.concatenate(([True], ~same))[pos]
+    members = order[pos]
+    del keys, order, same, pos
+    # the unstable sort leaves each fiber in one run; put its members in
+    # ascending order
+    fiber = np.cumsum(starts) - 1
+    members = members[np.argsort(fiber * n_multi + members)]
+    rows = np.take(idx, members, axis=0)
 
     # exact check: equal keys must mean equal column sums (|entries| <= d)
-    sums = cols_t[rows[:, 0]].copy()
-    for t in range(1, rows.shape[1]):
-        sums += cols_t[rows[:, t]]
+    sums = np.take(cols_t, rows[:, 0], axis=0)
+    for t in range(1, d):
+        sums += np.take(cols_t, rows[:, t], axis=0)
     if np.any(np.any(sums[1:] != sums[:-1], axis=1) & ~starts[1:]):
         raise InvariantError("multisets with equal keys have different column sums")
+    del sums
 
-    # (fiber, column) incidence nodes, then min-label propagation with pointer jumping
-    node_key = ((np.cumsum(starts) - 1)[:, None] * cols_t.shape[0] + rows).ravel()
-    inc_order = np.argsort(node_key, kind="stable")
+    labels = np.arange(len(members))
+    first = np.flatnonzero(starts)
+    sizes = np.diff(np.append(first, len(members)))
+    # a two-member fiber has two components exactly when its rows share no column
+    pair = first[sizes == 2]
+    a, b = np.take(rows, pair, axis=0), np.take(rows, pair + 1, axis=0)
+    shared = (a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+    labels[pair + 1] = np.where(shared, pair, pair + 1)
+    big = np.flatnonzero(np.repeat(sizes >= 3, sizes))
+    if len(big):
+        local = _common_column_components(np.take(rows, big, axis=0), fiber[big], cols_t.shape[0])
+        labels[big] = big[local]
+    return members, starts, labels
+
+
+def _common_column_components(rows, fiber, num_cols):
+    """Component label (position of the least member) of each row under
+    "shares a column with" inside its fiber: min-label propagation with
+    pointer jumping over the (fiber, column) incidence nodes, column-major."""
+    k, d = rows.shape
+    node_key = (fiber * num_cols + rows.T).ravel()
+    inc_order = np.argsort(node_key)
     node_start = np.diff(node_key[inc_order], prepend=-1) != 0
     node_of = np.empty_like(inc_order)
     node_of[inc_order] = np.cumsum(node_start) - 1
-    node_of = node_of.reshape(rows.shape)
-    inc_member, node_first = inc_order // rows.shape[1], np.flatnonzero(node_start)
-    labels = np.arange(len(members))
+    node_of = node_of.reshape(d, k)
+    inc_member, node_first = inc_order % k, np.flatnonzero(node_start)
+    labels = np.arange(k)
     while True:
-        new = np.minimum.reduceat(labels[inc_member], node_first)[node_of].min(axis=1)
+        node_min = np.minimum.reduceat(labels[inc_member], node_first)
+        new = node_min[node_of[0]]
+        for t in range(1, d):
+            np.minimum(new, node_min[node_of[t]], out=new)
         new = new[new]
         if np.array_equal(new, labels):
-            return members, starts, labels
+            return labels
         labels = new
 
 
@@ -233,4 +282,7 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
 
 
 def _kernel_trivial(cfg: Configuration) -> bool:
-    return rank(cfg.matrix) == cfg.num_cols
+    # the span of E(N) has dimension 2^n - n - 1: more columns than that
+    # always have a kernel
+    n = cfg.ground.n
+    return cfg.num_cols <= 2**n - n - 1 and rank(cfg.matrix) == cfg.num_cols

@@ -33,8 +33,11 @@ basic and pivot moves, which carry their ground set and are cached per
 ground set; basic_moves hands out a fresh list.  classify_relation looks
 z, divided by the gcd of its entries, up in cached sets of the basic and
 cyclic vectors (all entries in {-1, 0, 1}) and tests the cached positive
-sides of the basic moves.  markov_basis reduces all its degrees in one
-symmetry_reduce.
+sides of the basic moves.  symmetry_reduce canonicalises once per orbit:
+the first move of an orbit puts every image under the acting rank maps
+and their negations into a seen set and takes the least as the
+representative, so each later move of that orbit costs one set lookup.
+markov_basis reduces all its degrees in one symmetry_reduce.
 """
 
 from __future__ import annotations
@@ -347,24 +350,6 @@ def _label_permutation_rank_maps(g: GroundSet) -> tuple:
     return tuple(out)
 
 
-def _orbit_canonical(coeffs: tuple, rank_maps) -> tuple:
-    support = [(j, c) for j, c in enumerate(coeffs) if c]
-    if not support:
-        return tuple(coeffs)
-    best = None
-    for rm in rank_maps:
-        # of an image and its negation, the lesser starts negative
-        lead = min(support, key=lambda jc: rm[jc[0]])[1]
-        sign = -1 if lead > 0 else 1
-        img = [0] * len(coeffs)
-        for j, c in support:
-            img[rm[j]] = sign * c
-        cand = tuple(img)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def symmetry_reduce(moves, allowed_ranks=None) -> list:
     """Orbit representatives of moves under label permutations and
     negation; representative = lexicographically least orbit element.
@@ -379,10 +364,25 @@ def symmetry_reduce(moves, allowed_ranks=None) -> list:
     rank_maps = _label_permutation_rank_maps(g)
     if allowed_ranks is not None:
         allowed = frozenset(allowed_ranks)
-        rank_maps = [rm for rm in rank_maps if frozenset(rm[j] for j in allowed) == allowed]
-    reps = {}
+        # a rank map is a bijection, so mapping the set into itself is onto
+        rank_maps = [rm for rm in rank_maps if allowed.issuperset(map(rm.__getitem__, allowed))]
+    # the acting maps form a group, so every move of an orbit builds the
+    # same image set: build it once, from the orbit's first move
+    seen = set()
+    reps = []
     for m in moves:
-        canon = _orbit_canonical(m.coeffs, rank_maps)
-        if canon not in reps:
-            reps[canon] = Move(g, canon)
-    return [reps[key] for key in sorted(reps)]
+        if m.coeffs in seen:
+            continue
+        support = [(j, c) for j, c in enumerate(m.coeffs) if c]
+        orbit = set()
+        for rm in rank_maps:
+            img, neg = [0] * len(m.coeffs), [0] * len(m.coeffs)
+            for j, c in support:
+                img[rm[j]], neg[rm[j]] = c, -c
+            orbit.add(tuple(img))
+            orbit.add(tuple(neg))
+        seen |= orbit
+        # of an image and its negation, the lesser starts negative
+        reps.append(Move(g, min(orbit)))
+    reps.sort(key=lambda m: m.coeffs)
+    return reps

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -11,17 +12,21 @@ import numpy as np
 import pytest
 
 from imsetkit.faces import subconfiguration
-from imsetkit.groundset import GroundSet, Triplet, enumerate_triplets
+from imsetkit.groundset import MAX_GROUND_SIZE, GroundSet, Triplet, enumerate_triplets
 from imsetkit.imsets import configuration
-from imsetkit.linalg import InvariantError
+from imsetkit.linalg import InvariantError, rank
 from imsetkit.markov import (
+    _KEY_SEED,
     MEMORY_BUDGET_BYTES,
     MarkovBasisReport,
+    _column_keys,
     _estimate_bytes,
     _is_full_configuration,
     _kernel_trivial,
+    _key_weights,
     _connecting_moves,
     _extend_index,
+    _split_fibers,
     markov_basis,
 )
 from imsetkit.relations import (
@@ -362,6 +367,118 @@ def test_hashed_pass_matches_unique_union_find_oracle():
             assert got.representatives == reps, (name, cap)
             assert got.complete == want.complete, (name, cap)
             assert got.complete_source == want.complete_source, (name, cap)
+
+
+# The per-degree pass before two-member fibers got their own test, kept as
+# the differential oracle: stable sorts, keys from the (N, d) gather, and
+# one min-label propagation over every non-singleton fiber.
+def _oracle_split_fibers(idx, cols_t, col_keys):
+    keys = col_keys[idx].sum(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    pos = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    members, starts = order[pos], np.r_[True, ~same][pos]
+    rows = idx[members]
+
+    sums = cols_t[rows[:, 0]].copy()
+    for t in range(1, rows.shape[1]):
+        sums += cols_t[rows[:, t]]
+    if np.any(np.any(sums[1:] != sums[:-1], axis=1) & ~starts[1:]):
+        raise InvariantError("multisets with equal keys have different column sums")
+
+    node_key = ((np.cumsum(starts) - 1)[:, None] * cols_t.shape[0] + rows).ravel()
+    inc_order = np.argsort(node_key, kind="stable")
+    node_start = np.diff(node_key[inc_order], prepend=-1) != 0
+    node_of = np.empty_like(inc_order)
+    node_of[inc_order] = np.cumsum(node_start) - 1
+    node_of = node_of.reshape(rows.shape)
+    inc_member, node_first = inc_order // rows.shape[1], np.flatnonzero(node_start)
+    labels = np.arange(len(members))
+    while True:
+        new = np.minimum.reduceat(labels[inc_member], node_first)[node_of].min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return members, starts, labels
+        labels = new
+
+
+def test_split_fibers_matches_stable_sort_oracle():
+    sizes = Counter()
+    for name, cfg, caps in _oracle_cases():
+        cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+        col_keys = _column_keys(cols_t)
+        idx = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1)
+        for d in range(2, caps[-1] + 1):
+            idx = _extend_index(idx, cfg.num_cols)
+            got = _split_fibers(idx, cols_t, col_keys)
+            want = _oracle_split_fibers(idx, cols_t, col_keys)
+            for g_arr, w_arr in zip(got, want):
+                assert np.array_equal(g_arr, w_arr), (name, d)
+            bounds = np.append(np.flatnonzero(want[1]), len(want[1]))
+            sizes.update(np.minimum(np.diff(bounds), 3).tolist())
+    # both the disjointness test and the propagation were exercised
+    assert sizes[2] and sizes[3]
+
+
+def test_key_weights_are_prefix_stable():
+    # the weights drawn once for the largest ground set are, for every n,
+    # the draw of exactly 2^n weights, so the column keys do not change
+    weights = _key_weights()
+    assert len(weights) == 1 << MAX_GROUND_SIZE and not weights.flags.writeable
+    for n in range(1, MAX_GROUND_SIZE + 1):
+        w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=1 << n)
+        assert np.array_equal(weights[: 1 << n], w), n
+        if n in (4, 5):
+            cols_t = np.array(configuration(GroundSet(n)).matrix, dtype=np.int8).T
+            assert np.array_equal(_column_keys(cols_t), cols_t.astype(np.int64) @ w)
+
+
+def test_importing_the_library_leaves_numpy_random_unloaded():
+    # numpy.random costs every process several MB of resident memory, so
+    # the key weights are drawn on first use, not at import
+    import imsetkit
+
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    script = "import sys, imsetkit.cli, imsetkit.markov; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["False"]
+
+
+def test_span_of_elementary_imsets_has_dimension_2_to_the_n_minus_n_minus_1():
+    for n in range(2, 6):
+        assert rank(configuration(GroundSet(n)).matrix) == 2**n - n - 1, n
+
+
+def test_kernel_trivial_matches_plain_rank():
+    # every exactly effective sub-configuration for n <= 5, some of them
+    # wider than the span of E(N), where the shortcut answers without rank
+    wider = Counter()
+    for n in range(2, 6):
+        g = GroundSet(n)
+        for t in enumerate_triplets(g):
+            if t.a_mask | t.b_mask | t.c_mask != g.full_mask:
+                continue
+            cfg = subconfiguration(t)
+            assert _kernel_trivial(cfg) == (rank(cfg.matrix) == cfg.num_cols), str(t)
+            wider[cfg.num_cols > 2**n - n - 1] += 1
+    assert wider[True] and wider[False]
+
+
+def test_traced_peak_of_the_48_column_shape_at_cap_4():
+    import tracemalloc
+
+    cfg = subconfiguration(Triplet.parse(GroundSet(5), "ab|cde|0"))
+    tracemalloc.start()
+    try:
+        markov_basis(cfg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak >> 20
 
 
 def test_key_collision_raises(monkeypatch):

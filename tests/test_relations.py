@@ -3,13 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imsetkit.groundset import ElementaryIndex, GroundSet, Triplet, enumerate_elementary
+from imsetkit.faces import subconfiguration
+from imsetkit.groundset import (
+    ElementaryIndex,
+    GroundSet,
+    Triplet,
+    enumerate_elementary,
+    enumerate_triplets,
+)
 from imsetkit.imsets import configuration, elementary_combination
 from imsetkit.relations import (
     MAX_RELATION_SIDES,
     BudgetError,
     Move,
     _cyclic_moves,
+    _label_permutation_rank_maps,
     _normalize_orientation,
     basic_moves,
     classify_relation,
@@ -332,6 +340,81 @@ def test_symmetry_reduce():
     assert symmetry_reduce([]) == []
     single = symmetry_reduce([m1])
     assert len(single) == 1
+
+
+# The per-move canonicalisation symmetry_reduce used before it built each
+# orbit once, kept as the differential oracle: every move scans all acting
+# rank maps, and the stabilizer test builds one frozenset per permutation.
+def _orbit_canonical(coeffs: tuple, rank_maps) -> tuple:
+    support = [(j, c) for j, c in enumerate(coeffs) if c]
+    if not support:
+        return tuple(coeffs)
+    best = None
+    for rm in rank_maps:
+        # of an image and its negation, the lesser starts negative
+        lead = min(support, key=lambda jc: rm[jc[0]])[1]
+        sign = -1 if lead > 0 else 1
+        img = [0] * len(coeffs)
+        for j, c in support:
+            img[rm[j]] = sign * c
+        cand = tuple(img)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _oracle_symmetry_reduce(moves, allowed_ranks=None):
+    g = moves[0].ground
+    rank_maps = _label_permutation_rank_maps(g)
+    if allowed_ranks is not None:
+        allowed = frozenset(allowed_ranks)
+        rank_maps = [rm for rm in rank_maps if frozenset(rm[j] for j in allowed) == allowed]
+    reps = {}
+    for m in moves:
+        canon = _orbit_canonical(m.coeffs, rank_maps)
+        if canon not in reps:
+            reps[canon] = Move(g, canon)
+    return [reps[key] for key in sorted(reps)]
+
+
+def _seeded_moves(g, rng, count):
+    # integer combinations of basic moves, with some label images and
+    # negations of earlier moves so that orbits recur, and the zero move
+    basis = basic_moves(g)
+    rank_maps = _label_permutation_rank_maps(g)
+    out = [Move(g, (0,) * g.num_elementary)]
+    while len(out) < count:
+        if len(out) > 1 and rng.random() < 0.3:
+            m = rng.choice(out[1:])
+            rm = rng.choice(rank_maps)
+            img = [0] * g.num_elementary
+            for j, c in enumerate(m.coeffs):
+                img[rm[j]] = c
+            out.append(Move(g, tuple(img)) if rng.random() < 0.5 else -Move(g, tuple(img)))
+            continue
+        vec = [0] * g.num_elementary
+        for m in rng.sample(basis, rng.randint(1, 3)):
+            c = rng.choice((-2, -1, 1, 2))
+            for j, mc in enumerate(m.coeffs):
+                vec[j] += c * mc
+        out.append(Move(g, tuple(vec)))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetry_reduce_matches_per_move_oracle(n):
+    g = GroundSet(n)
+    rng = random.Random(1900 + n)
+    moves = _seeded_moves(g, rng, 60 if n == 4 else 30)
+    triplets = [t for t in enumerate_triplets(g) if t.a_mask | t.b_mask | t.c_mask == g.full_mask]
+    allowed_sets = [None] + [
+        [e.rank for e in subconfiguration(t).columns] for t in rng.sample(triplets, 4)
+    ]
+    for allowed in allowed_sets:
+        for _ in range(3):
+            rng.shuffle(moves)
+            got = symmetry_reduce(moves, allowed_ranks=allowed)
+            assert got == _oracle_symmetry_reduce(moves, allowed_ranks=allowed), allowed
 
 
 def test_move_json_round_trip():
