@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faces import extreme_set, face_of_structural
+from .faces import _extreme_ranks, face_of_structural
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, enumerate_triplets
 from .imsets import Imset, _four_ranks, column_value, semi_elementary
 # lp_feasible: unused, but bench/test_bench.py checks the tracer patches it
@@ -259,7 +259,7 @@ def semigraphoid_closure(ground: GroundSet, statements) -> CIModel:
         if t.ground != ground:
             raise ValueError("statement over a different ground set")
         if not t.is_trivial:
-            ranks.update(e.rank for e in extreme_set(t))
+            ranks.update(_extreme_ranks(t))
     return _model_of(ground, _elementary_closure(ground, ranks))
 
 

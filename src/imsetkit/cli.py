@@ -174,8 +174,11 @@ def _emit(args, payload: dict, text: str | None = None, csv_text: str | None = N
             raise InputError(f"'{args.command}' has no text rendering; use json")
         out = text if text.endswith("\n") else text + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -309,7 +312,7 @@ def _cmd_face(args) -> int:
         f"triplet: {t}",
         f"dimension: {desc.dimension}",
         "extreme set: " + ", ".join(str(e) for e in desc.extreme_set),
-        f"orthogonal family size: {len(desc.orthogonal_set)}",
+        f"orthogonal family size: {len(desc.family)}",
     ]
     _emit(args, payload, text="\n".join(lines))
     return 0

@@ -10,7 +10,9 @@ a set of size |A||B|·2^(|A|+|B|-2) spanning a space of dimension
 M_<A|B|C> of 0/1-valued supermodular functions (four indicator families of
 total size 2^n - (2^|A|-1)(2^|B|-1)): an elementary imset belongs to the
 face iff it is orthogonal to every member of M, and every outsider is
-separated by some member with inner product exactly 1.
+separated by some member with inner product exactly 1.  A face is held as
+elementary ranks and (kind, T mask) pairs; only orthogonal_set builds the
+indicators as vectors, for callers and for the rank in verify_face_theorem.
 
 For any structural imset u, certify_face finds the least face F(u)
 containing u: every elementary imset is put inside with a witness or
@@ -42,7 +44,6 @@ from .imsets import (
     elementary_columns,
     elementary_combination,
     elementary_imset,
-    inner,
 )
 from .linalg import InvariantError, lp_feasible, rank
 from .membership import _cut_table, classify
@@ -58,51 +59,52 @@ def _require_nontrivial(t: Triplet):
         raise ValueError("face analysis needs nonempty A and B")
 
 
-def extreme_set(t: Triplet) -> list:
-    """The elementary imsets <a|b|Γ> with a in A, b in B, C ⊆ Γ ⊆ ABC∖ab,
-    ascending in the elementary order."""
-    _require_nontrivial(t)
+def _dimension(t: Triplet) -> int:
+    """(2^|A|-1)(2^|B|-1), the dimension of the face of u_<A|B|C>."""
+    return ((1 << popcount(t.a_mask)) - 1) * ((1 << popcount(t.b_mask)) - 1)
+
+
+def _extreme_ranks(t: Triplet) -> list:
+    """Ranks of <a|b|Γ> with a in A, b in B, C ⊆ Γ ⊆ ABC∖ab, ascending."""
     g = t.ground
     ab = t.a_mask | t.b_mask
-    ranks = sorted(
+    return sorted(
         g.elementary_rank(a, b, t.c_mask | extra)
         for a in bit_indices(t.a_mask)
         for b in bit_indices(t.b_mask)
         for extra in iter_submasks(ab & ~(1 << a | 1 << b))
     )
-    return [ElementaryIndex.from_rank(g, r) for r in ranks]
 
 
-def _orthogonal_with_descriptors(t: Triplet) -> list:
-    """[(SetFunction, descriptor)] for the four indicator families, in
-    canonical order."""
+def extreme_set(t: Triplet) -> list:
+    """The elementary imsets <a|b|Γ> with a in A, b in B, C ⊆ Γ ⊆ ABC∖ab,
+    ascending in the elementary order."""
+    _require_nontrivial(t)
+    return [ElementaryIndex.from_rank(t.ground, r) for r in _extreme_ranks(t)]
+
+
+_INDICATORS = {"superset-of": _superset_indicator, "subset-of": _subset_indicator}
+
+
+def _orthogonal_masks(t: Triplet) -> list:
+    """[(kind, T mask)] of the four families in the order of orthogonal_set;
+    kind "superset-of" stands for 1_{T⊆·} and "subset-of" for 1_{·⊆T}."""
     g = t.ground
     ab = t.a_mask | t.b_mask
     abc = ab | t.c_mask
     d_mask = g.full_mask & ~abc
-
-    def sup(mask):
-        return (_superset_indicator(g, mask),
-                {"kind": "superset-of", "set": g.subset_str(mask)})
-
-    def sub(mask):
-        return (_subset_indicator(g, mask),
-                {"kind": "subset-of", "set": g.subset_str(mask)})
-
     out = []
+    # graded order starts at ∅ and ends at the mask itself
     for a1 in _graded_submasks(g, t.a_mask):
-        out.append(sup(a1 | t.c_mask))
-    for b1 in _graded_submasks(g, t.b_mask):
-        if b1:
-            out.append(sup(b1 | t.c_mask))
+        out.append(("superset-of", a1 | t.c_mask))
+    for b1 in _graded_submasks(g, t.b_mask)[1:]:
+        out.append(("superset-of", b1 | t.c_mask))
     for e in _graded_submasks(g, ab):
-        for c1 in _graded_submasks(g, t.c_mask):
-            if c1 != t.c_mask:
-                out.append(sub(e | c1))
+        for c1 in _graded_submasks(g, t.c_mask)[:-1]:
+            out.append(("subset-of", e | c1))
     for e in _graded_submasks(g, abc):
-        for d1 in _graded_submasks(g, d_mask):
-            if d1:
-                out.append(sup(e | d1))
+        for d1 in _graded_submasks(g, d_mask)[1:]:
+            out.append(("superset-of", e | d1))
     return out
 
 
@@ -115,40 +117,33 @@ def orthogonal_set(t: Triplet) -> list:
     major then minor index ascend in the graded set order.
     """
     _require_nontrivial(t)
-    return [f for f, _ in _orthogonal_with_descriptors(t)]
+    return [_INDICATORS[kind](t.ground, mask) for kind, mask in _orthogonal_masks(t)]
 
 
 @dataclass(frozen=True)
 class FaceDescription:
-    """Extreme rays, orthogonal family, and dimension of the face of
-    u_<A|B|C>."""
+    """Extreme rays, orthogonal family as _orthogonal_masks pairs, and
+    dimension of the face of u_<A|B|C>."""
 
     triplet: Triplet
     extreme_set: tuple
-    orthogonal_set: tuple
+    family: tuple
     dimension: int
-    descriptors: tuple = ()
 
     def to_json(self) -> dict:
+        g = self.triplet.ground
         return {
             "triplet": str(self.triplet),
             "dimension": self.dimension,
             "extreme_set": [str(e) for e in self.extreme_set],
-            "orthogonal_set": [dict(d) for d in self.descriptors],
+            "orthogonal_set": [
+                {"kind": kind, "set": g.subset_str(mask)} for kind, mask in self.family
+            ],
         }
 
 
 def face_description(t: Triplet) -> FaceDescription:
-    _require_nontrivial(t)
-    dim = ((1 << popcount(t.a_mask)) - 1) * ((1 << popcount(t.b_mask)) - 1)
-    pairs = _orthogonal_with_descriptors(t)
-    return FaceDescription(
-        t,
-        tuple(extreme_set(t)),
-        tuple(f for f, _ in pairs),
-        dim,
-        tuple(d for _, d in pairs),
-    )
+    return FaceDescription(t, tuple(extreme_set(t)), tuple(_orthogonal_masks(t)), _dimension(t))
 
 
 def extreme_rank(t: Triplet) -> int:
@@ -162,25 +157,22 @@ def verify_face_theorem(t: Triplet) -> dict:
     """Check both directions of the face characterization over all of E(N),
     plus linear independence of the orthogonal family and the rank of the
     extreme rays.  Failures are reported, not raised."""
-    _require_nontrivial(t)
     g = t.ground
-    members = set(e.rank for e in extreme_set(t))
-    family = orthogonal_set(t)
+    members = set(_extreme_ranks(t))
+    family = [f.values for f in orthogonal_set(t)]
     failures = []
-    for e_rank in range(g.num_elementary):
+    for e_rank, col in enumerate(elementary_columns(g)):
         e = ElementaryIndex.from_rank(g, e_rank)
-        u = elementary_imset(e)
-        inners = [inner(f, u) for f in family]
+        inners = [column_value(f, col) for f in family]
         if e_rank in members:
-            if any(v != 0 for v in inners):
+            if any(inners):
                 failures.append(f"member {e} not orthogonal to the family")
-        else:
-            if not any(v == 1 for v in inners):
-                failures.append(f"non-member {e} not separated with inner product 1")
-    fam_rank = rank([f.values for f in family])
+        elif 1 not in inners:
+            failures.append(f"non-member {e} not separated with inner product 1")
+    fam_rank = rank(family)
     if fam_rank != len(family):
         failures.append(f"orthogonal family rank {fam_rank} below size {len(family)}")
-    dim = ((1 << popcount(t.a_mask)) - 1) * ((1 << popcount(t.b_mask)) - 1)
+    dim = _dimension(t)
     ext_rank = extreme_rank(t)
     if ext_rank != dim:
         failures.append(f"extreme-ray rank {ext_rank} differs from dimension {dim}")
@@ -233,7 +225,6 @@ def certify_face(u: Imset) -> tuple:
     base = classify(u)
     if base.membership_class not in ("combinatorial", "structural"):
         raise ValueError("imset is not structural")
-    cfg = configuration(g)
     table = elementary_columns(g)
     nonzero = [(r, v) for r, v in enumerate(u.values) if v]
     inside, outside = {}, {}
@@ -256,13 +247,14 @@ def certify_face(u: Imset) -> tuple:
     for (f, ranks), x in zip(cut_table.cuts, cut_table.inners(u.values)):
         if x == 0:
             exclude(f, ranks)
-    # columns [u | -u_j for u_j in E(N)]
-    A = [(x,) + tuple(-y for y in row) for x, row in zip(u.values, cfg.matrix)]
+    A = None
     while True:
         # one LP for the sum of every still undecided column at once
         undecided = [int(j not in inside and j not in outside) for j in range(len(table))]
         if not any(undecided):
             break
+        # columns [u | -u_j for u_j in E(N)], built when the first LP runs
+        A = A or [(x, *(-y for y in row)) for x, row in zip(u.values, configuration(g).matrix)]
         lp = lp_feasible(A, elementary_combination(g, undecided))
         if lp.feasible:
             mu, *lam = lp.witness

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from types import MappingProxyType
 
 from .groundset import ElementaryIndex, GroundSet, per_n, popcount
@@ -175,7 +176,6 @@ def _dfs_witnesses(u: Imset, excluded=(), pause=None):
     sums = cut_table.inners(residual)
     if any(s < 0 for s in sums):
         return
-    steps = 0
 
     def first_nonzero(start):
         for r in range(start, len(residual)):
@@ -183,40 +183,50 @@ def _dfs_witnesses(u: Imset, excluded=(), pause=None):
                 return r
         return None
 
-    # a summand taken at lead C changes only C and strict supersets of C,
-    # so the next lead is never below the current one: rescan from there
-    def rec(pos, lead):
-        nonlocal steps
+    # depth first on an explicit stack: a frame [lead, summands, pos, taken]
+    # per inner node, taken being the summand applied below it.  A summand
+    # taken at lead C changes only C and strict supersets of C, so the next
+    # lead is never below the current one: rescan from there
+    frames = []
+    pos = lead = 0
+    for steps in count():
         if steps == pause:
             yield None
-        steps += 1
         r = first_nonzero(lead)
         if r is None:
             yield tuple(counts)
-            return
-        if residual[r] < 0:
-            return
-        for j in blocks.get(r, ()):
-            if j < pos or j in excluded or not all(map(sums.__getitem__, hits[j])):
+        elif residual[r] > 0:
+            frames.append([r, iter(blocks.get(r, ())), pos, None])
+        while frames:
+            frame = frames[-1]
+            lead, todo, lo, j = frame
+            if j is not None:
+                for i in hits[j]:
+                    sums[i] += 1
+                abc, c, ac, bc = table[j]
+                residual[abc] += 1
+                residual[c] += 1
+                residual[ac] -= 1
+                residual[bc] -= 1
+                counts[j] -= 1
+            for pos in todo:
+                if pos >= lo and pos not in excluded and all(map(sums.__getitem__, hits[pos])):
+                    break
+            else:
+                frames.pop()
                 continue
-            for i in hits[j]:
-                sums[i] -= 1
-            abc, c, ac, bc = table[j]
-            residual[abc] -= 1
-            residual[c] -= 1
-            residual[ac] += 1
-            residual[bc] += 1
-            counts[j] += 1
-            yield from rec(j, r)
-            counts[j] -= 1
-            residual[abc] += 1
-            residual[c] += 1
-            residual[ac] -= 1
-            residual[bc] -= 1
-            for i in hits[j]:
-                sums[i] += 1
-
-    yield from rec(0, 0)
+            frame[3] = pos
+            break
+        else:
+            return
+        for i in hits[pos]:
+            sums[i] -= 1
+        abc, c, ac, bc = table[pos]
+        residual[abc] -= 1
+        residual[c] -= 1
+        residual[ac] += 1
+        residual[bc] += 1
+        counts[pos] += 1
 
 
 def classify(u: Imset) -> MembershipResult:

@@ -104,14 +104,20 @@ class Move:
 
     @classmethod
     def from_json(cls, ground: GroundSet, data: dict) -> "Move":
+        """ValueError when two keys, in lhs or rhs, name one elementary imset."""
         coeffs = [0] * ground.num_elementary
+        seen = {}
         for sign, key in ((1, "lhs"), (-1, "rhs")):
             for name, mult in data.get(key, {}).items():
                 t = Triplet.parse(ground, name)
                 m = int(mult)
                 if isinstance(mult, bool) or m != mult or m < 1:
                     raise ValueError(f"multiplicity of {name} must be an integer >= 1, got {mult!r}")
-                coeffs[ElementaryIndex.from_triplet(t).rank] += sign * m
+                r = ElementaryIndex.from_triplet(t).rank
+                if r in seen:
+                    raise ValueError(f"keys {seen[r]!r} and {name!r} name the same elementary imset")
+                seen[r] = name
+                coeffs[r] = sign * m
         return cls(ground, tuple(coeffs))
 
 

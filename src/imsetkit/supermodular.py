@@ -22,9 +22,9 @@ subclass) and is re-exported here.  Exactness: the exact tests
 (is_skeletal, skeletal_report, modular_coefficients) accept ints and
 Fractions and reject floats, which the CI machinery stores in the same
 container for entropy-like quantities; tolerance-based checks accept all
-three.  The superset and subset indicators 1_{T⊆·}, 1_{·⊆T} are built here
-once, for indicator_superset, the membership cut table and the face
-families.
+three.  The superset and subset indicators 1_{T⊆·}, 1_{·⊆T} are defined
+here once, for indicator_superset, the membership cut table and
+faces.orthogonal_set.
 """
 
 from __future__ import annotations

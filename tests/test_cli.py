@@ -454,6 +454,8 @@ def test_markov_budget_check_does_not_walk_every_degree(capsys):
         ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1, "a|c|b": 1, "a|c|0": -1, "a|b|c": -1}}),
         ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1, "a|c|b": 1, "b|c|0": 0},
                     "rhs": {"a|c|0": 1, "a|b|c": 1}}),
+        # two keys for one elementary imset do not cancel
+        ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1}, "rhs": {"b|a|0": 1}}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):
@@ -471,6 +473,33 @@ def test_output_flag_writes_the_same_json_twice(capsys, tmp_path):
         assert code == 0 and stdout == ""
     assert json.loads(out_a.read_text())["schema"] == "imset-kit/1"
     assert out_a.read_text() == out_b.read_text()
+
+
+@pytest.mark.parametrize("target", ["missing_dir/out.json", "."])
+def test_unwritable_output_exits_2(capsys, tmp_path, target):
+    code = main(["config", "--n", "3", "-o", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path / target}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["classify-imset"], "class", "combinatorial"),
+        (["classify-imset"], "witness", {"a|b|c": 1200}),
+        (["face-of"], "face", ["a|b|c"]),
+        (["ci-model", "--imset"], "statements", ["a|b|c"]),
+    ],
+)
+def test_degree_1200_imset_is_decided(capsys, tmp_path, argv, key, expected):
+    # 1200·u_<a|b|c>: its witness search takes one summand per node, 1200 deep
+    path = tmp_path / "u.json"
+    values = {"abc": 1200, "c": 1200, "ac": -1200, "bc": -1200}
+    path.write_text(json.dumps({"ground": "abc", "values": values}))
+    code, data = run_json(capsys, *argv, str(path))
+    assert code == 0
+    assert data[key] == expected
 
 
 def test_text_format_renders_imsets(capsys):

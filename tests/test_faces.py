@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,8 @@ from imsetkit.imsets import (
     inner,
     semi_elementary,
 )
-from imsetkit.linalg import lp_feasible
-from imsetkit.supermodular import is_supermodular
+from imsetkit.linalg import lp_feasible, rank
+from imsetkit.supermodular import _subset_indicator, _superset_indicator, is_supermodular
 
 
 def dim_formula(t):
@@ -134,6 +135,104 @@ def test_verify_face_theorem_small():
         report = verify_face_theorem(Triplet.parse(g4, s))
         assert report["ok"], report["failures"]
         assert report["extreme_rank"] == report["dimension"]
+
+
+def dense_family(t):
+    """[(SetFunction, descriptor)] for the four indicator families, each
+    member built as a dense vector: the slow path kept as an oracle for
+    faces._orthogonal_masks."""
+    g = t.ground
+    ab = t.a_mask | t.b_mask
+    abc = ab | t.c_mask
+    d_mask = g.full_mask & ~abc
+
+    def graded(mask):
+        return sorted((m for m in range(mask + 1) if m & ~mask == 0), key=g.subset_key)
+
+    def sup(mask):
+        return _superset_indicator(g, mask), {"kind": "superset-of", "set": g.subset_str(mask)}
+
+    def sub(mask):
+        return _subset_indicator(g, mask), {"kind": "subset-of", "set": g.subset_str(mask)}
+
+    out = [sup(a1 | t.c_mask) for a1 in graded(t.a_mask)]
+    out += [sup(b1 | t.c_mask) for b1 in graded(t.b_mask) if b1]
+    out += [sub(e | c1) for e in graded(ab) for c1 in graded(t.c_mask) if c1 != t.c_mask]
+    out += [sup(e | d1) for e in graded(abc) for d1 in graded(d_mask) if d1]
+    return out
+
+
+def dense_face_theorem(t):
+    """verify_face_theorem by one dense inner product per family member and
+    elementary imset, over the dense family of dense_family."""
+    g = t.ground
+    members = {e.rank for e in extreme_set(t)}
+    family = [f for f, _ in dense_family(t)]
+    failures = []
+    for e in enumerate_elementary(g):
+        inners = [inner(f, elementary_imset(e)) for f in family]
+        if e.rank in members:
+            if any(v != 0 for v in inners):
+                failures.append(f"member {e} not orthogonal to the family")
+        elif not any(v == 1 for v in inners):
+            failures.append(f"non-member {e} not separated with inner product 1")
+    fam_rank = rank([f.values for f in family])
+    if fam_rank != len(family):
+        failures.append(f"orthogonal family rank {fam_rank} below size {len(family)}")
+    ext_rank = rank([elementary_imset(e).values for e in extreme_set(t)])
+    if ext_rank != dim_formula(t):
+        failures.append(f"extreme-ray rank {ext_rank} differs from dimension {dim_formula(t)}")
+    return {
+        "ok": not failures,
+        "triplet": str(t),
+        "orthogonal_family_size": len(family),
+        "orthogonal_family_rank": fam_rank,
+        "extreme_rank": ext_rank,
+        "dimension": dim_formula(t),
+        "failures": failures,
+    }
+
+
+def _oracle_triplets():
+    """Every triplet for n <= 4 and a seeded sample of 20 at n = 5."""
+    small = [t for n in (2, 3, 4) for t in enumerate_triplets(GroundSet(n))]
+    return small + random.Random(20).sample(enumerate_triplets(GroundSet(5)), 20)
+
+
+def test_family_pairs_match_dense_oracle():
+    for t in _oracle_triplets():
+        pairs = dense_family(t)
+        desc = face_description(t)
+        assert [f.values for f in orthogonal_set(t)] == [f.values for f, _ in pairs]
+        assert desc.to_json()["orthogonal_set"] == [d for _, d in pairs]
+        assert desc.dimension == dim_formula(t) and len(desc.family) == len(pairs)
+
+
+def test_face_theorem_matches_dense_oracle():
+    for t in _oracle_triplets():
+        assert verify_face_theorem(t) == dense_face_theorem(t)
+
+
+def test_face_theorem_holds_on_every_n5_triplet():
+    triplets = enumerate_triplets(GroundSet(5))
+    assert len(triplets) == 285
+    for t in triplets:
+        report = verify_face_theorem(t)
+        assert report["ok"], (str(t), report["failures"])
+
+
+def test_face_description_builds_no_dense_family():
+    # 4095 family members at n = 12: as dense indicators they alone take
+    # over 100 MiB
+    t = Triplet.parse(GroundSet(12), "a|b|cdefghijkl")
+    tracemalloc.start()
+    try:
+        desc = face_description(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(desc.family) == 4095
+    assert peak < 32 * 2**20
 
 
 def test_face_of_structural_matches_extreme_set():

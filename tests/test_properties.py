@@ -153,7 +153,7 @@ def test_face_data_is_permutation_equivariant():
         d2 = face_description(t2)
         assert d1.dimension == d2.dimension
         assert len(d1.extreme_set) == len(d2.extreme_set)
-        assert len(d1.orthogonal_set) == len(d2.orthogonal_set)
+        assert len(d1.family) == len(d2.family)
 
 
 def test_supermodular_functions_pair_nonnegatively():

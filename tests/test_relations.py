@@ -426,6 +426,22 @@ def test_move_json_round_trip():
     assert Move.from_json(g, data) == z
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"lhs": {"a|b|0": 1}, "rhs": {"b|a|0": 1}},
+        {"lhs": {"a|b|0": 1, "b|a|0": 1}},
+        {"lhs": {"a|b|0": 1}, "rhs": {"a|b|0": 2}},
+    ],
+)
+def test_move_json_rejects_two_keys_for_one_elementary_imset(data):
+    g = GroundSet(3)
+    first, second = [name for side in ("lhs", "rhs") for name in data.get(side, {})]
+    with pytest.raises(ValueError) as exc:
+        Move.from_json(g, data)
+    assert str(exc.value) == f"keys '{first}' and '{second}' name the same elementary imset"
+
+
 def test_kernel_answers_do_not_depend_on_labels():
     # GroundSets of one size share their rank tables, so relabelling the
     # ground set must leave coefficients, relation forms and ranks unchanged.
