@@ -151,7 +151,7 @@ def _check_dense_budget(g: GroundSet) -> None:
 
 
 def _ground_flag(args) -> GroundSet:
-    if getattr(args, "ground", None):
+    if getattr(args, "ground", None) is not None:
         return GroundSet(args.ground)
     return GroundSet(args.n)
 

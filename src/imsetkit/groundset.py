@@ -3,8 +3,9 @@
 Conventions:
 
 * A ground set N of n variables (1 <= n <= 12) carries single-character
-  labels, by default the first n of a, b, c, ...  Subsets of N are int
-  bitmasks: bit i set <=> label i in the subset.
+  labels other than "0" and "|" (see Serialization), by default the first n
+  of a, b, c, ...  Subsets of N are int bitmasks: bit i set <=> label i in
+  the subset.
 * Graded set order on P(N): compare by cardinality first, break ties by
   ascending lexicographic order on the sorted tuple of member indices.
   Subset ranks 0 .. 2^n - 1 enumerate P(N) ascending in this order, so the
@@ -82,6 +83,8 @@ class GroundSet:
                 raise ValueError("labels must be single characters")
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be distinct")
+            if "0" in labels or "|" in labels:
+                raise ValueError("labels '0' and '|' are reserved for the empty set and triplets")
         self.labels = labels
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1

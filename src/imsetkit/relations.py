@@ -7,10 +7,11 @@ imsets.  The basic 2x2 moves
     u_<a|b1|C> + u_<a|b2|b1C> = u_<a|b2|C> + u_<a|b1|b2C>
 
 generate the whole integer kernel; reduce_to_basis implements the
-constructive elimination: repeatedly cancel the least nonzero coefficient
-(in the elementary order) with the one prescribed basic move whose other
-three terms come strictly later, so the leading index climbs until the
-vector is exhausted.
+constructive elimination as one sweep over the elementary order: each
+pivot move is +1 at its lead and changes only later ranks, so the rank the
+sweep reaches is the least nonzero, and subtracting that coefficient times
+its pivot clears it.  The remainder is z minus the combination so far, so
+a zero remainder after the sweep certifies that the combination re-sums to z.
 
 Relations with a side of at most three distinct imsets fall into a short
 taxonomy: positive multiples of a basic move, positive multiples of the
@@ -77,8 +78,7 @@ class Move:
             raise ValueError("coefficient vector must cover all of E(N)")
         if any(not isinstance(c, int) for c in self.coeffs):
             raise ValueError("move coefficients must be integers")
-        if sum(self.coeffs) != 0:
-            raise ValueError("move coefficients must sum to zero")
+        # f* is 1 on every elementary imset, so a kernel vector sums to zero
         if any(elementary_combination(g, self.coeffs)):
             raise ValueError("not a kernel vector of the configuration")
 
@@ -178,30 +178,22 @@ def _pivot_table(g: GroundSet) -> tuple:
 def reduce_to_basis(z: Move) -> list:
     """Write z as an exact integer combination of basic moves, returned as
     (basic move, coefficient) pairs in elimination order."""
-    g = z.ground
-    pivots = _pivot_table(g)
+    pivots = _pivot_table(z.ground)
     vec = list(z.coeffs)
     out = []
-    guard = 0
-    last_lead = -1
-    while True:
-        lead = next((j for j, c in enumerate(vec) if c != 0), None)
-        if lead is None:
-            return out
-        if lead <= last_lead:
-            raise RuntimeError("leading index failed to increase")
-        last_lead = lead
-        guard += 1
-        if guard > g.num_elementary:
-            raise RuntimeError("reduction did not terminate")
+    for lead, c in enumerate(vec):
+        if not c:
+            continue
         pivot = pivots[lead]
         if pivot is None:
             raise RuntimeError(f"irreducible leading term at rank {lead}")
         move, support = pivot
-        c = vec[lead]
         for j, mc in support:
             vec[j] -= c * mc
         out.append((move, c))
+    if any(vec):
+        raise InvariantError("reduction left a nonzero remainder")
+    return out
 
 
 @per_n

@@ -9,9 +9,12 @@ and nondecreasing.
 A supermodular f is skeletal when its standardization spans an extreme ray
 of the cone of standardized supermodular functions.  The test is the
 tight-constraint rank criterion: collect the elementary imsets u with
-<f̄, u> = 0, project them to the coordinates of subsets with |S| >= 2
+<f, u> = 0, project them to the coordinates of subsets with |S| >= 2
 (a space of dimension 2^n - n - 1), and ask for rank exactly one less than
-that dimension.  The zero function is not skeletal.
+that dimension.  The test needs no standardization: <f̄, u> = <f, u> for
+every elementary u, and f̄ = 0 exactly when every elementary imset is tight
+(the modular functions are the orthogonal complement of span E(N)).  The
+zero function is not skeletal.
 
 The skeletal constructors check their hypotheses, then map values over one
 pullback: a base f on labels A read as f(S ∩ A) for every S ⊆ N, in N's
@@ -96,11 +99,10 @@ def skeletal_report(f: SetFunction) -> dict:
         raise TypeError("the skeletal test requires exact rational values")
     _require_supermodular(f)
     g = f.ground
-    fbar = standardize(f)
     dim = g.num_subsets - g.n - 1
-    if all(v == 0 for v in fbar.values):
-        return {"skeletal": False, "tight_count": g.num_elementary, "tight_rank": None, "dimension": dim}
-    tight = [col for col in elementary_columns(g) if column_value(fbar.values, col) == 0]
+    tight = [col for col in elementary_columns(g) if column_value(f.values, col) == 0]
+    if len(tight) == g.num_elementary:
+        return {"skeletal": False, "tight_count": len(tight), "tight_rank": None, "dimension": dim}
     # project tight imsets to the coordinates of subsets with |S| >= 2; the
     # graded order puts the n + 1 subsets with |S| <= 1 first
     rows = []

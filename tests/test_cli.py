@@ -326,6 +326,12 @@ def test_exit_codes(capsys, tmp_path):
     code, _ = run(capsys, "face", "a|b|zz", "--n", "4")
     assert code == 2
 
+    # an empty --ground is an error, not a fall-back to --n
+    for ground in ("", "0ab", "a|b"):
+        code = main(["face", "a|b|c", "--ground", ground])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+
     code, _ = run(capsys, "markov", "--n", "6", "--degree-cap", "4")
     assert code == 3
 
@@ -456,6 +462,9 @@ def test_markov_budget_check_does_not_walk_every_degree(capsys):
                     "rhs": {"a|c|0": 1, "a|b|c": 1}}),
         # two keys for one elementary imset do not cancel
         ("reduce", {"ground": "abc", "lhs": {"a|b|0": 1}, "rhs": {"b|a|0": 1}}),
+        # "0" is the empty-set token, so it cannot be a label: read as one,
+        # this u_<a|b|0> would be classified "none"
+        ("classify-imset", {"ground": "0ab", "values": {"0ab": 1, "0": 1, "a0": -1, "b0": -1}}),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, body):

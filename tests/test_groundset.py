@@ -163,6 +163,10 @@ def test_ground_set_validation():
         GroundSet(13)
     with pytest.raises(ValueError):
         GroundSet(["a", "a"])
+    # "0" writes the empty set and "|" splits a triplet, so neither is a label
+    for labels in ("0ab", "a|b", ["0"], ["|", "x"]):
+        with pytest.raises(ValueError, match="reserved"):
+            GroundSet(labels)
     g = GroundSet(["x", "y", "z"])
     assert g.subset_str(g.parse_subset("xz")) == "xz"
 

@@ -19,6 +19,7 @@ from imsetkit.relations import (
     _cyclic_moves,
     _label_permutation_rank_maps,
     _normalize_orientation,
+    _pivot_table,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -170,6 +171,53 @@ def test_reduce_random_kernel_vectors():
         # every summand is a basic move
         basis_vecs = {m.coeffs for m in moves}
         assert all(m.coeffs in basis_vecs for m, _ in combo)
+
+
+def oracle_reduce_to_basis(z):
+    """The rescanning elimination the one-sweep reduce_to_basis replaced,
+    kept as its reference: find the least nonzero rank from rank 0 on every
+    step, with guards on the leading rank and the step count."""
+    g = z.ground
+    pivots = _pivot_table(g)
+    vec = list(z.coeffs)
+    out = []
+    guard = 0
+    last_lead = -1
+    while True:
+        lead = next((j for j, c in enumerate(vec) if c != 0), None)
+        if lead is None:
+            return out
+        if lead <= last_lead:
+            raise RuntimeError("leading index failed to increase")
+        last_lead = lead
+        guard += 1
+        if guard > g.num_elementary:
+            raise RuntimeError("reduction did not terminate")
+        pivot = pivots[lead]
+        if pivot is None:
+            raise RuntimeError(f"irreducible leading term at rank {lead}")
+        move, support = pivot
+        c = vec[lead]
+        for j, mc in support:
+            vec[j] -= c * mc
+        out.append((move, c))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_reduce_to_basis_matches_rescanning_oracle(n):
+    g = GroundSet(n)
+    basics = basic_moves(g)
+    moves = basics + [Move(g, coeffs) for coeffs in _cyclic_moves(g).values()]
+    rng = random.Random(n)
+    for _ in range(60):
+        vec = [0] * g.num_elementary
+        for _ in range(rng.randint(1, 8)):
+            c = rng.randint(-5, 5)
+            for j, mc in enumerate(rng.choice(basics).coeffs):
+                vec[j] += c * mc
+        moves.append(Move(g, tuple(vec)))
+    for z in moves:
+        assert reduce_to_basis(z) == oracle_reduce_to_basis(z)
 
 
 def test_classify_examples():

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary, popcount
-from imsetkit.imsets import elementary_imset, inner, semi_elementary
+from imsetkit.imsets import column_value, elementary_columns, elementary_imset, inner, semi_elementary
+from imsetkit.linalg import rank
 from imsetkit.supermodular import (
+    _require_supermodular,
     SetFunction,
     duplicate_coordinate,
     extend_marginal,
@@ -472,3 +474,79 @@ def test_constructors_match_the_per_mask_oracle():
         compare(product, oracle_product, h, f)
     # every constructor built something and refused something
     assert seen == {name: {False, True} for name in seen} and len(seen) == 6
+
+
+def oracle_skeletal_report(f):
+    """The standardize-based skeletal test skeletal_report replaced, kept as
+    its reference: read the tight set off f̄ and test f̄ = 0 directly."""
+    if not f.is_exact:
+        raise TypeError("the skeletal test requires exact rational values")
+    _require_supermodular(f)
+    g = f.ground
+    fbar = standardize(f)
+    dim = g.num_subsets - g.n - 1
+    if all(v == 0 for v in fbar.values):
+        return {"skeletal": False, "tight_count": g.num_elementary, "tight_rank": None, "dimension": dim}
+    tight = [col for col in elementary_columns(g) if column_value(fbar.values, col) == 0]
+    rows = []
+    for abc, c, ac, bc in tight:
+        vec = [0] * g.num_subsets
+        vec[abc] = vec[c] = 1
+        vec[ac] = vec[bc] = -1
+        rows.append(vec[g.n + 1:])
+    tight_rank = rank(rows)
+    return {
+        "skeletal": tight_rank == dim - 1,
+        "tight_count": len(tight),
+        "tight_rank": tight_rank,
+        "dimension": dim,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_skeletal_report_matches_the_standardizing_oracle(n):
+    rng = random.Random(n)
+    g = GroundSet(n)
+    smaller = GroundSet(g.labels[:-1])
+    new = g.labels[-1]
+    built = [max_k(g, k) for k in range(1, n)]
+    built += [indicator_superset(g.subset(rng.sample(g.labels, rng.randint(2, n)))) for _ in range(4)]
+    built += [reflect(f) for f in built]
+    if n >= 3:
+        bases = [max_k(smaller, k) for k in range(1, n - 1)]
+        bases += [indicator_superset(smaller.subset(smaller.labels[:2]))]
+        built += [extend_zero_slice(f, new) for f in bases]
+        built += [duplicate_coordinate(f, new) for f in bases]
+        built.append(extend_modular_top(max_k(smaller, n - 2), new))
+    if n >= 4:
+        left, right = GroundSet(g.labels[:2]), GroundSet(g.labels[2:])
+        built.append(product(max_k(left, 1), indicator_superset(right.subset(right.labels[:2]))))
+    if n == 4:
+        built.append(four_generator_witness(g))
+    modular = [_random_modular(rng, g) for _ in range(3)]
+    cases = built + modular + [SetFunction.zero(g)]
+    cases += [rng.choice(built) + rng.choice(built) for _ in range(10)]
+    # a modular tilt changes no report; a negated constructor output is refused
+    cases += [f + rng.choice(modular) for f in built]
+    cases += [-f for f in built[:3]]
+    outcomes = []
+    for f in cases:
+        want = _report_or_error(oracle_skeletal_report, f)
+        assert _report_or_error(skeletal_report, f) == want
+        outcomes.append(want if isinstance(want, str) else (want["skeletal"], want["tight_rank"]))
+    # refused, all tight, skeletal and not skeletal all occur
+    assert any(isinstance(o, str) for o in outcomes)
+    assert (False, None) in outcomes and (True, 2 ** n - n - 2) in outcomes
+    assert n == 2 or any(o[0] is False and o[1] is not None for o in outcomes if not isinstance(o, str))
+
+
+def _random_modular(rng, g):
+    lam = [Fraction(rng.randint(-3, 3), 2) for _ in range(g.n + 1)]
+    return SetFunction.from_callable(g, lambda m: lam[0] + sum(lam[i + 1] for i in range(g.n) if m >> i & 1))
+
+
+def _report_or_error(report, f):
+    try:
+        return report(f)
+    except ValueError as exc:
+        return str(exc)
