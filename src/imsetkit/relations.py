@@ -29,16 +29,23 @@ nonzero coefficients through the four-rank column table of
 imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
 vectors, the pivot move reduce_to_basis uses for each leading rank and the
 elementary-rank maps of all n! label permutations (the action behind
-symmetry_reduce) are cached once per n (groundset.per_n), except the
-basic and pivot moves, which carry their ground set and are cached per
-ground set; basic_moves hands out a fresh list.  classify_relation looks
-z, divided by the gcd of its entries, up in cached sets of the basic and
-cyclic vectors (all entries in {-1, 0, 1}) and tests the cached positive
-sides of the basic moves.  symmetry_reduce canonicalises once per orbit:
-the first move of an orbit puts every image under the acting rank maps
-and their negations into a seen set and takes the least as the
-representative, so each later move of that orbit costs one set lookup.
-markov_basis reduces all its degrees in one symmetry_reduce.
+symmetry_reduce, as tuples and as one read-only array) are cached once per
+n (groundset.per_n), except the basic and pivot moves, which carry their
+ground set and are cached per ground set; basic_moves hands out a fresh
+list.  classify_relation looks z, divided by the gcd of its entries, up in
+cached sets of the basic and cyclic vectors (all entries in {-1, 0, 1})
+and tests the cached positive sides of the basic moves.
+
+Orbits are canonicalised on integer arrays.  The acting maps, the
+stabiliser of a set of ranks, come from one array test over the rank-map
+array.  Each row of coefficients, and its negation, is written as a byte
+key whose byte order is the lexicographic order of the row (entries
+offset by the largest |entry|, big-endian); a running minimum over the
+acting maps, one column gather of all rows per map, leaves the least
+image, and the distinct least images in ascending order are the
+representatives.  markov_basis feeds its connecting differences to this
+helper and builds a Move only for each representative; symmetry_reduce is
+the same helper over Move objects.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import comb, gcd
 from types import MappingProxyType
+
+import numpy as np
 
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks, per_n
 from .imsets import Imset, elementary_combination
@@ -348,6 +357,60 @@ def _label_permutation_rank_maps(g: GroundSet) -> tuple:
     return tuple(out)
 
 
+@per_n
+def _rank_map_array(g: GroundSet) -> np.ndarray:
+    """_label_permutation_rank_maps as one read-only (n!, |E(N)|) array."""
+    maps = np.array(_label_permutation_rank_maps(g), dtype=np.intp)
+    maps.flags.writeable = False
+    return maps
+
+
+def _stabiliser(g: GroundSet, ranks) -> np.ndarray:
+    """The rows of the rank-map array that map the set `ranks` into, hence
+    (a rank map is a bijection) onto, itself."""
+    maps = _rank_map_array(g)
+    inside = np.zeros(maps.shape[1], dtype=bool)
+    inside[ranks] = True
+    return maps[inside[maps[:, ranks]].all(axis=1)]
+
+
+def _lex_codes(z: np.ndarray) -> tuple:
+    """(codes, bound): the integer rows of z as unsigned big-endian codes,
+    each entry plus bound, the largest |entry|, in the fewest bytes that
+    hold 2·bound, so that the bytes of a row order the rows
+    lexicographically."""
+    bound = int(np.abs(z).max(initial=0))
+    width = next(w for w in (1, 2, 4, 8) if 2 * bound < 256**w)
+    # uint64 arithmetic wraps the negative entries back into [0, 2·bound]
+    return (z.astype(np.uint64) + np.uint64(bound)).astype(f">u{width}"), bound
+
+
+def _byte_keys(codes: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a 2-d code array."""
+    return np.ascontiguousarray(codes).view(f"S{codes.shape[1] * codes.itemsize}").ravel()
+
+
+def _least_images(z: np.ndarray, ranks, maps: np.ndarray) -> np.ndarray:
+    """The distinct least images of the rows of z, ascending.  z holds
+    coefficients over the ascending elementary ranks `ranks`, which every
+    rank map in `maps` maps onto themselves; a row's least image is the
+    lexicographically least of its images and their negations."""
+    ranks = np.asarray(ranks)
+    pos = np.zeros(maps.shape[1], dtype=np.intp)
+    pos[ranks] = np.arange(len(ranks))
+    # an image puts entry p at pos[map[ranks[p]]]: gather its columns back
+    gathers = np.argsort(pos[maps[:, ranks]], axis=1)
+    codes, bound = _lex_codes(np.concatenate((z, -z)))
+    best = _byte_keys(codes).copy()
+    for gather in gathers:
+        img = _byte_keys(codes[:, gather])
+        np.copyto(best, img, where=img < best)
+    m = len(z)
+    least = np.where(best[m:] < best[:m], best[m:], best[:m])
+    distinct = np.unique(least).view(codes.dtype).reshape(-1, len(ranks))
+    return (distinct.astype(np.uint64) - np.uint64(bound)).astype(np.int64)
+
+
 def symmetry_reduce(moves, allowed_ranks=None) -> list:
     """Orbit representatives of moves under label permutations and
     negation; representative = lexicographically least orbit element.
@@ -359,28 +422,8 @@ def symmetry_reduce(moves, allowed_ranks=None) -> list:
     g = moves[0].ground
     if any(m.ground != g for m in moves):
         raise ValueError("moves over different ground sets")
-    rank_maps = _label_permutation_rank_maps(g)
-    if allowed_ranks is not None:
-        allowed = frozenset(allowed_ranks)
-        # a rank map is a bijection, so mapping the set into itself is onto
-        rank_maps = [rm for rm in rank_maps if allowed.issuperset(map(rm.__getitem__, allowed))]
-    # the acting maps form a group, so every move of an orbit builds the
-    # same image set: build it once, from the orbit's first move
-    seen = set()
-    reps = []
-    for m in moves:
-        if m.coeffs in seen:
-            continue
-        support = [(j, c) for j, c in enumerate(m.coeffs) if c]
-        orbit = set()
-        for rm in rank_maps:
-            img, neg = [0] * len(m.coeffs), [0] * len(m.coeffs)
-            for j, c in support:
-                img[rm[j]], neg[rm[j]] = c, -c
-            orbit.add(tuple(img))
-            orbit.add(tuple(neg))
-        seen |= orbit
-        # of an image and its negation, the lesser starts negative
-        reps.append(Move(g, min(orbit)))
-    reps.sort(key=lambda m: m.coeffs)
-    return reps
+    everything = np.arange(g.num_elementary)
+    allowed = everything if allowed_ranks is None else sorted(set(allowed_ranks))
+    z = np.array([m.coeffs for m in moves], dtype=np.int64)
+    least = _least_images(z, everything, _stabiliser(g, allowed))
+    return [Move(g, tuple(row)) for row in least.tolist()]

@@ -24,9 +24,11 @@ from imsetkit.markov import (
     _is_full_configuration,
     _kernel_trivial,
     _key_weights,
-    _connecting_moves,
+    _connecting_differences,
     _extend_index,
-    _split_fibers,
+    _fiber_components,
+    _fiber_members,
+    _packed_lanes,
     markov_basis,
 )
 from imsetkit.relations import (
@@ -159,18 +161,26 @@ def kernel_check(cfg, move):
         assert sum(row[j] * move.coeffs[r] for j, r in enumerate(ranks)) == 0
 
 
-def _index(num_cols, d):
-    idx = np.arange(num_cols, dtype=np.int16).reshape(-1, 1)
+def _index(num_cols, d, col_keys=None):
+    """The degree-d index over num_cols columns and its carried keys."""
+    if col_keys is None:
+        col_keys = np.zeros(num_cols, dtype=np.int64)
+    idx, keys = np.arange(num_cols, dtype=np.int16).reshape(-1, 1), col_keys
     for _ in range(1, d):
-        idx = _extend_index(idx, num_cols)
-    return idx
+        idx, keys = _extend_index(idx, keys, col_keys)
+    return idx, keys
 
 
 def test_multiset_enumeration_matches_itertools():
-    for num_cols, d in [(3, 2), (5, 3), (6, 4), (8, 2)]:
-        got = [tuple(int(v) for v in row) for row in _index(num_cols, d)]
+    rng = np.random.default_rng(2500)
+    for num_cols, d in [(3, 2), (5, 3), (6, 4), (8, 2), (1, 3)]:
+        col_keys = rng.integers(-(1 << 40), 1 << 40, size=num_cols)
+        idx, keys = _index(num_cols, d, col_keys)
+        got = [tuple(int(v) for v in row) for row in idx]
         want = list(combinations_with_replacement(range(num_cols), d))
         assert got == want
+        # the carried key of a multiset is the sum of its column keys
+        assert np.array_equal(keys, col_keys[idx].sum(axis=1))
 
 
 def test_full_basis_n3():
@@ -284,7 +294,7 @@ def test_budget_is_checked_before_any_degree_is_built(monkeypatch):
     # degree 4 does not: the whole cap is refused before any index exists
     import imsetkit.markov as mk
 
-    def no_index(prev, num_cols):
+    def no_index(prev, prev_keys, col_keys):
         raise AssertionError(f"built degree {prev.shape[1] + 1} before the budget check")
 
     monkeypatch.setattr(mk, "_extend_index", no_index)
@@ -321,7 +331,7 @@ def test_sums_match_numpy_pipeline():
     g = GroundSet(4)
     cfg = configuration(g)
     cols = np.array(cfg.matrix, dtype=np.int8)
-    idx = _index(cfg.num_cols, 3)
+    idx, _ = _index(cfg.num_cols, 3)
     take = rng.choice(len(idx), size=40, replace=False)
     for r in take:
         trio = [int(v) for v in idx[r]]
@@ -408,10 +418,11 @@ def test_split_fibers_matches_stable_sort_oracle():
     for name, cfg, caps in _oracle_cases():
         cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
         col_keys = _column_keys(cols_t)
-        idx = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1)
+        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
         for d in range(2, caps[-1] + 1):
-            idx = _extend_index(idx, cfg.num_cols)
-            got = _split_fibers(idx, cols_t, col_keys)
+            idx, keys = _extend_index(idx, keys, col_keys)
+            members, starts = _fiber_members(keys)
+            got = members, starts, _fiber_components(idx, members, starts, cols_t)
             want = _oracle_split_fibers(idx, cols_t, col_keys)
             for g_arr, w_arr in zip(got, want):
                 assert np.array_equal(g_arr, w_arr), (name, d)
@@ -540,7 +551,81 @@ def test_connecting_moves_pick_the_least_difference():
     # choice rule is pinned here
     rows = np.array([[0, 1], [2, 3], [2, 4], [5, 5]], dtype=np.int16)
     labels = np.array([0, 1, 1, 3])
-    assert _connecting_moves(rows, labels, 6) == [
+    starts = np.array([True, False, False, False])
+    assert _connecting_differences(rows, np.arange(4), starts, labels, 6).tolist() == [
         [-1, -1, 1, 0, 1, 0],
         [-1, -1, 0, 0, 0, 2],
     ]
+
+
+def test_connecting_differences_match_the_per_fiber_oracle():
+    # the one pass over all surplus fibers of a degree picks, fiber by
+    # fiber, the same least differences as the per-fiber union-find oracle
+    fibers = 0
+    for name, cfg, caps in _oracle_cases():
+        cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+        col_keys = _column_keys(cols_t)
+        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+        for d in range(2, caps[-1] + 1):
+            idx, keys = _extend_index(idx, keys, col_keys)
+            members, starts = _fiber_members(keys)
+            labels = _fiber_components(idx, members, starts, cols_t)
+            got = _connecting_differences(idx, members, starts, labels, cfg.num_cols)
+            bounds = np.append(np.flatnonzero(starts), len(members)).tolist()
+            want = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                found = _oracle_connecting_moves_for_fiber(members[lo:hi], idx, cfg.num_cols)
+                want += [list(diff) for diff in found]
+                fibers += bool(found)
+            assert got.tolist() == want, (name, d)
+    assert fibers > 1000
+
+
+def test_packed_check_is_exact_past_the_uint8_lane_bound():
+    # two columns that differ only in row 7, +1 against -1: at degree 128
+    # the sums of {0^128} and {1^128} differ by 256 there, a difference that
+    # uint8 lanes lose; keys that put exactly those two multisets in one
+    # fiber must raise, and must not when the columns, so the sums, agree
+    cols_t = np.zeros((2, 8), dtype=np.int8)
+    cols_t[0, 7], cols_t[1, 7] = 1, -1
+    narrow = _packed_lanes(cols_t, 127)
+    assert narrow.shape == (2, 1) and _packed_lanes(cols_t, 128).shape == (2, 2)
+    if sys.byteorder == "little":
+        # with the degree-127 lanes the two sums of degree 128 collide
+        assert np.array_equal(narrow[0] * np.uint64(128), narrow[1] * np.uint64(128))
+    for d in (2, 127, 128, 129, 300):
+        idx, _ = _index(2, d)
+        keys = np.arange(len(idx), dtype=np.int64)
+        keys[-1] = keys[0]  # the first row is {0^d}, the last {1^d}
+        members, starts = _fiber_members(keys)
+        assert members.tolist() == [0, d] and starts.tolist() == [True, False]
+        with pytest.raises(InvariantError, match="equal keys"):
+            _fiber_components(idx, members, starts, cols_t)
+        # equal columns: equal sums, and two components (no common column)
+        labels = _fiber_components(idx, members, starts, np.zeros_like(cols_t))
+        assert labels.tolist() == [0, 1], d
+
+
+def test_moves_are_built_only_for_representatives(monkeypatch):
+    built = []
+    post_init = Move.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Move, "__post_init__", counting)
+    g = GroundSet(4)
+    cases = [(configuration(GroundSet(5)), 3)] + [
+        (subconfiguration(t), 4)
+        for t in enumerate_triplets(g)
+        if t.a_mask | t.b_mask | t.c_mask == g.full_mask
+    ]
+    counts = []
+    for cfg, cap in cases:
+        built.clear()
+        rep = markov_basis(cfg, cap)
+        assert len(built) == sum(rep.per_degree_counts.values()) == len(rep.representatives)
+        counts.append(len(built))
+    # 5 Moves for the 160 connecting differences of the full n=5 pass
+    assert counts[0] == 5 and sum(counts[1:]) > 20

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,14 @@ from imsetkit.groundset import (
     enumerate_triplets,
 )
 from imsetkit.imsets import configuration, elementary_combination
+from imsetkit.markov import (
+    _column_keys,
+    _connecting_differences,
+    _extend_index,
+    _fiber_components,
+    _fiber_members,
+    _representatives,
+)
 from imsetkit.relations import (
     MAX_RELATION_SIDES,
     BudgetError,
@@ -20,6 +29,7 @@ from imsetkit.relations import (
     _label_permutation_rank_maps,
     _normalize_orientation,
     _pivot_table,
+    _rank_map_array,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -425,6 +435,44 @@ def _oracle_symmetry_reduce(moves, allowed_ranks=None):
     return [reps[key] for key in sorted(reps)]
 
 
+# The set-based symmetry_reduce that canonicalised orbits before the
+# array canonicaliser, kept verbatim as the differential oracle: each orbit
+# is built once, from its first move, into a seen set, and the acting maps
+# are filtered with one issuperset test per label permutation.
+def _set_symmetry_reduce(moves, allowed_ranks=None) -> list:
+    moves = list(moves)
+    if not moves:
+        return []
+    g = moves[0].ground
+    if any(m.ground != g for m in moves):
+        raise ValueError("moves over different ground sets")
+    rank_maps = _label_permutation_rank_maps(g)
+    if allowed_ranks is not None:
+        allowed = frozenset(allowed_ranks)
+        # a rank map is a bijection, so mapping the set into itself is onto
+        rank_maps = [rm for rm in rank_maps if allowed.issuperset(map(rm.__getitem__, allowed))]
+    # the acting maps form a group, so every move of an orbit builds the
+    # same image set: build it once, from the orbit's first move
+    seen = set()
+    reps = []
+    for m in moves:
+        if m.coeffs in seen:
+            continue
+        support = [(j, c) for j, c in enumerate(m.coeffs) if c]
+        orbit = set()
+        for rm in rank_maps:
+            img, neg = [0] * len(m.coeffs), [0] * len(m.coeffs)
+            for j, c in support:
+                img[rm[j]], neg[rm[j]] = c, -c
+            orbit.add(tuple(img))
+            orbit.add(tuple(neg))
+        seen |= orbit
+        # of an image and its negation, the lesser starts negative
+        reps.append(Move(g, min(orbit)))
+    reps.sort(key=lambda m: m.coeffs)
+    return reps
+
+
 def _seeded_moves(g, rng, count):
     # integer combinations of basic moves, with some label images and
     # negations of earlier moves so that orbits recur, and the zero move
@@ -463,6 +511,72 @@ def test_symmetry_reduce_matches_per_move_oracle(n):
             rng.shuffle(moves)
             got = symmetry_reduce(moves, allowed_ranks=allowed)
             assert got == _oracle_symmetry_reduce(moves, allowed_ranks=allowed), allowed
+
+
+def _connecting_difference_lists(cap):
+    """Per exactly effective triplet with n <= 5: its column ranks and the
+    connecting differences of all degrees up to cap, as markov_basis finds
+    them before it canonicalises."""
+    for n in (3, 4, 5):
+        g = GroundSet(n)
+        for t in enumerate_triplets(g):
+            if t.a_mask | t.b_mask | t.c_mask != g.full_mask:
+                continue
+            cfg = subconfiguration(t)
+            cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+            col_keys = _column_keys(cols_t)
+            idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+            diffs = [np.zeros((0, cfg.num_cols), dtype=np.int64)]
+            for _ in range(2, cap + 1):
+                idx, keys = _extend_index(idx, keys, col_keys)
+                members, starts = _fiber_members(keys)
+                labels = _fiber_components(idx, members, starts, cols_t)
+                diffs.append(_connecting_differences(idx, members, starts, labels, cfg.num_cols))
+            yield t, [e.rank for e in cfg.columns], np.concatenate(diffs)
+
+
+def test_array_canonicaliser_matches_the_set_oracle_on_every_triplet():
+    lists = 0
+    for t, ranks, diffs in _connecting_difference_lists(4):
+        g = t.ground
+        moves = []
+        for diff in diffs.tolist():
+            coeffs = [0] * g.num_elementary
+            for r, v in zip(ranks, diff):
+                coeffs[r] = v
+            moves.append(Move(g, tuple(coeffs)))
+        want = _set_symmetry_reduce(moves, allowed_ranks=ranks)
+        assert symmetry_reduce(moves, allowed_ranks=ranks) == want, str(t)
+        # markov_basis orders the same representatives by degree
+        want.sort(key=lambda m: m.degree)
+        assert _representatives(g, ranks, diffs) == want, str(t)
+        lists += bool(moves)
+    assert lists > 50
+
+
+def test_rank_map_array_is_the_tuple_table_read_only_per_n():
+    for n in (3, 4, 5):
+        maps = _rank_map_array(GroundSet(n))
+        assert maps is _rank_map_array(GroundSet("vwxyz"[:n]))
+        assert not maps.flags.writeable
+        assert maps.tolist() == [list(rm) for rm in _label_permutation_rank_maps(GroundSet(n))]
+
+
+def test_symmetry_reduce_agrees_with_the_set_oracle_on_large_coefficients():
+    # entries beyond one byte take wider big-endian codes
+    g = GroundSet(4)
+    rng = random.Random(2501)
+    basis = basic_moves(g)
+    moves = []
+    for scale in (1, 100, 40_000, 3 << 40):
+        for _ in range(6):
+            vec = [0] * g.num_elementary
+            for m in rng.sample(basis, 3):
+                c = rng.randint(-scale, scale)
+                for j, mc in enumerate(m.coeffs):
+                    vec[j] += c * mc
+            moves.append(Move(g, tuple(vec)))
+    assert symmetry_reduce(moves) == _set_symmetry_reduce(moves)
 
 
 def test_move_json_round_trip():
