@@ -15,29 +15,37 @@ representative; each degree is one array pass:
 
 * Keys carried from degree to degree.  Column j gets the int64 key w·A_j
   for fixed seeded weights w (drawn once per process) and a multiset the
-  sum of its column keys.  The lexicographic index of the size-(d+1)
-  multisets is each column i followed by the size-d rows that start at i
-  or later, one slice per column into a preallocated array, and the key of
-  such a row is col_keys[i] plus the key of its size-d suffix, so no
-  degree re-sums its keys.  The keys of the last degree are dropped once
-  its fibers are known.
-* Fibers by one sort.  One argsort puts every fiber in one run of equal
-  keys.  The sort is unstable: a second argsort by (fiber, multiset), over
-  the fiber members only, makes the fiber order explicit and puts each
-  fiber's members in ascending order.
-* The exact check on packed lanes.  Each column's entries plus 1 (so in
-  {0, 1, 2}) are packed into unsigned lanes of uint64 words, and the words
-  of the d columns of every fiber member are added.  A lane of such a sum
-  stays in [0, 2d]; the lane width is the narrowest that holds 2d (8 bits
-  up to degree 127), so no lane carries into the next, and two members
-  have equal words exactly when they have equal column sums.  Adjacent
-  members of a fiber with different words (a hash collision) raise
-  InvariantError, so no answer depends on the hash.
+  sum of its column keys.  The index is column-major, (d, N) int16 with
+  row t holding entry t of every multiset.  The lexicographic index of the
+  size-(d+1) multisets is each column i followed by the size-d multisets
+  that start at i or later, d contiguous row slices per column into a
+  preallocated array, and the key of such a multiset is col_keys[i] plus
+  the key of its size-d suffix, so no degree re-sums its keys.  The keys
+  of the last degree are sorted in place and then dropped.
+* Fibers by one sort.  One in-place sort of the uint64 words
+  (key - min) >> r << s | position, s the bit length of the last
+  position, puts the multisets of equal keys in one run, ascending inside
+  the run.  r is the fewest low key bits to drop to keep a word under
+  2^63: 0 on every shape up to 48 columns at degree 4, 3 on the full n=5
+  configuration at degree 4.  A key is linear in the column sum, so
+  equal sums have equal keys and every fiber lies inside one run.
+* Fibers are exact-sum classes.  Each column's entries plus 1 (so in
+  {0, 1, 2}) are packed into unsigned lanes of uint64 words, one lane per
+  row some column touches, and the words of the d columns of every run
+  member are added.  A lane of such a sum stays in [0, 2d]; the lanes are
+  packed once per call, 4 bits wide while 2·cap < 16 and 8 bits up to cap
+  127, so no lane carries into the next, and two members have equal words
+  exactly when they have equal column sums.  Adjacent members of a run
+  are compared; a run with a mismatch (a 64-bit key collision, or keys
+  merged by r > 0) is regrouped by a stable lexsort of its members' words,
+  and only such runs pay for it.  The key orders the multisets; the lanes
+  decide the fibers, so no answer depends on the hash.
 * Components.  A two-member fiber has two components exactly when its
-  two multisets share no column, one (k, d, d) comparison for all such
-  fibers.  Min-label propagation over the (fiber, column) incidences finds
-  the common-column components of all fibers of three or more members at
-  once.
+  two multisets share no column, one (d, d, k) comparison for all such
+  fibers.  For the fibers of three or more members, one sort of the words
+  (fiber, column, member) links the members that share a (fiber, column)
+  node, and min-label propagation with pointer jumping over those links
+  finds the common-column components of all of them at once.
 * Connecting moves in one pass.  For all surplus components of a degree
   at once, each member of a later component is paired with every member
   of an earlier component of its fiber (components in the order of their
@@ -77,36 +85,40 @@ _KEY_SEED = 20240817
 
 
 def _extend_index(prev: np.ndarray, prev_keys: np.ndarray, col_keys: np.ndarray) -> tuple:
-    """The lexicographic (N, d + 1) int16 index of all nondecreasing tuples
-    of length d + 1 over the columns, with their int64 keys, from those of
-    length d: each column i followed by the suffix of rows that start at i
-    or later, keyed col_keys[i] plus the suffix row's key."""
-    num_prev, d = prev.shape
-    starts = np.searchsorted(prev[:, 0], np.arange(len(col_keys))).tolist()
-    total = sum(num_prev - s for s in starts)
-    idx = np.empty((total, d + 1), dtype=np.int16)
-    keys = np.empty(total, dtype=np.int64)
+    """The lexicographic column-major (d + 1, N) int16 index of all
+    nondecreasing tuples of length d + 1 over the columns, with their int64
+    keys, from those of length d: each column i followed by the suffix of
+    tuples that start at i or later, keyed col_keys[i] plus the suffix's
+    key.  Row t of the index holds entry t of every tuple."""
+    d, num_prev = prev.shape
+    counts = num_prev - np.searchsorted(prev[0], np.arange(len(col_keys)))
+    idx = np.empty((d + 1, int(counts.sum())), dtype=np.int16)
+    keys = np.empty(idx.shape[1], dtype=np.int64)
+    idx[0] = np.repeat(np.arange(len(col_keys), dtype=np.int16), counts)
     lo = 0
-    for i, s in enumerate(starts):
-        hi = lo + num_prev - s
-        idx[lo:hi, 0] = i
-        idx[lo:hi, 1:] = prev[s:]
-        np.add(prev_keys[s:], col_keys[i], out=keys[lo:hi])
+    for i, count in enumerate(counts.tolist()):
+        hi = lo + count
+        idx[1:, lo:hi] = prev[:, num_prev - count :]
+        np.add(prev_keys[num_prev - count :], col_keys[i], out=keys[lo:hi])
         lo = hi
     return idx, keys
 
 
 def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
-    """An upper bound on the bytes of degree d, not a per-array account:
-    per multiset, the int16 index (2d), its carried int64 key (8) and the
-    argsort order with the sorted keys (16); and, for at most as many fiber
-    members, their int16 rows (2d), ids, fiber order and labels (24), the
-    packed lane sums with their gather temporary (2 · 8 bytes per word of
-    num_rows lanes) and the int64 incidence arrays of the propagation
-    (48d).  The previous degree's index and keys are smaller than these."""
+    """An upper bound on the bytes of the arrays alive together at degree
+    d.  Nothing bounds the fiber members below the N multisets before the
+    pass, so every multiset counts as a member of a fiber of three or more.
+    Per multiset: the (d, N) int16 index and the carried int64 key (2d + 8)
+    throughout, and the larger of the sort (the key copy it sorts, the
+    positions, two flag arrays and the members it returns: 27) and the
+    fibers (per member its id, flag, row, label and fiber bookkeeping,
+    2d + 41; its packed lane sums over num_rows rows, with a gather
+    temporary, 8 per word; and the propagation's incidence words, links
+    and labels, 36d + 16).  The previous degree's index and keys, alive
+    while this degree's are built, are smaller than the sort's arrays."""
     n_multi = comb(num_cols + d - 1, d)
-    lane_sums = 2 * 8 * -(-num_rows * _lane_bytes(d) // 8)
-    return n_multi * (52 * d + 48 + lane_sums)
+    words = -(-num_rows // (64 // _lane_bits(d)))
+    return n_multi * (2 * d + 8 + max(27, 38 * d + 57 + 8 * words))
 
 
 def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> None:
@@ -177,52 +189,78 @@ class MarkovBasisReport:
         return "\n".join(lines) + "\n"
 
 
-def _lane_bytes(d: int) -> int:
-    """Bytes of the narrowest unsigned lane that holds 2d."""
-    return 1 if 2 * d < 1 << 8 else 2 if 2 * d < 1 << 16 else 8
+def _lane_bits(d: int) -> int:
+    """Bits of the narrowest lane, of 4, 8, 16 or 64, that holds 2d."""
+    return next(bits for bits in (4, 8, 16, 64) if 2 * d < 1 << bits)
 
 
 def _packed_lanes(cols_t: np.ndarray, d: int) -> np.ndarray:
-    """Each column's entries plus 1 in lanes of _lane_bytes(d), packed into
-    uint64 words: words of d columns add without a carry between lanes."""
-    width = _lane_bytes(d)
+    """Row w holds word w of every column: the column's entries plus 1 in
+    lanes of _lane_bits(d) bits, lane j of a word at bit j times the width,
+    so the words of up to d columns add without a carry between lanes."""
+    bits = _lane_bits(d)
+    per = 64 // bits
     num_cols, num_rows = cols_t.shape
-    out = np.zeros((num_cols, -(-num_rows * width // 8) * 8 // width), dtype=f"u{width}")
-    np.add(cols_t, 1, out=out[:, :num_rows], casting="unsafe")
-    return out.view(np.uint64)
+    vals = np.zeros((num_cols, -(-num_rows // per), per), dtype=np.uint64)
+    np.add(cols_t, 1, out=vals.reshape(num_cols, -1)[:, :num_rows], casting="unsafe")
+    vals <<= np.arange(0, 64, bits, dtype=np.uint64)
+    return np.ascontiguousarray(np.bitwise_or.reduce(vals, axis=2).T)
 
 
 def _fiber_members(keys):
-    """The non-singleton fibers of one degree, from the multisets' keys:
-    their members as row ids into the index (fiber by fiber, ascending
-    inside a fiber) and a flag on each fiber's first member."""
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    del sorted_keys
-    pos = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
-    starts = np.concatenate(([True], ~same))[pos]
-    members = order[pos]
-    del order, same, pos
-    # the unstable sort leaves each fiber in one run; put its members in
-    # ascending order
-    fiber = np.cumsum(starts) - 1
-    return members[np.argsort(fiber * len(keys) + members)], starts
+    """The runs of one degree that may hold a fiber, from the multisets'
+    keys (overwritten): one sort of the words (key - min) >> r << s |
+    position, s the bit length of the last position and r the fewest low
+    key bits to drop to keep a word under 2^63.  Returns the members of the
+    runs of two or more multisets with equal words >> s, as row ids into
+    the index (run by run, ascending inside a run), and a flag on each
+    run's first member."""
+    lo = int(keys.min())
+    s = (len(keys) - 1).bit_length()
+    r = max(0, (int(keys.max()) - lo).bit_length() + s - 63)
+    words = keys.view(np.uint64)
+    words -= np.uint64(lo % (1 << 64))
+    if r:
+        words >>= np.uint64(r)
+    words <<= np.uint64(s)
+    pos = np.arange(len(words), dtype=np.uint64)
+    words |= pos
+    words.sort()
+    np.bitwise_and(words, np.uint64((1 << s) - 1), out=pos)
+    words >>= np.uint64(s)
+    after = np.concatenate(([False], words[1:] == words[:-1]))
+    keep = after.copy()
+    keep[:-1] |= after[1:]
+    return pos[keep].view(np.int64), ~after[keep]
 
 
-def _fiber_components(idx, members, starts, cols_t):
-    """Each fiber member's component label (the position of the
-    component's least member), after the exact check of the fibers."""
-    d = idx.shape[1]
-    rows = np.take(idx, members, axis=0)
-
-    # exact check: equal keys must mean equal column sums
-    lanes = _packed_lanes(cols_t, d)
-    sums = np.take(lanes, rows[:, 0], axis=0)
-    for t in range(1, d):
-        sums += np.take(lanes, rows[:, t], axis=0)
-    if np.any(np.any(sums[1:] != sums[:-1], axis=1) & ~starts[1:]):
-        raise InvariantError("multisets with equal keys have different column sums")
+def _fiber_components(idx, members, starts, lanes):
+    """The fibers of one degree inside its key runs, and each fiber
+    member's component label (the position of the component's least
+    member).  Equal column sums have equal keys, so every fiber lies in one
+    run; a run whose members' packed lane sums differ (a key collision, or
+    keys merged by the shift) is split by a stable sort of those sums."""
+    d = idx.shape[0]
+    rows = np.take(idx, members, axis=1)
+    sums = np.empty((len(lanes), len(members)), dtype=np.uint64)
+    differ = np.zeros_like(starts[1:])
+    for word, out in zip(lanes, sums):
+        np.take(word, rows[0], out=out)
+        for t in range(1, d):
+            out += word.take(rows[t])
+        differ |= out[1:] != out[:-1]
+    if np.any(differ & ~starts[1:]):
+        # regroup the runs with a mismatch by their sums, each in its range
+        run = np.cumsum(starts) - 1
+        mixed = np.zeros(run[-1] + 1, dtype=bool)
+        mixed[run[1:][differ & ~starts[1:]]] = True
+        p = np.flatnonzero(mixed[run])
+        order = np.arange(len(members))
+        order[p] = p[np.lexsort((*sums[::-1, p], run[p]))]
+        members, rows, sums = members[order], rows[:, order], sums[:, order]
+        starts = starts | np.concatenate(([True], np.any(sums[:, 1:] != sums[:, :-1], axis=0)))
+        keep = ~(starts & np.append(starts[1:], True))
+        members, starts, rows = members[keep], starts[keep], rows[:, keep]
     del sums
 
     labels = np.arange(len(members))
@@ -230,43 +268,46 @@ def _fiber_components(idx, members, starts, cols_t):
     sizes = np.diff(np.append(first, len(members)))
     # a two-member fiber has two components exactly when its rows share no column
     pair = first[sizes == 2]
-    a, b = np.take(rows, pair, axis=0), np.take(rows, pair + 1, axis=0)
-    shared = (a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+    a, b = np.take(rows, pair, axis=1), np.take(rows, pair + 1, axis=1)
+    shared = (a[:, None, :] == b[None, :, :]).any(axis=(0, 1))
     labels[pair + 1] = np.where(shared, pair, pair + 1)
     big = np.flatnonzero(np.repeat(sizes >= 3, sizes))
     if len(big):
         fiber = (np.cumsum(starts) - 1)[big]
-        local = _common_column_components(np.take(rows, big, axis=0), fiber, cols_t.shape[0])
+        local = _common_column_components(np.take(rows, big, axis=1), fiber, lanes.shape[1])
         labels[big] = big[local]
-    return labels
+    return members, starts, labels
 
 
 def _common_column_components(rows, fiber, num_cols):
-    """Component label (position of the least member) of each row under
-    "shares a column with" inside its fiber: min-label propagation with
-    pointer jumping over the (fiber, column) incidence nodes, column-major."""
-    k, d = rows.shape
-    node_key = (fiber * num_cols + rows.T).ravel()
-    inc_order = np.argsort(node_key)
-    node_key = node_key[inc_order]
-    node_start = np.empty(len(node_key), dtype=bool)
-    node_start[0] = True
-    np.not_equal(node_key[1:], node_key[:-1], out=node_start[1:])
-    del node_key
-    node_of = np.empty_like(inc_order)
-    node_of[inc_order] = np.cumsum(node_start) - 1
-    node_of = node_of.reshape(d, k)
-    inc_member, node_first = inc_order % k, np.flatnonzero(node_start)
+    """Component label (position of the least member) of each member, a
+    column of rows, under "shares a column with" inside its fiber: one
+    sort of the words (fiber, column, member) links the members of each
+    (fiber, column) node in a path, and min-label propagation with pointer
+    jumping runs over those links."""
+    d, k = rows.shape
+    s = (k - 1).bit_length()
+    if ((int(fiber[-1]) + 1) * num_cols) >> (63 - s):
+        raise BudgetError(f"{k} fiber members of degree {d} are too many to sort in one pass")
+    words = fiber * num_cols + rows
+    words <<= s
+    words |= np.arange(k)
+    words = words.ravel()
+    words.sort()
+    node = words >> s
+    link = node[1:] == node[:-1]
+    del node
+    words &= (1 << s) - 1
+    u, v = words[:-1][link], words[1:][link]
+    del words, link
     labels = np.arange(k)
     while True:
-        node_min = np.minimum.reduceat(labels[inc_member], node_first)
-        new = node_min[node_of[0]]
-        for t in range(1, d):
-            np.minimum(new, node_min[node_of[t]], out=new)
-        new = new[new]
-        if np.array_equal(new, labels):
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
             return labels
-        labels = new
+        np.minimum.at(labels, u, lv)
+        np.minimum.at(labels, v, lu)
+        labels = labels[labels]
 
 
 def _connecting_differences(idx, members, starts, labels, num_cols):
@@ -274,9 +315,9 @@ def _connecting_differences(idx, members, starts, labels, num_cols):
     component of one degree, as multiplicity vectors over the columns,
     fiber by fiber and, inside a fiber, by least member.  A component is
     joined to the union of the components with a lesser least member, so
-    each row x of a later component pairs with every row y of its fiber
-    whose label is less than x's."""
-    d = idx.shape[1]
+    each member x of a later component pairs with every member y of its
+    fiber whose label is less than x's."""
+    d = idx.shape[0]
     first = np.flatnonzero(starts)
     sizes = np.diff(np.append(first, len(labels)))
     surplus = np.add.reduceat(labels == np.arange(len(labels)), first) >= 2
@@ -290,11 +331,11 @@ def _connecting_differences(idx, members, starts, labels, num_cols):
     later = labels[y] < labels[x]
     x, y = x[later], y[later]
     # the multiplicity vector of x's multiset minus that of y's
-    cells = np.arange(len(x))[:, None] * num_cols
+    cells = np.arange(len(x)) * num_cols
     size = len(x) * num_cols
     diffs = (
-        np.bincount((cells + np.take(idx, members[x], axis=0)).ravel(), minlength=size)
-        - np.bincount((cells + np.take(idx, members[y], axis=0)).ravel(), minlength=size)
+        np.bincount((cells + np.take(idx, members[x], axis=1)).ravel(), minlength=size)
+        - np.bincount((cells + np.take(idx, members[y], axis=1)).ravel(), minlength=size)
     ).reshape(len(x), num_cols)
     comp = labels[x]
     order = np.lexsort((_byte_keys(_lex_codes(diffs)[0]), comp))
@@ -343,14 +384,17 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     # trivial-kernel case, where no two multisets share a sum: no degree
     # has moves, so the loop is skipped
     trivial = not full and _kernel_trivial(cfg)
-    idx, keys = np.arange(num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+    # lanes wide enough for the cap serve every degree up to it; a row no
+    # column touches adds the same to every sum, so it gets no lane
+    lanes = _packed_lanes(cols_t[:, cols_t.any(axis=0)], degree_cap)
+    idx, keys = np.arange(num_cols, dtype=np.int16).reshape(1, -1), col_keys
     diffs = [np.zeros((0, num_cols), dtype=np.int64)]
     for d in range(2, 2 if trivial else degree_cap + 1):
         idx, keys = _extend_index(idx, keys, col_keys)
-        members, starts = _fiber_members(keys)
+        members, starts = _fiber_members(keys if d == degree_cap else keys.copy())
         if d == degree_cap:
-            del keys  # no later degree extends them
-        labels = _fiber_components(idx, members, starts, cols_t)
+            del keys  # sorted in place, and no later degree extends them
+        members, starts, labels = _fiber_components(idx, members, starts, lanes)
         diffs.append(_connecting_differences(idx, members, starts, labels, num_cols))
     reps = _representatives(g, column_ranks, np.concatenate(diffs))
     per_degree = dict(Counter(m.degree for m in reps))

@@ -1,5 +1,6 @@
 """Tests for minimal Markov bases of configurations."""
 
+import json
 import os
 import subprocess
 import sys
@@ -162,10 +163,11 @@ def kernel_check(cfg, move):
 
 
 def _index(num_cols, d, col_keys=None):
-    """The degree-d index over num_cols columns and its carried keys."""
+    """The column-major degree-d index over num_cols columns and its
+    carried keys."""
     if col_keys is None:
         col_keys = np.zeros(num_cols, dtype=np.int64)
-    idx, keys = np.arange(num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+    idx, keys = np.arange(num_cols, dtype=np.int16).reshape(1, -1), col_keys
     for _ in range(1, d):
         idx, keys = _extend_index(idx, keys, col_keys)
     return idx, keys
@@ -176,11 +178,11 @@ def test_multiset_enumeration_matches_itertools():
     for num_cols, d in [(3, 2), (5, 3), (6, 4), (8, 2), (1, 3)]:
         col_keys = rng.integers(-(1 << 40), 1 << 40, size=num_cols)
         idx, keys = _index(num_cols, d, col_keys)
-        got = [tuple(int(v) for v in row) for row in idx]
+        got = [tuple(int(v) for v in row) for row in idx.T]
         want = list(combinations_with_replacement(range(num_cols), d))
         assert got == want
         # the carried key of a multiset is the sum of its column keys
-        assert np.array_equal(keys, col_keys[idx].sum(axis=1))
+        assert np.array_equal(keys, col_keys[idx].sum(axis=0))
 
 
 def test_full_basis_n3():
@@ -295,7 +297,7 @@ def test_budget_is_checked_before_any_degree_is_built(monkeypatch):
     import imsetkit.markov as mk
 
     def no_index(prev, prev_keys, col_keys):
-        raise AssertionError(f"built degree {prev.shape[1] + 1} before the budget check")
+        raise AssertionError(f"built degree {prev.shape[0] + 1} before the budget check")
 
     monkeypatch.setattr(mk, "_extend_index", no_index)
     with pytest.raises(BudgetError):
@@ -332,9 +334,9 @@ def test_sums_match_numpy_pipeline():
     cfg = configuration(g)
     cols = np.array(cfg.matrix, dtype=np.int8)
     idx, _ = _index(cfg.num_cols, 3)
-    take = rng.choice(len(idx), size=40, replace=False)
+    take = rng.choice(idx.shape[1], size=40, replace=False)
     for r in take:
-        trio = [int(v) for v in idx[r]]
+        trio = [int(v) for v in idx[:, r]]
         direct = [sum(cfg.matrix[i][j] for j in trio) for i in range(cfg.num_rows)]
         vec = cols[:, trio].sum(axis=1)
         assert direct == [int(v) for v in vec]
@@ -417,13 +419,12 @@ def test_split_fibers_matches_stable_sort_oracle():
     sizes = Counter()
     for name, cfg, caps in _oracle_cases():
         cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-        col_keys = _column_keys(cols_t)
-        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+        col_keys, lanes = _column_keys(cols_t), _packed_lanes(cols_t, caps[-1])
+        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
         for d in range(2, caps[-1] + 1):
             idx, keys = _extend_index(idx, keys, col_keys)
-            members, starts = _fiber_members(keys)
-            got = members, starts, _fiber_components(idx, members, starts, cols_t)
-            want = _oracle_split_fibers(idx, cols_t, col_keys)
+            got = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
+            want = _oracle_split_fibers(idx.T, cols_t, col_keys)
             for g_arr, w_arr in zip(got, want):
                 assert np.array_equal(g_arr, w_arr), (name, d)
             bounds = np.append(np.flatnonzero(want[1]), len(want[1]))
@@ -492,30 +493,49 @@ def test_traced_peak_of_the_48_column_shape_at_cap_4():
     assert peak < 16 << 20, peak >> 20
 
 
-def test_key_collision_raises(monkeypatch):
+def _zero_keys(cols_t):
+    return np.zeros(len(cols_t), dtype=np.int64)
+
+
+def _collision_cases():
+    return [
+        (configuration(GroundSet(4)), 4),
+        (subconfiguration(Triplet.parse(GroundSet(5), "ab|cd|e")), 4),
+    ]
+
+
+def test_key_collision_is_split_by_exact_sums(monkeypatch):
+    # with every key equal, each degree is one run of all its multisets:
+    # the exact lane sums alone define the fibers, so the reports are those
+    # of the real keys
     import imsetkit.markov as mk
 
-    monkeypatch.setattr(mk, "_column_keys", lambda cols_t: np.zeros(len(cols_t), dtype=np.int64))
-    with pytest.raises(InvariantError, match="equal keys"):
-        markov_basis(configuration(GroundSet(4)), 2)
+    want = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in _collision_cases()]
+    monkeypatch.setattr(mk, "_column_keys", _zero_keys)
+    got = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in _collision_cases()]
+    assert got == want
 
 
 _COLLISION_SCRIPT = """
+import json
 import numpy as np
 from imsetkit import markov
-from imsetkit.groundset import GroundSet
+from imsetkit.faces import subconfiguration
+from imsetkit.groundset import GroundSet, Triplet
 from imsetkit.imsets import configuration
 
+cases = [
+    (configuration(GroundSet(4)), 4),
+    (subconfiguration(Triplet.parse(GroundSet(5), "ab|cd|e")), 4),
+]
+want = [json.dumps(markov.markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
 markov._column_keys = lambda cols_t: np.zeros(len(cols_t), dtype=np.int64)
-try:
-    markov.markov_basis(configuration(GroundSet(4)), 2)
-    print("unchecked")
-except markov.InvariantError as exc:
-    print("checked" if "equal keys" in str(exc) else exc)
+got = [json.dumps(markov.markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
+print("split" if got == want else "differ")
 """
 
 
-def test_key_collision_raises_under_python_O():
+def test_key_collision_is_split_under_python_O():
     import imsetkit
 
     src = str(Path(imsetkit.__file__).resolve().parents[1])
@@ -525,7 +545,65 @@ def test_key_collision_raises_under_python_O():
             [sys.executable, *flags, "-c", _COLLISION_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert done.stdout.split() == ["checked"], flags
+        assert done.stdout.split() == ["split"], flags
+
+
+def _wide_column_keys(cols_t):
+    # linear in the column, so equal sums still have equal keys, with a
+    # coarse part at bit 58 and a fine part of a few bits: the key span
+    # forces the sort to drop low key bits, which merges many keys, and
+    # the small fine weights make genuine collisions as well
+    rng = np.random.default_rng(2700)
+    coarse = rng.integers(-1, 2, size=cols_t.shape[1])
+    fine = rng.integers(-8, 9, size=cols_t.shape[1])
+    cols = cols_t.astype(np.int64)
+    return ((cols @ coarse) << 58) + cols @ fine
+
+
+def test_truncated_keys_give_the_exact_fibers(monkeypatch):
+    # the fibers and components under keys whose span needs a shift r > 0
+    # are those of the stable-sort oracle on the real keys, as sets
+    import imsetkit.markov as mk
+
+    g = GroundSet(5)
+    cases = [(configuration(GroundSet(4)), 4)] + [
+        (subconfiguration(Triplet.parse(g, name)), 4) for name in ("a|bcde|0", "ab|cd|e", "a|bc|de")
+    ]
+    shifted = 0
+    for cfg, cap in cases:
+        cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+        col_keys, lanes = _wide_column_keys(cols_t), _packed_lanes(cols_t, cap)
+        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
+        for d in range(2, cap + 1):
+            idx, keys = _extend_index(idx, keys, col_keys)
+            span = int(keys.max()) - int(keys.min())
+            shifted += span.bit_length() + (len(keys) - 1).bit_length() > 63
+            got = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
+            want = _oracle_split_fibers(idx.T, cols_t, _column_keys(cols_t))
+            fibers = []
+            for members, starts, labels in (got, want):
+                bounds = np.append(np.flatnonzero(starts), len(members)).tolist()
+                fibers.append({
+                    (tuple(members[lo:hi].tolist()), tuple((labels[lo:hi] - lo).tolist()))
+                    for lo, hi in zip(bounds, bounds[1:])
+                })
+            assert fibers[0] == fibers[1], (d, cfg.num_cols)
+        want = json.dumps(markov_basis(cfg, cap).to_json())
+        with monkeypatch.context() as m:
+            m.setattr(mk, "_column_keys", _wide_column_keys)
+            assert json.dumps(markov_basis(cfg, cap).to_json()) == want
+    assert shifted == 3 * len(cases)
+
+
+def test_fiber_members_drop_low_key_bits_only_past_63_bits():
+    # four positions take s = 2 bits: a span of 5 keeps every key bit, a
+    # span of 2^62 + 1 drops r = 2, so keys that differ only there share a run
+    members, starts = _fiber_members(np.array([5, 0, 5, 3], dtype=np.int64))
+    assert members.tolist() == [0, 2] and starts.tolist() == [True, False]
+    wide = np.array([1 << 62, 0, (1 << 62) + 1, 1], dtype=np.int64)
+    members, starts = _fiber_members(wide)
+    assert members.tolist() == [1, 3, 0, 2]
+    assert starts.tolist() == [True, False, True, False]
 
 
 def test_budget_estimate_covers_traced_peak():
@@ -549,7 +627,7 @@ def test_connecting_moves_pick_the_least_difference():
     # in the order of their least member; on every fiber of the oracle
     # sweep any connecting choice gives the same representatives, so the
     # choice rule is pinned here
-    rows = np.array([[0, 1], [2, 3], [2, 4], [5, 5]], dtype=np.int16)
+    rows = np.array([[0, 1], [2, 3], [2, 4], [5, 5]], dtype=np.int16).T
     labels = np.array([0, 1, 1, 3])
     starts = np.array([True, False, False, False])
     assert _connecting_differences(rows, np.arange(4), starts, labels, 6).tolist() == [
@@ -564,17 +642,16 @@ def test_connecting_differences_match_the_per_fiber_oracle():
     fibers = 0
     for name, cfg, caps in _oracle_cases():
         cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-        col_keys = _column_keys(cols_t)
-        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+        col_keys, lanes = _column_keys(cols_t), _packed_lanes(cols_t, caps[-1])
+        idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
         for d in range(2, caps[-1] + 1):
             idx, keys = _extend_index(idx, keys, col_keys)
-            members, starts = _fiber_members(keys)
-            labels = _fiber_components(idx, members, starts, cols_t)
+            members, starts, labels = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
             got = _connecting_differences(idx, members, starts, labels, cfg.num_cols)
             bounds = np.append(np.flatnonzero(starts), len(members)).tolist()
             want = []
             for lo, hi in zip(bounds, bounds[1:]):
-                found = _oracle_connecting_moves_for_fiber(members[lo:hi], idx, cfg.num_cols)
+                found = _oracle_connecting_moves_for_fiber(members[lo:hi], idx.T, cfg.num_cols)
                 want += [list(diff) for diff in found]
                 fibers += bool(found)
             assert got.tolist() == want, (name, d)
@@ -585,25 +662,27 @@ def test_packed_check_is_exact_past_the_uint8_lane_bound():
     # two columns that differ only in row 7, +1 against -1: at degree 128
     # the sums of {0^128} and {1^128} differ by 256 there, a difference that
     # uint8 lanes lose; keys that put exactly those two multisets in one
-    # fiber must raise, and must not when the columns, so the sums, agree
+    # run must give two singleton fibers, so no fiber at all, and one fiber
+    # of two components when the columns, so the sums, agree; 7 and 8 are
+    # the degrees on either side of the 4-bit lane bound
     cols_t = np.zeros((2, 8), dtype=np.int8)
     cols_t[0, 7], cols_t[1, 7] = 1, -1
-    narrow = _packed_lanes(cols_t, 127)
-    assert narrow.shape == (2, 1) and _packed_lanes(cols_t, 128).shape == (2, 2)
-    if sys.byteorder == "little":
-        # with the degree-127 lanes the two sums of degree 128 collide
-        assert np.array_equal(narrow[0] * np.uint64(128), narrow[1] * np.uint64(128))
-    for d in (2, 127, 128, 129, 300):
+    narrow = _packed_lanes(cols_t, 127)  # one row of words per word, one column per column
+    assert narrow.shape == (1, 2) and _packed_lanes(cols_t, 128).shape == (2, 2)
+    assert _packed_lanes(cols_t, 7).shape == _packed_lanes(cols_t, 8).shape == (1, 2)
+    # with the degree-127 lanes the two sums of degree 128 collide
+    assert np.array_equal(narrow[:, 0] * np.uint64(128), narrow[:, 1] * np.uint64(128))
+    for d in (2, 7, 8, 127, 128, 129, 300):
         idx, _ = _index(2, d)
-        keys = np.arange(len(idx), dtype=np.int64)
-        keys[-1] = keys[0]  # the first row is {0^d}, the last {1^d}
+        keys = np.arange(idx.shape[1], dtype=np.int64)
+        keys[-1] = keys[0]  # the first multiset is {0^d}, the last {1^d}
         members, starts = _fiber_members(keys)
         assert members.tolist() == [0, d] and starts.tolist() == [True, False]
-        with pytest.raises(InvariantError, match="equal keys"):
-            _fiber_components(idx, members, starts, cols_t)
+        got = _fiber_components(idx, members, starts, _packed_lanes(cols_t, d))
+        assert [a.tolist() for a in got] == [[], [], []], d
         # equal columns: equal sums, and two components (no common column)
-        labels = _fiber_components(idx, members, starts, np.zeros_like(cols_t))
-        assert labels.tolist() == [0, 1], d
+        got = _fiber_components(idx, members, starts, _packed_lanes(np.zeros_like(cols_t), d))
+        assert [a.tolist() for a in got] == [[0, d], [True, False], [0, 1]], d
 
 
 def test_moves_are_built_only_for_representatives(monkeypatch):

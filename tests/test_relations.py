@@ -19,6 +19,7 @@ from imsetkit.markov import (
     _extend_index,
     _fiber_components,
     _fiber_members,
+    _packed_lanes,
     _representatives,
 )
 from imsetkit.relations import (
@@ -524,13 +525,12 @@ def _connecting_difference_lists(cap):
                 continue
             cfg = subconfiguration(t)
             cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-            col_keys = _column_keys(cols_t)
-            idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(-1, 1), col_keys
+            col_keys, lanes = _column_keys(cols_t), _packed_lanes(cols_t, cap)
+            idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
             diffs = [np.zeros((0, cfg.num_cols), dtype=np.int64)]
             for _ in range(2, cap + 1):
                 idx, keys = _extend_index(idx, keys, col_keys)
-                members, starts = _fiber_members(keys)
-                labels = _fiber_components(idx, members, starts, cols_t)
+                members, starts, labels = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
                 diffs.append(_connecting_differences(idx, members, starts, labels, cfg.num_cols))
             yield t, [e.rank for e in cfg.columns], np.concatenate(diffs)
 
