@@ -112,10 +112,6 @@ class GroundSet:
         """All subset masks ascending in the graded set order."""
         return _subset_tables(self.n)[0]
 
-    @property
-    def _rank_of_mask(self) -> tuple[int, ...]:
-        return _subset_tables(self.n)[1]
-
     def subset_rank(self, mask: int) -> int:
         return _subset_tables(self.n)[1][mask]
 
@@ -183,7 +179,7 @@ class GroundSet:
 
 @cache
 def _subset_tables(n: int):
-    """masks_graded and _rank_of_mask (its inverse permutation) at size n."""
+    """masks_graded and its inverse, the subset rank of every mask, at size n."""
     masks = tuple(sorted(range(1 << n), key=GroundSet.subset_key))
     return masks, tuple(sorted(range(1 << n), key=masks.__getitem__))
 

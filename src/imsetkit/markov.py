@@ -202,7 +202,7 @@ def _packed_lanes(cols_t: np.ndarray, d: int) -> np.ndarray:
     per = 64 // bits
     num_cols, num_rows = cols_t.shape
     vals = np.zeros((num_cols, -(-num_rows // per), per), dtype=np.uint64)
-    np.add(cols_t, 1, out=vals.reshape(num_cols, -1)[:, :num_rows], casting="unsafe")
+    np.add(cols_t, 1, out=vals.reshape(num_cols, per * vals.shape[1])[:, :num_rows], casting="unsafe")
     vals <<= np.arange(0, 64, bits, dtype=np.uint64)
     return np.ascontiguousarray(np.bitwise_or.reduce(vals, axis=2).T)
 

@@ -36,6 +36,8 @@ from functools import lru_cache
 from itertools import count
 from types import MappingProxyType
 
+import numpy as np
+
 from .groundset import ElementaryIndex, GroundSet, per_n, popcount
 from .imsets import (
     Imset,
@@ -132,23 +134,26 @@ def _cut_table(g: GroundSet) -> _CutTable:
     imset: <f, u> < 0 proves u outside the cone, and <f, u> = 0 puts every
     column in `ranks` outside the least face of u.
 
-    Built with an exact check that every cut is 0/1 and f* is 1 on every
-    elementary column; a failure raises InvariantError.
+    `ranks` is read off the column masks, not evaluated: on <a|b|C>,
+    1_{T⊆·} is 1 exactly when ab ⊆ T ⊆ abC, 1_{·⊆T} exactly when
+    C ⊆ T ⊆ N∖ab, and both are 0 on every other column.  Built with an
+    exact check that f* is 1 on every elementary column; a failure raises
+    InvariantError.
     """
     table = elementary_columns(g)
     star = degree_function(g).values
     if any(column_value(star, col) != 1 for col in table):
         raise InvariantError("f* is not 1 on every elementary column")
+    triples = np.array(g.elementary_triples, dtype=np.intp).reshape(-1, 3)
+    ab, c = 1 << triples[:, 0] | 1 << triples[:, 1], triples[:, 2]
     cuts, ones, hits = [], [[] for _ in range(g.num_subsets)], [[] for _ in table]
-    for family in (_superset_indicator, _subset_indicator):
+    # a cut is 1 on the columns with lo ⊆ T ⊆ hi (~ab: T misses a and b)
+    for family, lo, hi in ((_superset_indicator, ab, ab | c), (_subset_indicator, c, ~ab)):
         for mask in g.masks_graded:
-            f = family(g, mask).values
-            on = [column_value(f, col) for col in table]
-            if any(x not in (0, 1) for x in on):
-                raise InvariantError("an indicator cut is not 0/1 on every elementary column")
-            ranks = tuple(j for j, x in enumerate(on) if x)
+            ranks = tuple(np.flatnonzero((lo & ~mask == 0) & (mask & ~hi == 0)).tolist())
             if not ranks:
                 continue
+            f = family(g, mask).values
             for r in (r for r, x in enumerate(f) if x):
                 ones[r].append(len(cuts))
             for j in ranks:
@@ -244,12 +249,12 @@ def classify(u: Imset) -> MembershipResult:
     5. The exact LP over the configuration: structural with its witness
        when feasible, lattice otherwise.
 
-    The search in step 4 pauses after 2^n·|E(N)| nodes, the size of the
-    configuration and about the work of one LP at n = 4 and 5.  A paused
-    search hands over to the LP, and is resumed only when the LP is
-    feasible.  So an input that passes every cut but is not combinatorial
-    costs at most about one LP more than the LP alone, however large its
-    degree.
+    The search in step 4 pauses after 2^n·|E(N)| nodes (1 at n = 1),
+    the size of the configuration and about the work of one LP at n = 4
+    and 5.  A paused search hands over to the LP, and is resumed only
+    when the LP is feasible.  So an input that passes every cut but is
+    not combinatorial costs at most about one LP more than the LP alone,
+    however large its degree.
     """
     g = u.ground
     deg = degree(u)
@@ -260,13 +265,14 @@ def classify(u: Imset) -> MembershipResult:
     if any(x < 0 for x in _cut_table(g).inners(u.values)):
         return MembershipResult(g, "lattice", None, deg)
     lp = None
-    search = _dfs_witnesses(u, pause=g.num_subsets * g.num_elementary)
-    witness = next(search, ())
+    # None: the search paused; False: it is exhausted (a witness may be ())
+    search = _dfs_witnesses(u, pause=max(g.num_subsets * g.num_elementary, 1))
+    witness = next(search, False)
     if witness is None:
         lp = lp_feasible(configuration(g).matrix, u.values)
-        witness = next(search, ()) if lp.feasible else ()
-    if witness:
-        if min(witness) < 0 or elementary_combination(g, witness) != list(u.values):
+        witness = next(search, False) if lp.feasible else False
+    if witness is not False:
+        if min(witness, default=0) < 0 or elementary_combination(g, witness) != list(u.values):
             raise InvariantError("search witness does not re-sum to the imset")
         return MembershipResult(g, "combinatorial", witness, deg)
     if lp is None:

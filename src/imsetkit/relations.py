@@ -28,11 +28,13 @@ Kernel checks never build the dense configuration: Move scatters its
 nonzero coefficients through the four-rank column table of
 imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
 vectors, the pivot move reduce_to_basis uses for each leading rank and the
-elementary-rank maps of all n! label permutations (the action behind
-symmetry_reduce, as tuples and as one read-only array) are cached once per
-n (groundset.per_n), except the basic and pivot moves, which carry their
+label action behind symmetry_reduce are cached once per n
+(groundset.per_n), except the basic and pivot moves, which carry their
 ground set and are cached per ground set; basic_moves hands out a fresh
-list.  classify_relation looks z, divided by the gcd of its entries, up in
+list.  The label action is one read-only array of the image of every
+subset mask under each of the n! label permutations, and the
+elementary-rank maps are read off it through an (ab mask, C mask) -> rank
+lookup.  classify_relation looks z, divided by the gcd of its entries, up in
 cached sets of the basic and cyclic vectors (all entries in {-1, 0, 1})
 and tests the cached positive sides of the basic moves.
 
@@ -342,25 +344,29 @@ def enumerate_small_relations(
 
 
 @per_n
-def _label_permutation_rank_maps(g: GroundSet) -> tuple:
-    """Elementary-rank permutation induced by every label permutation
-    (perm[i] = image of label index i), in itertools.permutations order."""
-    out = []
-    for perm in permutations(range(g.n)):
-        row = []
-        for a, b, c_mask in g.elementary_triples:
-            pc = 0
-            for i in bit_indices(c_mask):
-                pc |= 1 << perm[i]
-            row.append(g.elementary_rank(perm[a], perm[b], pc))
-        out.append(tuple(row))
-    return tuple(out)
+def _subset_images(g: GroundSet) -> np.ndarray:
+    """images[p, m]: the image of subset mask m under the p-th label
+    permutation perm (label index i to perm[i]), in itertools.permutations
+    order; one read-only (n!, 2^n) array."""
+    masks = np.arange(g.num_subsets)
+    perms = np.array(list(permutations(range(g.n))), dtype=np.intp)
+    images = np.zeros((len(perms), g.num_subsets), dtype=np.intp)
+    for i in range(g.n):
+        images |= (masks >> i & 1) << perms[:, i, None]
+    images.flags.writeable = False
+    return images
 
 
 @per_n
 def _rank_map_array(g: GroundSet) -> np.ndarray:
-    """_label_permutation_rank_maps as one read-only (n!, |E(N)|) array."""
-    maps = np.array(_label_permutation_rank_maps(g), dtype=np.intp)
+    """Row p: the rank of the image of every elementary triplet under the
+    p-th permutation of _subset_images; one read-only (n!, |E(N)|) array."""
+    triples = np.array(g.elementary_triples, dtype=np.intp).reshape(-1, 3)
+    ab, c = 1 << triples[:, 0] | 1 << triples[:, 1], triples[:, 2]
+    rank_of = np.zeros((g.num_subsets, g.num_subsets), dtype=np.intp)
+    rank_of[ab, c] = np.arange(len(triples))
+    images = _subset_images(g)
+    maps = rank_of[images[:, ab], images[:, c]]
     maps.flags.writeable = False
     return maps
 

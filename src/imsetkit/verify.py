@@ -54,6 +54,7 @@ from .membership import classify, combinatorial_decompositions
 from .relations import (
     Move,
     _cyclic_moves,
+    _subset_images,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -464,18 +465,8 @@ def criterion_property_suite():
     all5 = enumerate_triplets(g5)
     for i in range(8):
         t = rng.choice(all5)
-        perm = list(g5.labels)
-        rng.shuffle(perm)
-        mapping = dict(zip(g5.labels, perm))
-
-        def remap(mask):
-            out = 0
-            for b in range(5):
-                if mask >> b & 1:
-                    out |= 1 << g5.labels.index(mapping[g5.labels[b]])
-            return out
-
-        t2 = Triplet(g5, remap(t.a_mask), remap(t.b_mask), remap(t.c_mask))
+        image = rng.choice(_subset_images(g5)).tolist()
+        t2 = Triplet(g5, image[t.a_mask], image[t.b_mask], image[t.c_mask])
         note(len(extreme_set(t)) == len(extreme_set(t2)), f"face size perm #{i}")
         note(extreme_rank(t) == extreme_rank(t2), f"face rank perm #{i}")
 

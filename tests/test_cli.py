@@ -127,6 +127,18 @@ def test_classify_imset(capsys, tmp_path):
     assert sum(data["witness"].values()) == 4
 
 
+def test_one_variable_zero_imset_is_combinatorial(capsys, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"ground": "a", "values": {}}))
+    for argv, key, want in (
+        (("classify-imset",), "class", "combinatorial"),
+        (("face-of",), "face", []),
+        (("ci-model", "--imset"), "statements", []),
+    ):
+        code, data = run_json(capsys, *argv, str(path))
+        assert (code, data[key]) == (0, want)
+
+
 def test_construct_roundtrips_through_files(capsys, tmp_path):
     # construct writes a file the other commands accept as input
     path = tmp_path / "f.json"

@@ -18,7 +18,7 @@ from imsetkit.groundset import (
     enumerate_triplets,
 )
 
-TABLES = ("masks_graded", "_rank_of_mask", "elementary_triples", "_elementary_rank")
+TABLES = ("masks_graded", "elementary_triples", "_elementary_rank")
 # derived tables that hold ranks and values, never a label
 LABEL_FREE = (
     imsets.elementary_columns,
@@ -26,7 +26,6 @@ LABEL_FREE = (
     membership._cut_table,
     relations._cyclic_moves,
     relations._relation_classes,
-    relations._label_permutation_rank_maps,
 )
 
 
@@ -174,8 +173,10 @@ def test_ground_set_validation():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_shared_tables_match_per_instance_oracle(n):
     for g in (GroundSet(n), GroundSet("zyxwvuts"[:n])):
-        for name, want in zip(TABLES, per_instance_tables(g)):
+        masks_graded, rank, triples, elementary_rank = per_instance_tables(g)
+        for name, want in zip(TABLES, (masks_graded, triples, elementary_rank)):
             assert getattr(g, name) == want, name
+        assert tuple(map(g.subset_rank, range(g.num_subsets))) == rank
 
 
 def test_tables_are_shared_per_n_and_read_only():

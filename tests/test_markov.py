@@ -259,6 +259,12 @@ def test_single_column_subconfiguration_complete():
     assert rep.complete
 
 
+def test_empty_column_list_is_a_trivial_kernel():
+    rep = markov_basis(configuration(GroundSet(3), columns=[]), 3)
+    assert rep.per_degree_counts == {} and rep.representatives == ()
+    assert rep.complete_source == "certified (trivial kernel)"
+
+
 def test_trivial_kernel_skips_the_degree_loop():
     # one column: every fiber is a singleton at every degree, so a high cap
     # must not run the degrees one by one

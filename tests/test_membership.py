@@ -28,7 +28,7 @@ from imsetkit.membership import (
     degree,
     degree_function,
 )
-from imsetkit.supermodular import _superset_indicator
+from imsetkit.supermodular import _subset_indicator, _superset_indicator
 
 
 def resum(g, witness):
@@ -299,6 +299,43 @@ _OVER_BUDGET = (
 @example(_FORMERLY_OVER_BUDGET[3])
 def test_classify_matches_lp_first_oracle(u):
     assert classify(u) == _oracle_classify(u)
+
+
+# membership._cut_table as it was before the closed forms: every indicator
+# evaluated on every column, kept as the reference the table must equal
+def _evaluated_cut_table(g):
+    table = elementary_columns(g)
+    cuts, ones, hits = [], [[] for _ in range(g.num_subsets)], [[] for _ in table]
+    for family in (_superset_indicator, _subset_indicator):
+        for mask in g.masks_graded:
+            f = family(g, mask).values
+            on = [column_value(f, col) for col in table]
+            assert set(on) <= {0, 1}
+            ranks = tuple(j for j, x in enumerate(on) if x)
+            if not ranks:
+                continue
+            for r in (r for r, x in enumerate(f) if x):
+                ones[r].append(len(cuts))
+            for j in ranks:
+                hits[j].append(len(cuts))
+            cuts.append((f, ranks))
+    return tuple(cuts), tuple(map(tuple, ones)), tuple(map(tuple, hits))
+
+
+def test_cut_table_equals_the_evaluated_indicators():
+    for n in range(2, 8):
+        table = membership._cut_table(GroundSet(n))
+        assert (table.cuts, table.ones, table.hits) == _evaluated_cut_table(GroundSet(n)), n
+
+
+def test_one_variable_zero_imset_is_combinatorial_without_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("LP or configuration called")
+
+    monkeypatch.setattr(membership, "lp_feasible", no_lp)
+    monkeypatch.setattr(membership, "configuration", no_lp)
+    g = GroundSet(1)
+    assert classify(Imset.zero(g)) == MembershipResult(g, "combinatorial", (), 0)
 
 
 def test_uncaught_lattice_inputs_pass_every_cut():

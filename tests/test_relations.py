@@ -1,4 +1,6 @@
 import random
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from imsetkit.groundset import (
     ElementaryIndex,
     GroundSet,
     Triplet,
+    bit_indices,
     enumerate_elementary,
     enumerate_triplets,
 )
@@ -27,10 +30,10 @@ from imsetkit.relations import (
     BudgetError,
     Move,
     _cyclic_moves,
-    _label_permutation_rank_maps,
     _normalize_orientation,
     _pivot_table,
     _rank_map_array,
+    _subset_images,
     basic_moves,
     classify_relation,
     enumerate_small_relations,
@@ -422,6 +425,23 @@ def _orbit_canonical(coeffs: tuple, rank_maps) -> tuple:
     return best
 
 
+# the per-tuple loop the subset-image array replaced, kept as the oracle
+@cache
+def _label_permutation_rank_maps(g):
+    """Elementary-rank permutation induced by every label permutation
+    (perm[i] = image of label index i), in itertools.permutations order."""
+    out = []
+    for perm in permutations(range(g.n)):
+        row = []
+        for a, b, c_mask in g.elementary_triples:
+            pc = 0
+            for i in bit_indices(c_mask):
+                pc |= 1 << perm[i]
+            row.append(g.elementary_rank(perm[a], perm[b], pc))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _oracle_symmetry_reduce(moves, allowed_ranks=None):
     g = moves[0].ground
     rank_maps = _label_permutation_rank_maps(g)
@@ -554,11 +574,22 @@ def test_array_canonicaliser_matches_the_set_oracle_on_every_triplet():
     assert lists > 50
 
 
+def test_subset_images_remap_bit_by_bit():
+    for n in range(1, 6):
+        images = _subset_images(GroundSet(n))
+        assert images is _subset_images(GroundSet("uvwxyz"[:n]))
+        assert images.dtype == np.intp and not images.flags.writeable
+        assert images.tolist() == [
+            [sum(1 << perm[i] for i in bit_indices(mask)) for mask in range(1 << n)]
+            for perm in permutations(range(n))
+        ]
+
+
 def test_rank_map_array_is_the_tuple_table_read_only_per_n():
-    for n in (3, 4, 5):
+    for n in range(2, 7):
         maps = _rank_map_array(GroundSet(n))
-        assert maps is _rank_map_array(GroundSet("vwxyz"[:n]))
-        assert not maps.flags.writeable
+        assert maps is _rank_map_array(GroundSet("uvwxyz"[:n]))
+        assert maps.dtype == np.intp and not maps.flags.writeable
         assert maps.tolist() == [list(rm) for rm in _label_permutation_rank_maps(GroundSet(n))]
 
 

@@ -49,3 +49,29 @@ def test_library_has_no_unused_imports():
             if name not in used and f"{path.name}:{name}" not in UNUSED_IMPORTS_ALLOWED
         ]
     assert found == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a reference from inside the helper's own body (recursion) does not
+    # count; cli.main dispatches the _cmd_* handlers by name
+    defined, called = [], set()
+
+    def visit(node, inside, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not name.startswith("__"):
+                defined.append((name, f"{path.name}:{node.lineno}"))
+            inside = inside | {name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            called.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            called.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside, path)
+
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths
+    for path in paths:
+        visit(ast.parse(path.read_text(), filename=str(path)), frozenset(), path)
+    found = [where for name, where in defined if name not in called and not name.startswith("_cmd_")]
+    assert found == []
