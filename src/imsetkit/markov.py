@@ -14,21 +14,29 @@ Every Markov move stays an integer array until it is an orbit
 representative; each degree is one array pass:
 
 * Keys carried from degree to degree.  Column j gets the int64 key w·A_j
-  for fixed seeded weights w (drawn once per process) and a multiset the
-  sum of its column keys.  The index is column-major, (d, N) int16 with
-  row t holding entry t of every multiset.  The lexicographic index of the
-  size-(d+1) multisets is each column i followed by the size-d multisets
-  that start at i or later, d contiguous row slices per column into a
-  preallocated array, and the key of such a multiset is col_keys[i] plus
-  the key of its size-d suffix, so no degree re-sums its keys.  The keys
-  of the last degree are sorted in place and then dropped.
+  for fixed weights w (splitmix64 of the subset index, so no numpy
+  submodule is loaded for them) and a multiset the sum of its column keys.
+  The index is column-major, (d, N) int16 with row t holding entry t of
+  every multiset.  The lexicographic index of the size-(d+1) multisets is
+  each column i followed by the size-d multisets that start at i or
+  later, d contiguous row slices per column into a preallocated array,
+  and the key of such a multiset is col_keys[i] plus the key of its size-d
+  suffix, so no degree re-sums its keys.
 * Fibers by one sort.  One in-place sort of the uint64 words
   (key - min) >> r << s | position, s the bit length of the last
   position, puts the multisets of equal keys in one run, ascending inside
-  the run.  r is the fewest low key bits to drop to keep a word under
-  2^63: 0 on every shape up to 48 columns at degree 4, 3 on the full n=5
-  configuration at degree 4.  A key is linear in the column sum, so
-  equal sums have equal keys and every fiber lies inside one run.
+  the run; the positions live only in these words, and the run flags are
+  read off them in fixed-size blocks.  r is the fewest low key bits to
+  drop to keep a word under 2^63: 0 on every shape up to 48 columns at
+  degree 4, 3 on the full n=5 configuration at degree 4 and 7 at degree 5.
+  A key is linear in the column sum, so equal sums have equal keys and
+  every fiber lies inside one run.  The run members' rows are gathered
+  from the index; at the last degree the keys go before the gather and the
+  index after it.
+* Chunks of whole runs.  No fiber spans two runs, so the members are
+  worked in chunks of whole runs, each about _CHUNK_BYTES of work arrays,
+  and each chunk's fibers, components and connecting moves are those of
+  the whole degree.
 * Fibers are exact-sum classes.  Each column's entries plus 1 (so in
   {0, 1, 2}) are packed into unsigned lanes of uint64 words, one lane per
   row some column touches, and the words of the d columns of every run
@@ -42,16 +50,28 @@ representative; each degree is one array pass:
   decide the fibers, so no answer depends on the hash.
 * Components.  A two-member fiber has two components exactly when its
   two multisets share no column, one (d, d, k) comparison for all such
-  fibers.  For the fibers of three or more members, one sort of the words
-  (fiber, column, member) links the members that share a (fiber, column)
-  node, and min-label propagation with pointer jumping over those links
-  finds the common-column components of all of them at once.
-* Connecting moves in one pass.  For all surplus components of a degree
-  at once, each member of a later component is paired with every member
-  of an earlier component of its fiber (components in the order of their
-  least multiset); the lexicographically least multiplicity difference of
-  each component, found by one lexsort on byte keys, is its connecting
-  move, and every such move is checked to have degree exactly d.
+  fibers of a chunk.  For the fibers of three or more members, one sort of
+  the words (fiber, column, member) links the members that share a
+  (fiber, column) node, and min-label propagation with pointer jumping
+  over those links finds the common-column components of all of them.
+* Connecting moves.  For the surplus components of a chunk, in batches
+  of whole fibers, each member of a later component is paired with every
+  member of an earlier component of its fiber (components in the order of
+  their least multiset); the lexicographically least multiplicity
+  difference of each component, found by one lexsort on byte keys, is its
+  connecting move, and every such move is checked to have degree exactly
+  d.
+
+Memory.  What is alive at degree d, per multiset of the N: the index and
+keys (2d + 8 bytes); during the sort the key copy (none at the last
+degree), the two run-flag arrays and the members with their flags; then
+the members' rows (2d) and flags, and one chunk's work arrays.  At the
+last degree only the rows and flags outlive the gather.  check_degree_cap
+bounds all of this from the shape before any work (_estimate_bytes),
+against MEMORY_BUDGET_BYTES; the full n=5 configuration at degree 5
+estimates 883 MiB and peaks near 0.8 GiB of resident memory.  The
+number of connecting moves is not bounded by the shape, so the pass
+checks the moves it holds against what the estimate leaves.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
@@ -82,6 +102,14 @@ from .relations import BudgetError, Move, _byte_keys, _least_images, _lex_codes,
 
 MEMORY_BUDGET_BYTES = 2 << 30
 _KEY_SEED = 20240817
+# the work arrays of one chunk of fiber runs, in bytes (a chunk ends at the
+# first run boundary past this size, so one longer run is one chunk)
+_CHUNK_BYTES = 8 << 20
+# sorted words read per step when the run flags are computed
+_FLAG_BLOCK = 1 << 16
+# copies of the connecting differences alive at once while they are
+# concatenated and written as lexicographic codes with their negations
+_HELD_COPIES = 8
 
 
 def _extend_index(prev: np.ndarray, prev_keys: np.ndarray, col_keys: np.ndarray) -> tuple:
@@ -105,55 +133,88 @@ def _extend_index(prev: np.ndarray, prev_keys: np.ndarray, col_keys: np.ndarray)
 
 
 def _estimate_bytes(num_cols: int, num_rows: int, d: int) -> int:
-    """An upper bound on the bytes of the arrays alive together at degree
-    d.  Nothing bounds the fiber members below the N multisets before the
-    pass, so every multiset counts as a member of a fiber of three or more.
-    Per multiset: the (d, N) int16 index and the carried int64 key (2d + 8)
-    throughout, and the larger of the sort (the key copy it sorts, the
-    positions, two flag arrays and the members it returns: 27) and the
-    fibers (per member its id, flag, row, label and fiber bookkeeping,
-    2d + 41; its packed lane sums over num_rows rows, with a gather
-    temporary, 8 per word; and the propagation's incidence words, links
-    and labels, 36d + 16).  The previous degree's index and keys, alive
-    while this degree's are built, are smaller than the sort's arrays."""
+    """An upper bound on the bytes of the arrays alive together in a pass
+    up to degree d, from the shape alone: the larger of degree d as the
+    last degree and degree d - 1 as an earlier one (a pass up to a larger
+    cap needs at least as much), plus, per entry of the dense
+    configuration, its list cell and int8 copy and the int64 product of
+    the column keys or the uint64 packing of the lanes (17).  The
+    connecting differences are not bounded by the shape; the pass checks
+    them against what is left as it finds them."""
+    last = _degree_bytes(num_cols, num_rows, d, last=True)
+    earlier = _degree_bytes(num_cols, num_rows, d - 1, last=False) if d > 2 else 0
+    return 17 * num_cols * num_rows + max(last, earlier)
+
+
+def _degree_bytes(num_cols: int, num_rows: int, d: int, last: bool) -> int:
+    """The bytes alive together while the pass works on degree d.  Nothing
+    bounds the run members below the N multisets before the pass, so every
+    multiset counts as one.  Per multiset, the largest of the stages:
+    building the (d, N) int16 index and the int64 keys (2d + 8) from the
+    previous degree's (2d + 6 per previous multiset); the sort, with the
+    index and keys, the key copy an earlier degree sorts, two flag arrays,
+    the members and their run flags (2d + 20, or 2d + 28), and one block
+    of xor words; the gather of the members' rows (2d + 9) beside the index,
+    and the keys of an earlier degree; and the chunks, with the rows and
+    flags (2d + 1) and one chunk's work arrays, at most _CHUNK_BYTES unless
+    a single run is longer than a chunk, beside the index and keys of an
+    earlier degree (the last degree has dropped both)."""
     n_multi = comb(num_cols + d - 1, d)
+    prev = n_multi * d // (num_cols + d - 1)
     words = -(-num_rows // (64 // _lane_bits(d)))
-    return n_multi * (2 * d + 8 + max(27, 38 * d + 57 + 8 * words))
+    carried = (2 * d + 8) * n_multi
+    work = min(n_multi * _chunk_member_bytes(d, words), _CHUNK_BYTES)
+    return max(
+        (2 * d + 6) * prev + carried,
+        carried + (12 if last else 20) * n_multi + 8 * min(n_multi, _FLAG_BLOCK),
+        (2 * d if last else carried) + (2 * d + 9) * n_multi,
+        (0 if last else carried) + (2 * d + 1) * n_multi + work,
+    )
 
 
-def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> None:
+def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> int:
     """ValueError for a cap below 2, BudgetError if some degree up to the cap
-    would exceed MEMORY_BUDGET_BYTES; needs only the configuration's shape,
-    so it can run before the configuration is built."""
+    would exceed MEMORY_BUDGET_BYTES, else the estimate of the whole pass;
+    needs only the configuration's shape, so it can run before the
+    configuration is built."""
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
+    estimate = _estimate_bytes(num_cols, num_rows, degree_cap)
+    if estimate <= MEMORY_BUDGET_BYTES:
+        return estimate
     # the estimate is nondecreasing in d: bisect for the least failing degree
     degrees = range(2, degree_cap + 1)
-    i = bisect_left(
-        degrees, True, key=lambda d: _estimate_bytes(num_cols, num_rows, d) > MEMORY_BUDGET_BYTES
+    d = degrees[
+        bisect_left(degrees, True, key=lambda d: _estimate_bytes(num_cols, num_rows, d) > MEMORY_BUDGET_BYTES)
+    ]
+    raise BudgetError(
+        f"degree {d} needs about {_estimate_bytes(num_cols, num_rows, d) >> 20} MiB, over the "
+        f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
     )
-    if i < len(degrees):
-        d = degrees[i]
-        estimate = _estimate_bytes(num_cols, num_rows, d)
-        raise BudgetError(
-            f"degree {d} needs about {estimate >> 20} MiB, over the "
-            f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
-        )
 
 
 @cache
 def _key_weights() -> np.ndarray:
-    """One seeded weight per subset of the largest ground set, drawn on
-    first use (importing numpy.random costs every process megabytes); a
-    longer draw extends a shorter one, so a configuration's keys are those
-    of a draw of its row count."""
-    w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=1 << MAX_GROUND_SIZE)
+    """One fixed weight per subset of the largest ground set: splitmix64
+    of the subset index (output i of the generator seeded with _KEY_SEED),
+    its top 41 bits as a signed int64 in [-2^40, 2^40).  Weight i does not
+    depend on how many are made, so a configuration's keys are those of its
+    row count, and no numpy submodule is imported for them."""
+    x = np.arange(1, (1 << MAX_GROUND_SIZE) + 1, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x += np.uint64(_KEY_SEED)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    w = (x >> np.uint64(23)).astype(np.int64) - (1 << 40)
     w.flags.writeable = False
     return w
 
 
 def _column_keys(cols_t: np.ndarray) -> np.ndarray:
-    """int64 key w·A_j of each column j (row j of cols_t), w fixed and seeded."""
+    """int64 key w·A_j of each column j (row j of cols_t), w fixed."""
     return cols_t.astype(np.int64) @ _key_weights()[: cols_t.shape[1]]
 
 
@@ -191,7 +252,7 @@ class MarkovBasisReport:
 
 def _lane_bits(d: int) -> int:
     """Bits of the narrowest lane, of 4, 8, 16 or 64, that holds 2d."""
-    return next(bits for bits in (4, 8, 16, 64) if 2 * d < 1 << bits)
+    return 4 if 2 * d < 16 else 8 if 2 * d < 256 else 16 if 2 * d < 65536 else 64
 
 
 def _packed_lanes(cols_t: np.ndarray, d: int) -> np.ndarray:
@@ -214,7 +275,8 @@ def _fiber_members(keys):
     key bits to drop to keep a word under 2^63.  Returns the members of the
     runs of two or more multisets with equal words >> s, as row ids into
     the index (run by run, ascending inside a run), and a flag on each
-    run's first member."""
+    run's first member.  The positions live only in the sorted words; the
+    run flags are read off them _FLAG_BLOCK words at a time."""
     lo = int(keys.min())
     s = (len(keys) - 1).bit_length()
     r = max(0, (int(keys.max()) - lo).bit_length() + s - 63)
@@ -223,26 +285,70 @@ def _fiber_members(keys):
     if r:
         words >>= np.uint64(r)
     words <<= np.uint64(s)
-    pos = np.arange(len(words), dtype=np.uint64)
-    words |= pos
+    words |= np.arange(len(words), dtype=np.uint64)
     words.sort()
-    np.bitwise_and(words, np.uint64((1 << s) - 1), out=pos)
-    words >>= np.uint64(s)
-    after = np.concatenate(([False], words[1:] == words[:-1]))
+    # after[i]: word i is in the run of word i - 1, i.e. the two differ
+    # only in their position bits
+    after = np.empty(len(words), dtype=bool)
+    after[0] = False
+    for i in range(1, len(words), _FLAG_BLOCK):
+        j = min(i + _FLAG_BLOCK, len(words))
+        np.less(words[i:j] ^ words[i - 1 : j - 1], np.uint64(1 << s), out=after[i:j])
     keep = after.copy()
     keep[:-1] |= after[1:]
-    return pos[keep].view(np.int64), ~after[keep]
+    members = words[keep]
+    members &= np.uint64((1 << s) - 1)
+    return members.view(np.int64), ~after[keep]
 
 
-def _fiber_components(idx, members, starts, lanes):
-    """The fibers of one degree inside its key runs, and each fiber
-    member's component label (the position of the component's least
-    member).  Equal column sums have equal keys, so every fiber lies in one
-    run; a run whose members' packed lane sums differ (a key collision, or
-    keys merged by the shift) is split by a stable sort of those sums."""
-    d = idx.shape[0]
-    rows = np.take(idx, members, axis=1)
-    sums = np.empty((len(lanes), len(members)), dtype=np.uint64)
+def _chunks(starts, per_member: int):
+    """(lo, hi) slices of whole runs (a run starts at each flag of starts),
+    each the first run boundary past _CHUNK_BYTES / per_member members."""
+    step = max(1, _CHUNK_BYTES // per_member)
+    lo, k = 0, len(starts)
+    while lo < k:
+        hi = lo + step
+        if hi >= k:
+            hi = k
+        else:
+            # the next run start (argmax finds the first flag), or the end
+            hi += int(np.argmax(starts[hi:]))
+            if not starts[hi]:
+                hi = k
+        yield lo, hi
+        lo = hi
+
+
+def _degree_differences(rows, starts, lanes, num_cols):
+    """The connecting differences of one degree from its run members' rows
+    (d, k) and run flags, yielded chunk by chunk of whole runs: no fiber
+    spans two runs, so each chunk's fibers, components and differences are
+    those of the whole degree, and only one chunk's work arrays are alive."""
+    for lo, hi in _chunks(starts, _chunk_member_bytes(rows.shape[0], len(lanes))):
+        fibers = _fiber_components(rows[:, lo:hi], starts[lo:hi], lanes)
+        yield _connecting_differences(*fibers, num_cols)
+
+
+def _chunk_member_bytes(d: int, words: int) -> int:
+    """An upper bound on the bytes of chunk work arrays per run member at
+    degree d with `words` lane words: its lane sums (8 per word); its
+    order, label, fiber bookkeeping and fiber id (48), and in the
+    propagation its row copy, incidence words and node ids (18d), then its
+    at most d links with their two labels (32d and 16 for its own label)."""
+    return 34 * d + 8 * words + 64
+
+
+def _fiber_components(rows, starts, lanes):
+    """The fibers of one chunk of whole key runs, from its members' rows
+    (d, k) and run flags: (rows, starts, labels), the rows of the fiber
+    members (fiber by fiber, in run order inside a fiber), a flag on each
+    fiber's first member and each member's component label (the position
+    of the component's least member).  Equal column sums have equal keys,
+    so every fiber lies in one run; a run whose members' packed lane sums
+    differ (a key collision, or keys merged by the shift) is split by a
+    stable sort of those sums."""
+    d, k = rows.shape
+    sums = np.empty((len(lanes), k), dtype=np.uint64)
     differ = np.zeros_like(starts[1:])
     for word, out in zip(lanes, sums):
         np.take(word, rows[0], out=out)
@@ -255,17 +361,17 @@ def _fiber_components(idx, members, starts, lanes):
         mixed = np.zeros(run[-1] + 1, dtype=bool)
         mixed[run[1:][differ & ~starts[1:]]] = True
         p = np.flatnonzero(mixed[run])
-        order = np.arange(len(members))
+        order = np.arange(k)
         order[p] = p[np.lexsort((*sums[::-1, p], run[p]))]
-        members, rows, sums = members[order], rows[:, order], sums[:, order]
+        rows, sums = rows[:, order], sums[:, order]
         starts = starts | np.concatenate(([True], np.any(sums[:, 1:] != sums[:, :-1], axis=0)))
         keep = ~(starts & np.append(starts[1:], True))
-        members, starts, rows = members[keep], starts[keep], rows[:, keep]
-    del sums
+        starts, rows = starts[keep], rows[:, keep]
+    del sums, differ
 
-    labels = np.arange(len(members))
+    labels = np.arange(len(starts))
     first = np.flatnonzero(starts)
-    sizes = np.diff(np.append(first, len(members)))
+    sizes = np.diff(np.append(first, len(starts)))
     # a two-member fiber has two components exactly when its rows share no column
     pair = first[sizes == 2]
     a, b = np.take(rows, pair, axis=1), np.take(rows, pair + 1, axis=1)
@@ -276,7 +382,7 @@ def _fiber_components(idx, members, starts, lanes):
         fiber = (np.cumsum(starts) - 1)[big]
         local = _common_column_components(np.take(rows, big, axis=1), fiber, lanes.shape[1])
         labels[big] = big[local]
-    return members, starts, labels
+    return rows, starts, labels
 
 
 def _common_column_components(rows, fiber, num_cols):
@@ -310,14 +416,16 @@ def _common_column_components(rows, fiber, num_cols):
         labels = labels[labels]
 
 
-def _connecting_differences(idx, members, starts, labels, num_cols):
+def _connecting_differences(rows, starts, labels, num_cols):
     """The lexicographically least connecting difference of every surplus
-    component of one degree, as multiplicity vectors over the columns,
-    fiber by fiber and, inside a fiber, by least member.  A component is
-    joined to the union of the components with a lesser least member, so
-    each member x of a later component pairs with every member y of its
-    fiber whose label is less than x's."""
-    d = idx.shape[0]
+    component of the fibers whose members' rows are the columns of rows
+    (d, k), as multiplicity vectors over the columns, fiber by fiber and,
+    inside a fiber, by least member.  A component is joined to the union
+    of the components with a lesser least member, so each member x of a
+    later component pairs with every member y of its fiber whose label is
+    less than x's.  The candidate pairs are taken in batches of whole
+    fibers that keep the dense work arrays near _CHUNK_BYTES (one fiber is
+    one batch)."""
     first = np.flatnonzero(starts)
     sizes = np.diff(np.append(first, len(labels)))
     surplus = np.add.reduceat(labels == np.arange(len(labels)), first) >= 2
@@ -325,7 +433,29 @@ def _connecting_differences(idx, members, starts, labels, num_cols):
     if not len(x):
         return np.zeros((0, num_cols), dtype=np.int64)
     span = np.repeat(sizes, sizes)[x]
-    lo = np.repeat(np.repeat(first, sizes)[x], span)
+    lo = np.repeat(first, sizes)[x]
+    cost = np.cumsum(span) * (33 * num_cols + 16 * rows.shape[0] + 48)
+    if cost[-1] <= _CHUNK_BYTES:
+        return _least_differences(rows, x, span, lo, labels, num_cols)
+    # batches of whole fibers: each ends at the last fiber end within a
+    # further _CHUNK_BYTES, or at the next fiber end
+    ends = np.append(np.flatnonzero(lo[1:] != lo[:-1]) + 1, len(x))
+    reached = cost[ends - 1]
+    out, j = [], 0
+    while j < len(ends):
+        spent = int(reached[j - 1]) if j else 0
+        k = max(j + 1, int(np.searchsorted(reached, spent + _CHUNK_BYTES, side="right")))
+        a, b = (int(ends[j - 1]) if j else 0), int(ends[k - 1])
+        out.append(_least_differences(rows, x[a:b], span[a:b], lo[a:b], labels, num_cols))
+        j = k
+    return np.concatenate(out)
+
+
+def _least_differences(rows, x, span, lo, labels, num_cols):
+    """_connecting_differences for the surplus members x, each in a fiber
+    of span members from lo."""
+    d = rows.shape[0]
+    lo = np.repeat(lo, span)
     x = np.repeat(x, span)
     y = lo + np.arange(len(x)) - np.repeat(np.cumsum(span) - span, span)
     later = labels[y] < labels[x]
@@ -334,8 +464,8 @@ def _connecting_differences(idx, members, starts, labels, num_cols):
     cells = np.arange(len(x)) * num_cols
     size = len(x) * num_cols
     diffs = (
-        np.bincount((cells + np.take(idx, members[x], axis=1)).ravel(), minlength=size)
-        - np.bincount((cells + np.take(idx, members[y], axis=1)).ravel(), minlength=size)
+        np.bincount((cells + np.take(rows, x, axis=1)).ravel(), minlength=size)
+        - np.bincount((cells + np.take(rows, y, axis=1)).ravel(), minlength=size)
     ).reshape(len(x), num_cols)
     comp = labels[x]
     order = np.lexsort((_byte_keys(_lex_codes(diffs)[0]), comp))
@@ -373,7 +503,9 @@ def _representatives(g: GroundSet, column_ranks, diffs: np.ndarray) -> list:
 def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     """Minimal Markov basis moves of degree ≤ degree_cap, with per-degree
     representative counts under the label-permutation action."""
-    check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
+    # nothing bounds the number of connecting differences before the pass:
+    # refuse once their copies outgrow what the estimate of the pass leaves
+    room = MEMORY_BUDGET_BYTES - check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
     column_ranks = [e.rank for e in cfg.columns]
     cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
@@ -388,15 +520,30 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     # column touches adds the same to every sum, so it gets no lane
     lanes = _packed_lanes(cols_t[:, cols_t.any(axis=0)], degree_cap)
     idx, keys = np.arange(num_cols, dtype=np.int16).reshape(1, -1), col_keys
-    diffs = [np.zeros((0, num_cols), dtype=np.int64)]
+    diffs, held = [np.zeros((0, num_cols), dtype=np.int64)], 0
     for d in range(2, 2 if trivial else degree_cap + 1):
         idx, keys = _extend_index(idx, keys, col_keys)
-        members, starts = _fiber_members(keys if d == degree_cap else keys.copy())
-        if d == degree_cap:
-            del keys  # sorted in place, and no later degree extends them
-        members, starts, labels = _fiber_components(idx, members, starts, lanes)
-        diffs.append(_connecting_differences(idx, members, starts, labels, num_cols))
-    reps = _representatives(g, column_ranks, np.concatenate(diffs))
+        last = d == degree_cap
+        # the last degree's keys are sorted in place, and no degree extends
+        # its index: both go once its run members' rows are gathered
+        members, starts = _fiber_members(keys if last else keys.copy())
+        if last:
+            del keys
+        rows = np.take(idx, members, axis=1)
+        del members
+        if last:
+            del idx
+        for found in _degree_differences(rows, starts, lanes, num_cols):
+            diffs.append(found)
+            held += found.nbytes
+            if _HELD_COPIES * held > room:
+                raise BudgetError(
+                    f"the connecting differences of degree {d} need over {room >> 20} MiB, "
+                    f"past the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
+                )
+        del rows, starts
+    diffs = np.concatenate(diffs)
+    reps = _representatives(g, column_ranks, diffs)
     per_degree = dict(Counter(m.degree for m in reps))
 
     if full:

@@ -42,12 +42,17 @@ Orbits are canonicalised on integer arrays.  The acting maps, the
 stabiliser of a set of ranks, come from one array test over the rank-map
 array.  Each row of coefficients, and its negation, is written as a byte
 key whose byte order is the lexicographic order of the row (entries
-offset by the largest |entry|, big-endian); a running minimum over the
-acting maps, one column gather of all rows per map, leaves the least
-image, and the distinct least images in ascending order are the
-representatives.  markov_basis feeds its connecting differences to this
-helper and builds a Move only for each representative; symmetry_reduce is
-the same helper over Move objects.
+offset by the largest |entry|, big-endian).  Orbit by orbit: all
+images of the first row not yet covered under the acting maps, and their
+negations, are gathered at once; their least key is the orbit's
+representative and every row whose key is among them is covered, so the
+cost is orbits × maps × columns.  Rows whose images all fit one gather
+of about _ORBIT_CODES codes are taken in one step, and where orbits hold
+one row each the rows taken per step double up to that size.  The
+distinct representatives in ascending order are the result.
+markov_basis feeds its connecting differences to this helper and builds
+a Move only for each representative; symmetry_reduce is the same helper
+over Move objects.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class BudgetError(RuntimeError):
 # candidate sides enumerate_small_relations may try; at about 12k (n=6) to
 # 30k (n=4) sides/s (2 cores, Python 3.11) that is 4 s at most
 MAX_RELATION_SIDES = 50_000
+# codes gathered per step of _least_images (one orbit's worth at least)
+_ORBIT_CODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -388,7 +395,9 @@ def _lex_codes(z: np.ndarray) -> tuple:
     bound = int(np.abs(z).max(initial=0))
     width = next(w for w in (1, 2, 4, 8) if 2 * bound < 256**w)
     # uint64 arithmetic wraps the negative entries back into [0, 2·bound]
-    return (z.astype(np.uint64) + np.uint64(bound)).astype(f">u{width}"), bound
+    codes = z.astype(np.uint64)
+    codes += np.uint64(bound)
+    return codes.astype(f">u{width}"), bound
 
 
 def _byte_keys(codes: np.ndarray) -> np.ndarray:
@@ -400,21 +409,50 @@ def _least_images(z: np.ndarray, ranks, maps: np.ndarray) -> np.ndarray:
     """The distinct least images of the rows of z, ascending.  z holds
     coefficients over the ascending elementary ranks `ranks`, which every
     rank map in `maps` maps onto themselves; a row's least image is the
-    lexicographically least of its images and their negations."""
+    lexicographically least of its images and their negations.  Orbit by
+    orbit: the first row not yet covered has all its images and their
+    negations gathered at once, the least is its orbit's representative,
+    and every row among them is covered.  A step gathers about
+    _ORBIT_CODES codes at most: all rows at once if they fit, else one row,
+    and twice as many while each step covers only its own rows (orbits of
+    one row)."""
     ranks = np.asarray(ranks)
     pos = np.zeros(maps.shape[1], dtype=np.intp)
     pos[ranks] = np.arange(len(ranks))
     # an image puts entry p at pos[map[ranks[p]]]: gather its columns back
     gathers = np.argsort(pos[maps[:, ranks]], axis=1)
+    m, width = len(z), len(ranks)
     codes, bound = _lex_codes(np.concatenate((z, -z)))
-    best = _byte_keys(codes).copy()
-    for gather in gathers:
-        img = _byte_keys(codes[:, gather])
-        np.copyto(best, img, where=img < best)
-    m = len(z)
-    least = np.where(best[m:] < best[:m], best[m:], best[:m])
-    distinct = np.unique(least).view(codes.dtype).reshape(-1, len(ranks))
-    return (distinct.astype(np.uint64) - np.uint64(bound)).astype(np.int64)
+    keys = _byte_keys(codes[:m])
+    most = max(1, _ORBIT_CODES // (2 * len(gathers) * max(width, 1)))
+    if m <= most:
+        step, by_key = m, None  # one step takes every row
+    else:
+        step, by_key = 1, np.argsort(keys)
+        sorted_keys = keys[by_key]
+    covered = np.zeros(m, dtype=bool)
+    least = [keys[:0]]
+    while not covered.all():
+        first = np.flatnonzero(~covered)[:step]
+        covered[first] = True
+        images = np.take(codes[np.concatenate((first, first + m))], gathers, axis=1)
+        images = _byte_keys(images.reshape(-1, width)).reshape(2, len(first), -1)
+        rows = np.arange(len(first))
+        low, high = (half[rows, half.argmin(axis=1)] for half in images)
+        least.append(np.where(high < low, high, low))
+        if by_key is not None:
+            # every row whose key is an image is in one of these orbits
+            images = images.ravel()
+            hit = np.minimum(sorted_keys.searchsorted(images), m - 1)
+            found = by_key[hit[sorted_keys[hit] == images]]
+            if covered[found].all():
+                # orbits of one row: take twice as many rows next step
+                step = min(2 * step, most)
+            covered[found] = True
+    least = np.sort(np.concatenate(least))
+    least = least[np.concatenate(([True], least[1:] != least[:-1]))[: len(least)]]
+    least = least.view(codes.dtype).reshape(-1, width)
+    return (least.astype(np.uint64) - np.uint64(bound)).astype(np.int64)
 
 
 def symmetry_reduce(moves, allowed_ranks=None) -> list:

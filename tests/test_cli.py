@@ -426,7 +426,7 @@ def test_markov_budget_check_does_not_walk_every_degree(capsys):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("budget exceeded: degree 53687088 needs about ")
+    assert captured.err.startswith("budget exceeded: degree 534773725 needs about ")
     assert elapsed < 1
 
 

@@ -7,6 +7,7 @@ import sys
 import time
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from imsetkit.linalg import InvariantError, rank
 from imsetkit.markov import (
     _KEY_SEED,
     MEMORY_BUDGET_BYTES,
+    check_degree_cap,
     MarkovBasisReport,
     _column_keys,
     _estimate_bytes,
@@ -171,6 +173,13 @@ def _index(num_cols, d, col_keys=None):
     for _ in range(1, d):
         idx, keys = _extend_index(idx, keys, col_keys)
     return idx, keys
+
+
+def _components(idx, keys, lanes):
+    """(rows, starts, labels) of one degree: the rows of the fiber members
+    of the keys (left unchanged), their fiber flags and component labels."""
+    members, starts = _fiber_members(keys.copy())
+    return _fiber_components(np.take(idx, members, axis=1), starts, lanes)
 
 
 def test_multiset_enumeration_matches_itertools():
@@ -429,8 +438,10 @@ def test_split_fibers_matches_stable_sort_oracle():
         idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
         for d in range(2, caps[-1] + 1):
             idx, keys = _extend_index(idx, keys, col_keys)
-            got = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
+            got = _components(idx, keys, lanes)
             want = _oracle_split_fibers(idx.T, cols_t, col_keys)
+            # the multisets are distinct, so equal rows are equal members
+            want = (np.take(idx, want[0], axis=1), *want[1:])
             for g_arr, w_arr in zip(got, want):
                 assert np.array_equal(g_arr, w_arr), (name, d)
             bounds = np.append(np.flatnonzero(want[1]), len(want[1]))
@@ -439,31 +450,60 @@ def test_split_fibers_matches_stable_sort_oracle():
     assert sizes[2] and sizes[3]
 
 
+def _splitmix64(i, seed):
+    """Output i (from 0) of the splitmix64 generator seeded with seed."""
+    mask = (1 << 64) - 1
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def test_key_weights_are_prefix_stable():
-    # the weights drawn once for the largest ground set are, for every n,
-    # the draw of exactly 2^n weights, so the column keys do not change
+    # weight i is splitmix64 output i, its top 41 bits as a signed value:
+    # the weights made once for the largest ground set are, for every n,
+    # those of exactly 2^n subsets, so the column keys do not change
     weights = _key_weights()
     assert len(weights) == 1 << MAX_GROUND_SIZE and not weights.flags.writeable
+    assert weights.dtype == np.int64
+    assert -(1 << 40) <= int(weights.min()) and int(weights.max()) < 1 << 40
     for n in range(1, MAX_GROUND_SIZE + 1):
-        w = np.random.default_rng(_KEY_SEED).integers(-(1 << 40), 1 << 40, size=1 << n)
+        w = np.array([(_splitmix64(i, _KEY_SEED) >> 23) - (1 << 40) for i in range(1 << n)])
         assert np.array_equal(weights[: 1 << n], w), n
         if n in (4, 5):
             cols_t = np.array(configuration(GroundSet(n)).matrix, dtype=np.int8).T
             assert np.array_equal(_column_keys(cols_t), cols_t.astype(np.int64) @ w)
 
 
+_IMPORT_SCRIPT = """
+import sys
+import imsetkit.cli, imsetkit.markov
+from imsetkit.faces import subconfiguration
+from imsetkit.groundset import GroundSet, Triplet
+from imsetkit.imsets import configuration
+from imsetkit.markov import markov_basis
+
+loaded = lambda: [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
+print(loaded())
+markov_basis(configuration(GroundSet(5)), 3)
+print(loaded())
+markov_basis(subconfiguration(Triplet.parse(GroundSet(5), "ab|cd|e")), 4)
+print(loaded())
+"""
+
+
 def test_importing_the_library_leaves_numpy_random_unloaded():
-    # numpy.random costs every process several MB of resident memory, so
-    # the key weights are drawn on first use, not at import
+    # numpy.random and numpy.ma cost every process megabytes of resident
+    # memory: neither importing the library nor a Markov pass, on the full
+    # n=5 configuration or on a sub-configuration, may load them
     import imsetkit
 
     src = str(Path(imsetkit.__file__).resolve().parents[1])
-    script = "import sys, imsetkit.cli, imsetkit.markov; print('numpy.random' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", _IMPORT_SCRIPT], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
 
 
 def test_span_of_elementary_imsets_has_dimension_2_to_the_n_minus_n_minus_1():
@@ -584,13 +624,14 @@ def test_truncated_keys_give_the_exact_fibers(monkeypatch):
             idx, keys = _extend_index(idx, keys, col_keys)
             span = int(keys.max()) - int(keys.min())
             shifted += span.bit_length() + (len(keys) - 1).bit_length() > 63
-            got = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
-            want = _oracle_split_fibers(idx.T, cols_t, _column_keys(cols_t))
+            got = _components(idx, keys, lanes)
+            members, starts, labels = _oracle_split_fibers(idx.T, cols_t, _column_keys(cols_t))
+            want = (np.take(idx, members, axis=1), starts, labels)
             fibers = []
-            for members, starts, labels in (got, want):
-                bounds = np.append(np.flatnonzero(starts), len(members)).tolist()
+            for rows, starts, labels in (got, want):
+                bounds = np.append(np.flatnonzero(starts), len(starts)).tolist()
                 fibers.append({
-                    (tuple(members[lo:hi].tolist()), tuple((labels[lo:hi] - lo).tolist()))
+                    (tuple(map(tuple, rows[:, lo:hi].T.tolist())), tuple((labels[lo:hi] - lo).tolist()))
                     for lo, hi in zip(bounds, bounds[1:])
                 })
             assert fibers[0] == fibers[1], (d, cfg.num_cols)
@@ -613,11 +654,21 @@ def test_fiber_members_drop_low_key_bits_only_past_63_bits():
 
 
 def test_budget_estimate_covers_traced_peak():
+    # the estimate bounds the traced peak of the pass; on the 48-column
+    # shape and the full n=5 configuration at cap 4 it is within twice
+    # that peak (on the two smaller passes the allowance of one chunk's
+    # work arrays alone is several times their 0.5-2 MiB peaks)
     import tracemalloc
 
     g = GroundSet(5)
-    for name, cap in (("a|bcde|0", 4), ("ab|cde|0", 3)):
-        cfg = subconfiguration(Triplet.parse(g, name))
+    cases = [
+        (subconfiguration(Triplet.parse(g, "a|bcde|0")), 4, False),
+        (subconfiguration(Triplet.parse(g, "ab|cde|0")), 3, False),
+        (subconfiguration(Triplet.parse(g, "ab|cde|0")), 4, True),
+        (configuration(g), 4, True),
+    ]
+    for cfg, cap, tight in cases:
+        markov_basis(cfg, 2)  # the per-n tables are built outside the trace
         estimate = max(_estimate_bytes(cfg.num_cols, cfg.num_rows, d) for d in range(2, cap + 1))
         tracemalloc.start()
         try:
@@ -625,7 +676,50 @@ def test_budget_estimate_covers_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= estimate, name
+        assert peak <= estimate, (cfg.num_cols, cap)
+        if tight:
+            assert estimate <= 2 * peak, (cfg.num_cols, estimate >> 10, peak >> 10)
+
+
+def test_n5_cap_5_fits_the_budget_and_n6_cap_4_does_not():
+    # the shape-only check admits the full n=5 configuration at degree 5
+    # and still refuses n=6 at degree 4, whose index and keys alone are
+    # about 2.3 GB
+    check_degree_cap(80, 32, 5)
+    assert 24 * comb(243, 4) > MEMORY_BUDGET_BYTES
+    with pytest.raises(BudgetError):
+        check_degree_cap(240, 64, 4)
+
+
+def test_small_chunks_give_the_same_reports(monkeypatch):
+    # 4 KiB chunks hold about 16 run members at degree 4, so every degree
+    # spans many chunks; no fiber spans two runs, so the reports are those
+    # of one chunk per degree
+    import imsetkit.markov as mk
+
+    cases = [(configuration(GroundSet(4)), 4)]
+    for n in (3, 4, 5):
+        g = GroundSet(n)
+        cases += [
+            (subconfiguration(t), 4)
+            for t in enumerate_triplets(g)
+            if t.a_mask | t.b_mask | t.c_mask == g.full_mask
+        ]
+    assert len(cases) == 122
+    want = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
+    monkeypatch.setattr(mk, "_CHUNK_BYTES", 4096)
+    assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == want
+
+
+def test_connecting_differences_are_checked_against_the_budget(monkeypatch):
+    # a budget just over the shape estimate admits the cap, and the pass
+    # refuses once the differences it finds outgrow what is left
+    import imsetkit.markov as mk
+
+    cfg = configuration(GroundSet(4))
+    monkeypatch.setattr(mk, "MEMORY_BUDGET_BYTES", _estimate_bytes(cfg.num_cols, cfg.num_rows, 4) + 100)
+    with pytest.raises(BudgetError, match="connecting differences of degree"):
+        markov_basis(cfg, 4)
 
 
 def test_connecting_moves_pick_the_least_difference():
@@ -636,7 +730,7 @@ def test_connecting_moves_pick_the_least_difference():
     rows = np.array([[0, 1], [2, 3], [2, 4], [5, 5]], dtype=np.int16).T
     labels = np.array([0, 1, 1, 3])
     starts = np.array([True, False, False, False])
-    assert _connecting_differences(rows, np.arange(4), starts, labels, 6).tolist() == [
+    assert _connecting_differences(rows, starts, labels, 6).tolist() == [
         [-1, -1, 1, 0, 1, 0],
         [-1, -1, 0, 0, 0, 2],
     ]
@@ -652,12 +746,12 @@ def test_connecting_differences_match_the_per_fiber_oracle():
         idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
         for d in range(2, caps[-1] + 1):
             idx, keys = _extend_index(idx, keys, col_keys)
-            members, starts, labels = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
-            got = _connecting_differences(idx, members, starts, labels, cfg.num_cols)
-            bounds = np.append(np.flatnonzero(starts), len(members)).tolist()
+            rows, starts, labels = _components(idx, keys, lanes)
+            got = _connecting_differences(rows, starts, labels, cfg.num_cols)
+            bounds = np.append(np.flatnonzero(starts), len(starts)).tolist()
             want = []
             for lo, hi in zip(bounds, bounds[1:]):
-                found = _oracle_connecting_moves_for_fiber(members[lo:hi], idx.T, cfg.num_cols)
+                found = _oracle_connecting_moves_for_fiber(range(lo, hi), rows.T, cfg.num_cols)
                 want += [list(diff) for diff in found]
                 fibers += bool(found)
             assert got.tolist() == want, (name, d)
@@ -682,13 +776,14 @@ def test_packed_check_is_exact_past_the_uint8_lane_bound():
         idx, _ = _index(2, d)
         keys = np.arange(idx.shape[1], dtype=np.int64)
         keys[-1] = keys[0]  # the first multiset is {0^d}, the last {1^d}
-        members, starts = _fiber_members(keys)
+        members, starts = _fiber_members(keys.copy())
         assert members.tolist() == [0, d] and starts.tolist() == [True, False]
-        got = _fiber_components(idx, members, starts, _packed_lanes(cols_t, d))
-        assert [a.tolist() for a in got] == [[], [], []], d
+        rows, starts, labels = _components(idx, keys, _packed_lanes(cols_t, d))
+        assert rows.shape == (d, 0) and starts.tolist() == labels.tolist() == [], d
         # equal columns: equal sums, and two components (no common column)
-        got = _fiber_components(idx, members, starts, _packed_lanes(np.zeros_like(cols_t), d))
-        assert [a.tolist() for a in got] == [[0, d], [True, False], [0, 1]], d
+        rows, starts, labels = _components(idx, keys, _packed_lanes(np.zeros_like(cols_t), d))
+        assert np.array_equal(rows, idx[:, [0, d]]), d
+        assert starts.tolist() == [True, False] and labels.tolist() == [0, 1], d
 
 
 def test_moves_are_built_only_for_representatives(monkeypatch):

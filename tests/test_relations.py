@@ -29,10 +29,14 @@ from imsetkit.relations import (
     MAX_RELATION_SIDES,
     BudgetError,
     Move,
+    _byte_keys,
     _cyclic_moves,
+    _least_images,
+    _lex_codes,
     _normalize_orientation,
     _pivot_table,
     _rank_map_array,
+    _stabiliser,
     _subset_images,
     basic_moves,
     classify_relation,
@@ -534,25 +538,108 @@ def test_symmetry_reduce_matches_per_move_oracle(n):
             assert got == _oracle_symmetry_reduce(moves, allowed_ranks=allowed), allowed
 
 
+def _connecting_differences_of(cfg, cap):
+    """The connecting differences of all degrees up to cap, as markov_basis
+    finds them before it canonicalises."""
+    cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+    col_keys, lanes = _column_keys(cols_t), _packed_lanes(cols_t, cap)
+    idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
+    diffs = [np.zeros((0, cfg.num_cols), dtype=np.int64)]
+    for _ in range(2, cap + 1):
+        idx, keys = _extend_index(idx, keys, col_keys)
+        members, starts = _fiber_members(keys.copy())
+        rows, starts, labels = _fiber_components(np.take(idx, members, axis=1), starts, lanes)
+        diffs.append(_connecting_differences(rows, starts, labels, cfg.num_cols))
+    return np.concatenate(diffs)
+
+
 def _connecting_difference_lists(cap):
     """Per exactly effective triplet with n <= 5: its column ranks and the
-    connecting differences of all degrees up to cap, as markov_basis finds
-    them before it canonicalises."""
+    connecting differences of all degrees up to cap."""
     for n in (3, 4, 5):
         g = GroundSet(n)
         for t in enumerate_triplets(g):
             if t.a_mask | t.b_mask | t.c_mask != g.full_mask:
                 continue
             cfg = subconfiguration(t)
-            cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-            col_keys, lanes = _column_keys(cols_t), _packed_lanes(cols_t, cap)
-            idx, keys = np.arange(cfg.num_cols, dtype=np.int16).reshape(1, -1), col_keys
-            diffs = [np.zeros((0, cfg.num_cols), dtype=np.int64)]
-            for _ in range(2, cap + 1):
-                idx, keys = _extend_index(idx, keys, col_keys)
-                members, starts, labels = _fiber_components(idx, *_fiber_members(keys.copy()), lanes)
-                diffs.append(_connecting_differences(idx, members, starts, labels, cfg.num_cols))
-            yield t, [e.rank for e in cfg.columns], np.concatenate(diffs)
+            yield t, [e.rank for e in cfg.columns], _connecting_differences_of(cfg, cap)
+
+
+# The canonicaliser before it went orbit by orbit, kept as the oracle: a
+# running minimum of every row's images over all acting maps, then the
+# distinct least images.
+def _oracle_least_images(z, ranks, maps):
+    ranks = np.asarray(ranks)
+    pos = np.zeros(maps.shape[1], dtype=np.intp)
+    pos[ranks] = np.arange(len(ranks))
+    gathers = np.argsort(pos[maps[:, ranks]], axis=1)
+    codes, bound = _lex_codes(np.concatenate((z, -z)))
+    best = _byte_keys(codes).copy()
+    for gather in gathers:
+        img = _byte_keys(codes[:, gather])
+        np.copyto(best, img, where=img < best)
+    m = len(z)
+    least = np.where(best[m:] < best[:m], best[m:], best[:m])
+    distinct = np.unique(least).view(codes.dtype).reshape(-1, len(ranks))
+    return (distinct.astype(np.uint64) - np.uint64(bound)).astype(np.int64)
+
+
+def _canonicaliser_inputs(g, ranks, diffs):
+    """_least_images' arguments as markov_basis builds them."""
+    by_rank = np.argsort(ranks)
+    ranks = np.asarray(ranks)[by_rank]
+    return diffs[:, by_rank], ranks, _stabiliser(g, ranks)
+
+
+@pytest.mark.parametrize("orbit_codes", [1, 1 << 12, None])
+def test_least_images_match_the_running_minimum_oracle(monkeypatch, orbit_codes):
+    # None keeps the default step size; 1 takes one row a step and 2^12
+    # lets the rows a step double over orbits of one row
+    import imsetkit.relations as rel
+
+    if orbit_codes is not None:
+        monkeypatch.setattr(rel, "_ORBIT_CODES", orbit_codes)
+    full = configuration(GroundSet(5))
+    inputs = [
+        _canonicaliser_inputs(t.ground, ranks, diffs)
+        for t, ranks, diffs in _connecting_difference_lists(4)
+    ]
+    inputs.append(_canonicaliser_inputs(full.ground, [e.rank for e in full.columns], _connecting_differences_of(full, 4)))
+    assert inputs[-1][0].shape == (430, 80)
+    for z, ranks, maps in inputs:
+        got = _least_images(z, ranks, maps)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _oracle_least_images(z, ranks, maps))
+
+
+@pytest.mark.parametrize("orbit_codes", [1 << 12, None])
+def test_least_images_when_every_row_is_its_own_orbit(monkeypatch, orbit_codes):
+    import imsetkit.relations as rel
+
+    if orbit_codes is not None:
+        monkeypatch.setattr(rel, "_ORBIT_CODES", orbit_codes)
+    g = GroundSet(5)
+    ranks = np.arange(g.num_elementary)
+    maps = _stabiliser(g, ranks)
+    z = np.random.default_rng(3100).integers(-2, 3, size=(300, g.num_elementary))
+    got = _least_images(z, ranks, maps)
+    assert len(got) == 300
+    assert np.array_equal(got, _oracle_least_images(z, ranks, maps))
+
+
+def test_least_images_edge_cases():
+    g = GroundSet(4)
+    ranks = np.arange(g.num_elementary)
+    maps = _stabiliser(g, ranks)
+    assert _least_images(np.zeros((0, len(ranks)), dtype=np.int64), ranks, maps).shape == (0, len(ranks))
+    move = np.array([basic_moves(g)[5].coeffs])
+    one = _least_images(move, ranks, maps)
+    assert np.array_equal(one, _oracle_least_images(move, ranks, maps)) and one.shape == (1, len(ranks))
+    # every image of one row and of its negation: one orbit, one representative
+    pos = np.argsort(maps, axis=1)
+    orbit = np.concatenate((move[0][pos], -move[0][pos]))
+    np.random.default_rng(3101).shuffle(orbit)
+    assert np.array_equal(_least_images(orbit, ranks, maps), one)
 
 
 def test_array_canonicaliser_matches_the_set_oracle_on_every_triplet():
