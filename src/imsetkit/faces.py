@@ -16,17 +16,24 @@ indicators as vectors, for callers and for the rank in verify_face_theorem.
 
 For any structural imset u, certify_face finds the least face F(u)
 containing u: every elementary imset is put inside with a witness or
-outside with a separating functional (an indicator from the families above
-or a Farkas certificate).  The first witness comes from membership.classify,
-so a combinatorial u starts from its integer decomposition and needs no
-base LP; the indicators then exclude columns with no LP at all, and a
-handful of exact LPs settle the rest instead of one per elementary imset.
-CI models are read off that face (ci.ci_model_of_imset).
+outside with a separating functional (an indicator from the families above,
+an extreme ray of the standardized supermodular cone, or a Farkas
+certificate).  The first witness comes from membership.classify, so a
+combinatorial u starts from its integer decomposition and needs no base LP;
+the indicators then exclude columns with no LP at all.  At n <= 4 the
+skeleton (supermodular._skeleton, 37 rays at n = 4) decides the rest with
+no LP either: F(u) is the intersection of the facets of cone(E(N)) that
+contain u, each facet being the tight set of one ray, and the columns
+inside share one integer witness from the search.  At n >= 5, or when
+that search pauses, a handful of exact LPs settle the rest instead of one
+per elementary imset.  CI models are read off that face
+(ci.ci_model_of_imset).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .groundset import (
     ElementaryIndex,
@@ -46,8 +53,8 @@ from .imsets import (
     elementary_imset,
 )
 from .linalg import InvariantError, lp_feasible, rank
-from .membership import _cut_table, classify
-from .supermodular import _subset_indicator, _superset_indicator
+from .membership import _cut_table, _dfs_witnesses, _search_pause, classify
+from .supermodular import SKELETON_MAX_N, _skeleton, _subset_indicator, _superset_indicator
 
 
 def _graded_submasks(g: GroundSet, mask: int):
@@ -200,7 +207,7 @@ def certify_face(u: Imset) -> tuple:
       elementary w, <f, u> = 0 and <f, u_k> > 0, so the face {<f, ·> = 0}
       contains u but not u_k.
 
-    The reasons come in three kinds, found in this order:
+    The reasons come in four kinds, found in this order:
 
     1. Base witness.  Σ lam_j u_j = u with mu = 1, from membership.classify:
        the search's integer witness when u is combinatorial, the base LP's
@@ -209,17 +216,30 @@ def certify_face(u: Imset) -> tuple:
     2. Indicators, no LP.  Superset indicators 1_{T⊆·} and subset
        indicators 1_{·⊆T} (membership._cut_table) are supermodular; each
        one orthogonal to u puts the columns it is positive on outside.
-    3. LP harvest.  Let s be the sum of the still undecided columns and
-       solve mu·u - Σ lam_j u_j = s over mu, lam >= 0.  A witness puts
-       every summand of s inside (faces are closed under taking summands),
-       together with every column of positive weight.  A Farkas certificate
-       y gives f = -y with <f, u> = 0 < <f, s>, which puts every column f
-       is positive on outside, at least one summand of s among them.
-       Repeat until nothing is undecided.
+    3. Skeleton rays, no LP, at n <= 4.  Every extreme ray f of the
+       standardized supermodular cone (supermodular._skeleton) with
+       <f, u> = 0 puts the columns it is positive on outside.  F(u) is the
+       intersection of the facets of cone(E(N)) that contain u, so the
+       columns left, R, are all inside.  They share one witness: with
+       s = Σ_{k in R} u_k and mu >= 1 the least integer with
+       mu·<f, u> >= <f, s> on every ray, v = mu·u - s is >= 0 on every
+       ray, hence structural and (n <= 4) combinatorial; the search's
+       integer witness w for v, with the columns outside excluded, gives
+       lam = w + 1_R, re-summed exactly against mu·u.
+    4. LP harvest, at n >= 5 or when the search of step 3 pauses (after
+       membership._search_pause nodes).  Let s be the sum of the still
+       undecided columns and solve mu·u - Σ lam_j u_j = s over mu, lam >= 0.
+       A witness puts every summand of s inside (faces are closed under
+       taking summands), together with every column of positive weight.  A
+       Farkas certificate y gives f = -y with <f, u> = 0 < <f, s>, which puts
+       every column f is positive on outside, at least one summand of s
+       among them.  Repeat until nothing is undecided.
 
-    LP answers are re-verified exactly inside lp_feasible; a column marked
-    both ways, or a Farkas functional not orthogonal to u, raises
-    InvariantError (also under python -O).
+    LP answers are re-verified exactly inside lp_feasible.  A column marked
+    both ways, a Farkas functional not orthogonal to u, a skeleton ray
+    negative on u, a step-3 witness that does not re-sum, or a step-3
+    search exhausted without a witness raises InvariantError (also under
+    python -O).
     """
     g = u.ground
     base = classify(u)
@@ -242,23 +262,50 @@ def certify_face(u: Imset) -> tuple:
                 raise InvariantError(f"column {k} certified both in and out of the face")
             outside.setdefault(k, f)
 
+    def undecided():
+        return [int(j not in inside and j not in outside) for j in range(len(table))]
+
     include(1, base.witness)
     cut_table = _cut_table(g)
     for (f, ranks), x in zip(cut_table.cuts, cut_table.inners(u.values)):
         if x == 0:
             exclude(f, ranks)
+    if g.n <= SKELETON_MAX_N:
+        loose = []  # (<f, u>, f) for the rays not tight at u
+        for f, ranks in _skeleton(g):
+            x = sum(f[r] * v for r, v in nonzero)
+            if x < 0:
+                raise InvariantError("a skeleton ray is negative on a structural imset")
+            if x == 0:
+                exclude(f, ranks)
+            else:
+                loose.append((x, f))
+        rest = undecided()
+        if any(rest):
+            s = elementary_combination(g, rest)
+            # the least mu >= 1 with mu·<f, u> >= <f, s> on every loose ray
+            mu = max([1, *(-(-sum(map(mul, f, s)) // x) for x, f in loose)])
+            v = Imset(g, tuple(mu * x - y for x, y in zip(u.values, s)))
+            w = next(_dfs_witnesses(v, excluded=outside, pause=_search_pause(g)), False)
+            if w is False:
+                raise InvariantError("no integer witness for a structural imset at n <= 4")
+            if w is not None:
+                lam = tuple(x + y for x, y in zip(w, rest))
+                if elementary_combination(g, lam) != [mu * x for x in u.values]:
+                    raise InvariantError("skeleton witness does not re-sum to mu·u")
+                include(mu, lam)
     A = None
     while True:
         # one LP for the sum of every still undecided column at once
-        undecided = [int(j not in inside and j not in outside) for j in range(len(table))]
-        if not any(undecided):
+        rest = undecided()
+        if not any(rest):
             break
         # columns [u | -u_j for u_j in E(N)], built when the first LP runs
         A = A or [(x, *(-y for y in row)) for x, row in zip(u.values, configuration(g).matrix)]
-        lp = lp_feasible(A, elementary_combination(g, undecided))
+        lp = lp_feasible(A, elementary_combination(g, rest))
         if lp.feasible:
             mu, *lam = lp.witness
-            include(mu, tuple(x + d for x, d in zip(lam, undecided)))
+            include(mu, tuple(x + d for x, d in zip(lam, rest)))
         else:
             f = tuple(-y for y in lp.certificate)
             if sum(f[r] * v for r, v in nonzero) != 0:
@@ -274,8 +321,8 @@ def face_of_structural(u: Imset) -> list:
 
     Every column is decided by certify_face with an exact reason: a
     witness (integer or LP) for each ray returned, and for each ray left
-    out a superset or subset indicator or a Farkas functional f with
-    <f, u> = 0 < <f, v>.
+    out a superset or subset indicator, a skeleton ray (n <= 4) or a Farkas
+    functional f with <f, u> = 0 < <f, v>.
     Raises ValueError for an imset that is not structural.
     """
     inside, _ = certify_face(u)

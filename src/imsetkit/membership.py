@@ -162,6 +162,12 @@ def _cut_table(g: GroundSet) -> _CutTable:
     return _CutTable(tuple(cuts), tuple(map(tuple, ones)), tuple(map(tuple, hits)))
 
 
+def _search_pause(g: GroundSet) -> int:
+    """2^n·|E(N)| nodes (1 at n = 1): the size of the configuration, about
+    the work of one LP at n = 4 and 5; see classify."""
+    return max(g.num_subsets * g.num_elementary, 1)
+
+
 def _dfs_witnesses(u: Imset, excluded=(), pause=None):
     """Nonnegative-integer witnesses (as coefficient tuples) for u, one per
     multiset of elementary imsets, yielded in nondecreasing-sequence order;
@@ -266,7 +272,7 @@ def classify(u: Imset) -> MembershipResult:
         return MembershipResult(g, "lattice", None, deg)
     lp = None
     # None: the search paused; False: it is exhausted (a witness may be ())
-    search = _dfs_witnesses(u, pause=max(g.num_subsets * g.num_elementary, 1))
+    search = _dfs_witnesses(u, pause=_search_pause(g))
     witness = next(search, False)
     if witness is None:
         lp = lp_feasible(configuration(g).matrix, u.values)

@@ -20,6 +20,14 @@ The skeletal constructors check their hypotheses, then map values over one
 pullback: a base f on labels A read as f(S ∩ A) for every S ⊆ N, in N's
 graded order.  reflect reverses the values: complementation reverses it.
 
+extreme_rays lists the extreme rays of a pointed cone given by integer
+rows, by exact double description.  On the rows of the elementary columns
+(over the subsets with |S| >= 2) it gives the skeleton, the extreme rays of
+the standardized supermodular cone: 5 at n = 3 and 37 at n = 4.  Each
+ray's tight set is a facet of cone(E(N)), so the skeleton decides the
+least faces at n <= 4 without an LP (faces.certify_face); it is built on
+first use and cached per n, never at import.
+
 SetFunction itself lives in imsets (an Imset is its integer-valued
 subclass) and is re-exported here.  Exactness: the exact tests
 (is_skeletal, skeletal_report, modular_coefficients) accept ints and
@@ -33,12 +41,11 @@ faces.orthogonal_set.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .groundset import ElementaryIndex, GroundSet, Subset, popcount
+from .groundset import ElementaryIndex, GroundSet, Subset, per_n, popcount
 from .imsets import SetFunction, column_value, elementary_columns
-from .linalg import nullspace, rank
+from .linalg import InvariantError, _eliminate, _integer_row, nullspace, rank
 
 
 def first_supermodularity_violation(f: SetFunction, tol=0):
@@ -93,6 +100,21 @@ def is_standardized(f: SetFunction) -> bool:
     return f.at(0) == 0 and all(f.at(1 << i) == 0 for i in range(f.ground.n))
 
 
+@per_n
+def _standard_rows(g: GroundSet) -> tuple:
+    """Each elementary column as a row over the 2^n - n - 1 coordinates of
+    the subsets with |S| >= 2, in elementary order; <f, w> for elementary w
+    is that row times f's values at those subsets when f is standardized.
+    The graded order puts the n + 1 subsets with |S| <= 1 first."""
+    rows = []
+    for abc, c, ac, bc in elementary_columns(g):
+        vec = [0] * g.num_subsets
+        vec[abc] = vec[c] = 1
+        vec[ac] = vec[bc] = -1
+        rows.append(tuple(vec[g.n + 1:]))
+    return tuple(rows)
+
+
 def skeletal_report(f: SetFunction) -> dict:
     """is_skeletal with its tight-set evidence (counts and ranks)."""
     if not f.is_exact:
@@ -100,18 +122,13 @@ def skeletal_report(f: SetFunction) -> dict:
     _require_supermodular(f)
     g = f.ground
     dim = g.num_subsets - g.n - 1
-    tight = [col for col in elementary_columns(g) if column_value(f.values, col) == 0]
+    tight = [
+        row for row, col in zip(_standard_rows(g), elementary_columns(g))
+        if column_value(f.values, col) == 0
+    ]
     if len(tight) == g.num_elementary:
         return {"skeletal": False, "tight_count": len(tight), "tight_rank": None, "dimension": dim}
-    # project tight imsets to the coordinates of subsets with |S| >= 2; the
-    # graded order puts the n + 1 subsets with |S| <= 1 first
-    rows = []
-    for abc, c, ac, bc in tight:
-        vec = [0] * g.num_subsets
-        vec[abc] = vec[c] = 1
-        vec[ac] = vec[bc] = -1
-        rows.append(vec[g.n + 1:])
-    tight_rank = rank(rows)
+    tight_rank = rank(tight)
     return {
         "skeletal": tight_rank == dim - 1,
         "tight_count": len(tight),
@@ -248,11 +265,18 @@ def extend_modular_top(f0: SetFunction, new_label: str) -> SetFunction:
 def duplicate_coordinate(f_prime: SetFunction, new_label: str) -> SetFunction:
     """Duplicate the last variable t of f': the new variable w behaves so
     that f agrees with f'(..., 1) only when both t and w are present, and
-    with f'(..., 0) otherwise."""
+    with f'(..., 0) otherwise.
+
+    Hypotheses: f' standardized supermodular, hence nondecreasing in t,
+    which keeps f supermodular (f(∅) = 1 and 0 elsewhere at n = 3 is
+    supermodular, and its duplicate is not).
+    """
     small = f_prime.ground
     if new_label in small._label_index:
         raise ValueError(f"label {new_label!r} already present")
     _require_supermodular(f_prime, "duplicate_coordinate input")
+    if not is_standardized(f_prime):
+        raise ValueError("duplicate_coordinate input must be standardized")
     ground = GroundSet(sorted((*small.labels, new_label)))
     new_bit = 1 << ground._label_index[new_label]
     t_bit = 1 << ground._label_index[small.labels[-1]]
@@ -305,42 +329,118 @@ def four_generator_witness(g: GroundSet) -> SetFunction:
 
 
 # ---------------------------------------------------------------------------
-# product-cone extreme-ray check (tensor products of cones)
+# extreme rays by double description, and the skeleton at n <= 4
 # ---------------------------------------------------------------------------
 
 
-def _normalize_ray(vec):
-    """Divide a nonzero integer vector by the gcd of its entries; the sign
-    is kept, so rays keep their cone-feasible orientation."""
-    g = gcd(*vec)
-    return tuple(x // g for x in vec)
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
-def dual_rays(generators):
-    """Extreme rays of {y : <g, y> >= 0 for all g in generators}.
+def _primitive(x) -> tuple:
+    """A nonzero integer vector divided by the gcd of its entries; the sign
+    is kept, so a ray keeps its orientation."""
+    g = gcd(*x)
+    return tuple(v // g for v in x)
 
-    Requires cone(generators) full-dimensional (so the dual is pointed).
-    Brute force over (dim-1)-subsets of the constraints; fine at the small
-    dimensions used here.
+
+def extreme_rays(rows) -> list:
+    """Extreme rays of the pointed cone {x : <r, x> >= 0 for every row r},
+    each as a primitive integer vector, sorted.  Rational rows are scaled
+    to integer rows first, which leaves the cone as it is.
+
+    Incremental double description on integer rows (Motzkin et al. 1953;
+    Fukuda & Prodon 1996).  The first d independent rows, d the length of a
+    row, bound a simplicial cone whose rays are the columns of their
+    inverse.  The other rows are added one at a time: the rays positive on
+    the new row stay, the rays zero on it stay, the negative ones go, and
+    each adjacent (positive, negative) pair gives one new ray on the new
+    hyperplane.  A ray's zero set is a bitmask over the rows added so far;
+    two rays are adjacent when their common zero set has at least d - 2
+    rows and no third ray's zero set contains it (the combinatorial test).
+    Raises ValueError unless the rows have rank d (a pointed cone).
     """
-    gens = [tuple(Fraction(x) for x in v) for v in generators]
-    if not gens:
-        raise ValueError("empty generator list")
-    dim = len(gens[0])
-    if rank(gens) != dim:
-        raise ValueError("dual_rays requires a full-dimensional cone")
-    rays = set()
-    for comb in combinations(range(len(gens)), dim - 1):
-        basis = nullspace([gens[i] for i in comb], dim)
-        if len(basis) != 1:
-            continue
-        v = basis[0]
-        prods = [sum(gi * vi for gi, vi in zip(g, v)) for g in gens]
-        if all(p >= 0 for p in prods):
-            rays.add(_normalize_ray(v))
-        elif all(p <= 0 for p in prods):
-            rays.add(_normalize_ray([-x for x in v]))
-    return sorted(rays)
+    rows = [tuple(_integer_row(r)[0]) for r in rows]
+    if not rows:
+        raise ValueError("extreme_rays needs at least one row")
+    d = len(rows[0])
+    # the pivot columns of the transpose: the first d independent rows
+    basis = _eliminate([list(col) for col in zip(*rows)], len(rows), jordan=False)
+    if len(basis) != d:
+        raise ValueError("extreme_rays needs rows of full rank (a pointed cone)")
+    # the nullspace of [B | -I] holds (x, D·e_i) with B x = D·e_i, one per i
+    augmented = [list(rows[i]) + [-int(k == j) for k in range(d)] for j, i in enumerate(basis)]
+    inverse = nullspace(augmented, 2 * d)
+    everyone = sum(1 << i for i in basis)
+    rays = []
+    for i, vec in zip(basis, inverse):
+        x = vec[:d] if _dot(rows[i], vec[:d]) > 0 else [-v for v in vec[:d]]
+        rays.append((_primitive(x), everyone & ~(1 << i)))
+    for j in sorted(set(range(len(rows))) - set(basis)):
+        row, bit = rows[j], 1 << j
+        pos, neg, kept = [], [], []
+        for x, z in rays:
+            v = _dot(row, x)
+            if v > 0:
+                pos.append((x, z, v))
+                kept.append((x, z))
+            elif v < 0:
+                neg.append((x, z, v))
+            else:
+                kept.append((x, z | bit))
+        for xp, zp, vp in pos:
+            for xn, zn, vn in neg:
+                common = zp & zn
+                if popcount(common) < d - 2 or any(
+                    z & common == common and z != zp and z != zn for _, z in rays
+                ):
+                    continue
+                # vp > 0 > vn: a positive combination that vanishes on row j
+                kept.append((_primitive([vp * b - vn * a for a, b in zip(xp, xn)]), common | bit))
+        rays = kept
+    return sorted(x for x, _ in rays)
+
+
+SKELETON_MAX_N = 4
+
+
+@per_n
+def _skeleton(g: GroundSet) -> tuple:
+    """((f, ranks), ...) per extreme ray of the standardized supermodular
+    cone, n <= 4: f the ray's rank-indexed values, 0 on |S| <= 1, and ranks
+    the elementary columns w with <f, w> > 0, whose complement is the facet
+    of cone(E(N)) that f supports.
+
+    Built on first use from extreme_rays on _standard_rows and cached per
+    n.  Each ray is checked once, in integers, to be >= 0 on every
+    elementary column; a failure raises InvariantError.
+    """
+    if g.n > SKELETON_MAX_N:
+        raise ValueError(f"the skeleton is listed for n <= {SKELETON_MAX_N}, got n={g.n}")
+    if g.n < 2:
+        return ()
+    out = []
+    for x in extreme_rays(_standard_rows(g)):
+        f = (0,) * (g.n + 1) + x
+        on = [column_value(f, col) for col in elementary_columns(g)]
+        if min(on) < 0:
+            raise InvariantError("a skeleton ray is negative on an elementary column")
+        out.append((f, tuple(k for k, v in enumerate(on) if v)))
+    return tuple(out)
+
+
+def skeleton(g: GroundSet) -> list:
+    """The extreme rays of the standardized supermodular cone over g, n <= 4,
+    one primitive integer SetFunction per ray: 1 at n = 2, 5 at n = 3 and
+    37 at n = 4.  Each ray's tight elementary imsets span a facet of
+    cone(E(N)), and every face of cone(E(N)) is an intersection of those
+    facets.  Raises ValueError for n > 4."""
+    return [SetFunction(g, f) for f, _ in _skeleton(g)]
+
+
+# ---------------------------------------------------------------------------
+# product-cone extreme-ray check (tensor products of cones)
+# ---------------------------------------------------------------------------
 
 
 def product_cone_extreme_check(G, H, g, h) -> bool:
@@ -350,8 +450,8 @@ def product_cone_extreme_check(G, H, g, h) -> bool:
     G, H are generator lists of pointed, full-dimensional cones of
     nonnegative functions on finite sets X, Y (vectors of rationals).  The
     test builds the explicit inequality description of M(G, H) through the
-    dual rays of the factors and applies the tight-constraint rank
-    criterion.
+    dual rays of the factors (extreme_rays) and applies the tight-constraint
+    rank criterion.
     """
     G = [tuple(Fraction(v) for v in vec) for vec in G]
     H = [tuple(Fraction(v) for v in vec) for vec in H]
@@ -363,8 +463,8 @@ def product_cone_extreme_check(G, H, g, h) -> bool:
             raise ValueError("zero generator")
         if any(v < 0 for v in vec):
             raise ValueError("generators must be nonnegative functions (pointedness)")
-    VG = dual_rays(G)
-    VH = dual_rays(H)
+    VG = extreme_rays(G)
+    VH = extreme_rays(H)
 
     F = [gv[x] * hv[y] for x in range(nx) for y in range(ny)]
     dim = nx * ny

@@ -72,6 +72,7 @@ from .supermodular import (
     max_k,
     product,
     reflect,
+    skeleton,
 )
 
 
@@ -209,10 +210,12 @@ def criterion_face_theorem():
 
 def criterion_four_generator_demo():
     """End-to-end demo: the four-generator structural imset u and its
-    skeletal witness m satisfy <m,u>=0, <m,u_<a|b|cd>>=1, m is skeletal,
-    and the CI model of u contains the four generators but not a|b|cd."""
+    skeletal witness m satisfy <m,u>=0, <m,u_<a|b|cd>>=1, m is skeletal and
+    one of the 37 extreme rays of the n=4 skeleton (5 at n=3), and the CI
+    model of u contains the four generators but not a|b|cd."""
     g = GroundSet(4)
     m = four_generator_witness(g)
+    counts = {n: len(skeleton(GroundSet(n))) for n in (3, 4)}
     parts = ["c|d|ab", "a|b|0", "a|b|c", "a|b|d"]
     u = Imset.zero(g)
     for name in parts:
@@ -224,6 +227,10 @@ def criterion_four_generator_demo():
         failures.append("<m,u_<a|b|cd>> != 1")
     if not is_skeletal(m):
         failures.append("witness not skeletal")
+    if counts != {3: 5, 4: 37}:
+        failures.append(f"skeleton ray counts {counts}, expected 5 and 37")
+    if m not in skeleton(g):
+        failures.append("witness not a ray of the n=4 skeleton")
     model = ci_model_of_imset(u)
     for name in parts:
         if not model.contains(Triplet.parse(g, name)):
@@ -235,7 +242,10 @@ def criterion_four_generator_demo():
         failures.append("face differs from the four generators")
     if failures:
         return False, "; ".join(failures)
-    return True, "witness orthogonality, skeletality, CI model, and face all exact"
+    return True, (
+        "witness orthogonality, skeletality, CI model, and face all exact; "
+        "skeleton 5 rays at n=3, 37 at n=4, the witness among them"
+    )
 
 
 def criterion_skeletal_constructors():

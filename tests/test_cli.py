@@ -175,6 +175,17 @@ def test_construct_product_and_extensions(capsys, tmp_path):
     assert data["ground"] == "abe"
 
 
+def test_construct_duplicate_refuses_an_input_that_is_not_standardized(capsys, tmp_path):
+    # supermodular, f(∅) = 1 and 0 elsewhere: its duplicate would not be
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ground": "abc", "values": {"0": 1}}))
+    code, _ = run(capsys, "construct", "--family", "duplicate", "--input", str(path), "--label", "d")
+    assert code == 2
+    path.write_text(json.dumps({"ground": "abc", "values": {"ab": 1, "ac": 1, "bc": 1, "abc": 2}}))
+    code, data = run_json(capsys, "construct", "--family", "duplicate", "--input", str(path), "--label", "d")
+    assert code == 0 and data["ground"] == "abcd"
+
+
 def test_construct_indicator_not_supermodular_detected(capsys, tmp_path):
     path = tmp_path / "g.json"
     code, _ = run(capsys, "construct", "--family", "indicator", "--ground", "abc",

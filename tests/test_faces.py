@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import imsetkit
+from imsetkit import faces
 from imsetkit.ci import CIModel, ci_model_of_imset
 from imsetkit.faces import (
     certify_face,
@@ -38,8 +39,14 @@ from imsetkit.imsets import (
     inner,
     semi_elementary,
 )
-from imsetkit.linalg import lp_feasible, rank
-from imsetkit.supermodular import _subset_indicator, _superset_indicator, is_supermodular
+from imsetkit.linalg import InvariantError, lp_feasible, rank
+from imsetkit.supermodular import (
+    _skeleton,
+    _subset_indicator,
+    _superset_indicator,
+    four_generator_witness,
+    is_supermodular,
+)
 
 
 def dim_formula(t):
@@ -331,6 +338,88 @@ def test_face_first_model_matches_lp_oracle(u):
     assert ci_model_of_imset(u) == model
 
 
+def lp_harvest_ranks(u):
+    """certified_face_ranks with the skeleton step switched off, so that
+    every column the base witness and the cuts leave goes to the LP
+    harvest: the oracle for the skeleton path at n <= 4."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faces, "SKELETON_MAX_N", 0)
+        return certified_face_ranks(u)
+
+
+def counted_lps(mp):
+    """Count the LPs certify_face solves from here on."""
+    calls = []
+    solve = faces.lp_feasible
+    mp.setattr(faces, "lp_feasible", lambda A, b: calls.append(1) or solve(A, b))
+    return calls
+
+
+@st.composite
+def weighted_sums_n3_n4(draw):
+    """Σ w_k u_k over 1-6 distinct elementary imsets at n = 3 or 4, with
+    weights 1-3."""
+    g = GroundSet(draw(st.sampled_from((3, 4))))
+    ranks = draw(st.lists(st.integers(0, g.num_elementary - 1), min_size=1, max_size=6, unique=True))
+    u = Imset.zero(g)
+    for k in ranks:
+        u = u + elementary_imset(ElementaryIndex.from_rank(g, k)).scale(draw(st.integers(1, 3)))
+    return u
+
+
+# the last example pauses the skeleton path's search, so the LP harvest
+# decides it on both sides
+@settings(max_examples=40, deadline=None)
+@given(weighted_sums_n3_n4())
+@example(elementary_sum(_G4, "c|d|ab", "a|b|0", "a|b|c", "a|b|d"))
+@example(Imset.from_dict(_G4, {
+    "0": 7, "b": -2, "c": -2, "d": -7, "ab": -2, "ac": -2, "ad": 2, "bc": 1,
+    "bd": 2, "cd": 2, "bcd": -1, "abcd": 2,
+}))
+def test_skeleton_path_matches_the_lp_harvest(u):
+    assert certified_face_ranks(u) == lp_harvest_ranks(u)
+
+
+# the first three leave columns to the search of the skeleton step; in the
+# last two the base witness, the cuts and the tight rays decide everything
+_SEARCHED = [
+    semi_elementary(Triplet.parse(_G4, "ab|cd|0")).scale(2),
+    semi_elementary(Triplet.parse(_G4, "a|bc|d")).scale(3),
+    elementary_sum(_G4, "c|d|0", "b|d|ac", "c|d|ab", "a|c|d").scale(2),
+]
+_DECIDED = [
+    elementary_sum(_G4, "b|c|a", "b|d|0", "a|b|cd"),
+    elementary_sum(_G4, "c|d|ab", "a|b|0", "a|b|c", "a|b|d"),
+]
+
+
+@pytest.mark.parametrize("u", _SEARCHED + _DECIDED)
+def test_skeleton_path_solves_no_lp(u, monkeypatch):
+    want = lp_harvest_ranks(u)
+    calls = counted_lps(monkeypatch)
+    assert certified_face_ranks(u) == want and not calls
+
+
+@pytest.mark.parametrize("u", _SEARCHED)
+def test_a_paused_search_falls_back_to_the_lp_harvest(u, monkeypatch):
+    want = certified_face_ranks(u)
+    calls = counted_lps(monkeypatch)
+    monkeypatch.setattr(faces, "_search_pause", lambda g: 0)
+    assert certified_face_ranks(u) == want and calls
+
+
+def test_four_generator_face_is_cut_by_its_skeleton_ray(monkeypatch):
+    u = elementary_sum(_G4, "c|d|ab", "a|b|0", "a|b|c", "a|b|d")
+    k = ElementaryIndex.from_triplet(Triplet.parse(_G4, "a|b|cd")).rank
+    m = four_generator_witness(_G4).values
+    assert certify_face(u)[1][k] == m
+    # without that ray v = mu·u - s is not in the cone, and the search says so
+    rays = tuple(ray for ray in _skeleton(_G4) if ray[0] != m)
+    monkeypatch.setattr(faces, "_skeleton", lambda g: rays)
+    with pytest.raises(InvariantError):
+        certify_face(u)
+
+
 @pytest.mark.parametrize("text", ["a|b|cde", "ab|cd|e", "abc|de|0"])
 def test_face_of_semi_elementary_n5(text):
     t = Triplet.parse(GroundSet(5), text)
@@ -364,6 +453,36 @@ def test_face_conflict_raises_under_python_O():
     for flags in ([], ["-O"]):
         done = subprocess.run(
             [sys.executable, *flags, "-c", _CONFLICT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines() == ["[0]", "checked"]
+
+
+_SKELETON_CONFLICT_SCRIPT = """
+from imsetkit import faces
+from imsetkit.groundset import ElementaryIndex, GroundSet
+from imsetkit.imsets import elementary_imset
+
+g = GroundSet(3)
+u = elementary_imset(ElementaryIndex.from_rank(g, 0))
+print([e.rank for e in faces.face_of_structural(u)])
+# a ray tight at u that claims to exclude column 0, which the base witness
+# puts inside
+faces._skeleton = lambda g: (((0,) * g.num_subsets, (0,)),)
+try:
+    faces.face_of_structural(u)
+    print("unchecked")
+except faces.InvariantError:
+    print("checked")
+"""
+
+
+def test_skeleton_conflict_raises_under_python_O():
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _SKELETON_CONFLICT_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert done.stdout.splitlines() == ["[0]", "checked"]

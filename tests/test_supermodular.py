@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from imsetkit.groundset import GroundSet, Triplet, enumerate_elementary, popcount
 from imsetkit.imsets import column_value, elementary_columns, elementary_imset, inner, semi_elementary
-from imsetkit.linalg import rank
+from imsetkit.linalg import nullspace, rank
 from imsetkit.supermodular import (
     _require_supermodular,
+    _skeleton,
+    _standard_rows,
     SetFunction,
     duplicate_coordinate,
     extend_marginal,
     extend_modular_top,
     extend_zero_slice,
+    extreme_rays,
     first_supermodularity_violation,
+    is_standardized,
     indicator_superset,
     is_modular,
     is_skeletal,
@@ -30,6 +36,7 @@ from imsetkit.supermodular import (
     reflect,
     four_generator_witness,
     skeletal_report,
+    skeleton,
     standardize,
 )
 
@@ -225,6 +232,20 @@ def test_duplicate_coordinate():
     assert is_skeletal(f)
 
 
+def test_duplicate_coordinate_needs_a_standardized_input():
+    # supermodular but decreasing: the pullback would be violated at c|d|0
+    g3 = GroundSet(3)
+    f = SetFunction.from_callable(g3, lambda m: int(m == 0))
+    assert is_supermodular(f) and not is_standardized(f)
+    with pytest.raises(ValueError, match="standardized"):
+        duplicate_coordinate(f, "d")
+    # on standardized inputs, every skeleton ray and a sum, the output stays
+    # supermodular
+    rays = skeleton(g3)
+    for f in rays + [rays[0] + rays[-1]]:
+        assert is_supermodular(duplicate_coordinate(f, "d"))
+
+
 def test_product_constructor():
     ga = GroundSet(["a", "b"])
     gb = GroundSet(["c", "d"])
@@ -237,6 +258,88 @@ def test_product_constructor():
         product(max_k(ga, 1), max_k(GroundSet(["b", "c"]), 1))
     with pytest.raises(ValueError):
         product(SetFunction.from_callable(ga, lambda m: 1), max_k(gb, 1))
+
+
+def _normalize_ray(vec):
+    """Divide a nonzero integer vector by the gcd of its entries; the sign
+    is kept, so rays keep their cone-feasible orientation."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
+def dual_rays(generators):
+    """Extreme rays of {y : <g, y> >= 0 for all g in generators}, by brute
+    force over the (dim-1)-subsets of the constraints: the oracle for
+    extreme_rays.  Requires cone(generators) full-dimensional."""
+    gens = [tuple(Fraction(x) for x in v) for v in generators]
+    if not gens:
+        raise ValueError("empty generator list")
+    dim = len(gens[0])
+    if rank(gens) != dim:
+        raise ValueError("dual_rays requires a full-dimensional cone")
+    rays = set()
+    for comb in combinations(range(len(gens)), dim - 1):
+        basis = nullspace([gens[i] for i in comb], dim)
+        if len(basis) != 1:
+            continue
+        v = basis[0]
+        prods = [sum(gi * vi for gi, vi in zip(g, v)) for g in gens]
+        if all(p >= 0 for p in prods):
+            rays.add(_normalize_ray(v))
+        elif all(p <= 0 for p in prods):
+            rays.add(_normalize_ray([-x for x in v]))
+    return sorted(rays)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0), (0, 1)],
+    [(1, 0), (1, 1), (0, 1)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],
+    [(2, 0, 1), (0, 3, 1), (1, 1, 0), (0, 0, 1), (1, -1, 1)],
+    [(Fraction(1, 2), 0, 1), (0, Fraction(-2, 3), 1), (1, 1, 0), (0, 0, 1)],
+    list(_standard_rows(GroundSet(2))),
+    list(_standard_rows(GroundSet(3))),
+])
+def test_extreme_rays_match_the_brute_force_oracle(rows):
+    assert extreme_rays(rows) == dual_rays(rows)
+
+
+def test_extreme_rays_rejects_a_cone_that_is_not_pointed():
+    for rows in ([], [(1, 0)], [(1, 1), (2, 2)]):
+        with pytest.raises(ValueError):
+            extreme_rays(rows)
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 5), (4, 37)])
+def test_skeleton_counts_and_rays(n, count):
+    g = GroundSet(n)
+    rays = skeleton(g)
+    assert len(rays) == count == len(set(rays))
+    for f, (values, ranks) in zip(rays, _skeleton(g)):
+        assert is_standardized(f) and gcd(*f.values) == 1
+        assert skeletal_report(f)["skeletal"]
+        on = [column_value(values, col) for col in elementary_columns(g)]
+        assert min(on, default=0) >= 0
+        assert ranks == tuple(k for k, v in enumerate(on) if v > 0)
+    if n == 4:
+        assert four_generator_witness(g) in rays
+    with pytest.raises(ValueError):
+        skeleton(GroundSet(5))
+
+
+@pytest.mark.parametrize("n, count", [(3, 22), (4, 22108)])
+def test_skeleton_facets_close_to_the_structural_models(n, count):
+    # every face of cone(E(N)) is an intersection of the facets the rays
+    # support; 22108 is the number of structural models over four variables
+    g = GroundSet(n)
+    everything = (1 << g.num_elementary) - 1
+    facets = [everything & ~sum(1 << k for k in ranks) for _, ranks in _skeleton(g)]
+    faces = frontier = {everything}
+    while frontier:
+        frontier = {face & z for face in frontier for z in facets} - faces
+        faces = faces | frontier
+    assert len(faces) == count
 
 
 def test_product_cone_extreme_check():
@@ -372,6 +475,8 @@ def oracle_duplicate(f_prime, new_label):
     small = f_prime.ground
     _new_label(small, new_label)
     _guard(f_prime, "duplicate_coordinate input")
+    if f_prime.at(0) != 0 or any(f_prime.at(1 << i) != 0 for i in range(small.n)):
+        raise ValueError("duplicate_coordinate input must be standardized")
     t_bit_small = 1 << (small.n - 1)
     ground = _merged_ground(small.labels, [new_label])
     new_bit = 1 << ground._label_index[new_label]
