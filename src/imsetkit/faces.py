@@ -16,24 +16,24 @@ indicators as vectors, for callers and for the rank in verify_face_theorem.
 
 For any structural imset u, certify_face finds the least face F(u)
 containing u: every elementary imset is put inside with a witness or
-outside with a separating functional (an indicator from the families above,
-an extreme ray of the standardized supermodular cone, or a Farkas
-certificate).  The first witness comes from membership.classify, so a
-combinatorial u starts from its integer decomposition and needs no base LP;
-the indicators then exclude columns with no LP at all.  At n <= 4 the
-skeleton (supermodular._skeleton, 37 rays at n = 4) decides the rest with
-no LP either: F(u) is the intersection of the facets of cone(E(N)) that
-contain u, each facet being the tight set of one ray, and the columns
-inside share one integer witness from the search.  At n >= 5, or when
-that search pauses, a handful of exact LPs settle the rest instead of one
-per elementary imset.  CI models are read off that face
+outside with a separating functional (a row of membership's separating
+table, or a Farkas certificate).  The first witness comes from
+membership.classify, so a combinatorial u starts from its integer
+decomposition and needs no base LP.  One pass over the separating table
+then excludes columns with no LP at all: at n <= 4 its rows are the
+skeleton (supermodular._skeleton, 37 rays at n = 4), and they decide the
+rest with no LP either: F(u) is the intersection of the facets of
+cone(E(N)) that contain u, each facet being the tight set of one ray, and
+the columns inside share one integer witness from the search.  At n >= 5
+the rows are the superset and subset indicators, and a handful of exact
+LPs settle what they leave, as they do when that search pauses, instead
+of one per elementary imset.  CI models are read off that face
 (ci.ci_model_of_imset).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .groundset import (
     ElementaryIndex,
@@ -53,8 +53,8 @@ from .imsets import (
     elementary_imset,
 )
 from .linalg import InvariantError, lp_feasible, rank
-from .membership import _cut_table, _dfs_witnesses, _search_pause, classify
-from .supermodular import SKELETON_MAX_N, _skeleton, _subset_indicator, _superset_indicator
+from .membership import _dfs_witnesses, _search_pause, _separating_table, classify
+from .supermodular import SKELETON_MAX_N, _subset_indicator, _superset_indicator
 
 
 def _graded_submasks(g: GroundSet, mask: int):
@@ -207,26 +207,27 @@ def certify_face(u: Imset) -> tuple:
       elementary w, <f, u> = 0 and <f, u_k> > 0, so the face {<f, ·> = 0}
       contains u but not u_k.
 
-    The reasons come in four kinds, found in this order:
+    The reasons come in three kinds, found in this order:
 
     1. Base witness.  Σ lam_j u_j = u with mu = 1, from membership.classify:
        the search's integer witness when u is combinatorial, the base LP's
        witness otherwise; every column of positive weight is inside.  An
        imset that classify does not find structural raises ValueError.
-    2. Indicators, no LP.  Superset indicators 1_{T⊆·} and subset
-       indicators 1_{·⊆T} (membership._cut_table) are supermodular; each
-       one orthogonal to u puts the columns it is positive on outside.
-    3. Skeleton rays, no LP, at n <= 4.  Every extreme ray f of the
-       standardized supermodular cone (supermodular._skeleton) with
-       <f, u> = 0 puts the columns it is positive on outside.  F(u) is the
-       intersection of the facets of cone(E(N)) that contain u, so the
-       columns left, R, are all inside.  They share one witness: with
-       s = Σ_{k in R} u_k and mu >= 1 the least integer with
-       mu·<f, u> >= <f, s> on every ray, v = mu·u - s is >= 0 on every
-       ray, hence structural and (n <= 4) combinatorial; the search's
-       integer witness w for v, with the columns outside excluded, gives
-       lam = w + 1_R, re-summed exactly against mu·u.
-    4. LP harvest, at n >= 5 or when the search of step 3 pauses (after
+    2. Separating functionals, no LP.  Every row f of
+       membership._separating_table is >= 0 on every column; one pass
+       reads <f, u> for all of them, and each f with <f, u> = 0 puts the
+       columns it is positive on outside.  At n <= 4 the rows are the
+       extreme rays of the standardized supermodular cone
+       (supermodular._skeleton).  F(u) is the intersection of the facets
+       of cone(E(N)) that contain u, so the columns left, R, are all
+       inside.  They share one witness: with s = Σ_{k in R} u_k and
+       mu >= 1 the least integer with mu·<f, u> >= <f, s> on every ray,
+       v = mu·u - s is >= 0 on every ray, hence structural and (n <= 4)
+       combinatorial; the search's integer witness w for v, with the
+       columns outside excluded, gives lam = w + 1_R, re-summed exactly
+       against mu·u.  At n >= 5 the rows are the superset indicators
+       1_{T⊆·} and subset indicators 1_{·⊆T}, and the rest goes to step 3.
+    3. LP harvest, at n >= 5 or when the search of step 2 pauses (after
        membership._search_pause nodes).  Let s be the sum of the still
        undecided columns and solve mu·u - Σ lam_j u_j = s over mu, lam >= 0.
        A witness puts every summand of s inside (faces are closed under
@@ -236,17 +237,16 @@ def certify_face(u: Imset) -> tuple:
        among them.  Repeat until nothing is undecided.
 
     LP answers are re-verified exactly inside lp_feasible.  A column marked
-    both ways, a Farkas functional not orthogonal to u, a skeleton ray
-    negative on u, a step-3 witness that does not re-sum, or a step-3
-    search exhausted without a witness raises InvariantError (also under
-    python -O).
+    both ways, a Farkas functional not orthogonal to u, a step-2 witness
+    that does not re-sum, or a step-2 search exhausted without a witness
+    raises InvariantError (also under python -O).  No row of the table is
+    negative on u: classify has read the same table.
     """
     g = u.ground
     base = classify(u)
     if base.membership_class not in ("combinatorial", "structural"):
         raise ValueError("imset is not structural")
     table = elementary_columns(g)
-    nonzero = [(r, v) for r, v in enumerate(u.values) if v]
     inside, outside = {}, {}
 
     def include(mu, lam):
@@ -266,40 +266,28 @@ def certify_face(u: Imset) -> tuple:
         return [int(j not in inside and j not in outside) for j in range(len(table))]
 
     include(1, base.witness)
-    cut_table = _cut_table(g)
-    for (f, ranks), x in zip(cut_table.cuts, cut_table.inners(u.values)):
+    separating = _separating_table(g)
+    sums = separating.inners(u.values)
+    for (f, ranks), x in zip(separating.cuts, sums):
         if x == 0:
             exclude(f, ranks)
-    if g.n <= SKELETON_MAX_N:
-        loose = []  # (<f, u>, f) for the rays not tight at u
-        for f, ranks in _skeleton(g):
-            x = sum(f[r] * v for r, v in nonzero)
-            if x < 0:
-                raise InvariantError("a skeleton ray is negative on a structural imset")
-            if x == 0:
-                exclude(f, ranks)
-            else:
-                loose.append((x, f))
-        rest = undecided()
-        if any(rest):
-            s = elementary_combination(g, rest)
-            # the least mu >= 1 with mu·<f, u> >= <f, s> on every loose ray
-            mu = max([1, *(-(-sum(map(mul, f, s)) // x) for x, f in loose)])
-            v = Imset(g, tuple(mu * x - y for x, y in zip(u.values, s)))
-            w = next(_dfs_witnesses(v, excluded=outside, pause=_search_pause(g)), False)
-            if w is False:
-                raise InvariantError("no integer witness for a structural imset at n <= 4")
-            if w is not None:
-                lam = tuple(x + y for x, y in zip(w, rest))
-                if elementary_combination(g, lam) != [mu * x for x in u.values]:
-                    raise InvariantError("skeleton witness does not re-sum to mu·u")
-                include(mu, lam)
+    rest = undecided()
+    if g.n <= SKELETON_MAX_N and any(rest):
+        s = elementary_combination(g, rest)
+        # the least mu >= 1 with mu·<f, u> >= <f, s> on every loose ray
+        mu = max([1, *(-(-y // x) for x, y in zip(sums, separating.inners(s)) if x)])
+        v = Imset(g, tuple(mu * x - y for x, y in zip(u.values, s)))
+        w = next(_dfs_witnesses(v, excluded=outside, pause=_search_pause(g)), False)
+        if w is False:
+            raise InvariantError("no integer witness for a structural imset at n <= 4")
+        if w is not None:
+            lam = tuple(x + y for x, y in zip(w, rest))
+            if elementary_combination(g, lam) != [mu * x for x in u.values]:
+                raise InvariantError("skeleton witness does not re-sum to mu·u")
+            include(mu, lam)
     A = None
-    while True:
-        # one LP for the sum of every still undecided column at once
-        rest = undecided()
-        if not any(rest):
-            break
+    # one LP for the sum of every still undecided column at once
+    while any(rest := undecided()):
         # columns [u | -u_j for u_j in E(N)], built when the first LP runs
         A = A or [(x, *(-y for y in row)) for x, row in zip(u.values, configuration(g).matrix)]
         lp = lp_feasible(A, elementary_combination(g, rest))
@@ -308,7 +296,7 @@ def certify_face(u: Imset) -> tuple:
             include(mu, tuple(x + d for x, d in zip(lam, rest)))
         else:
             f = tuple(-y for y in lp.certificate)
-            if sum(f[r] * v for r, v in nonzero) != 0:
+            if sum(x * v for x, v in zip(f, u.values)) != 0:
                 raise InvariantError("Farkas functional is not orthogonal to u")
             exclude(f, [k for k, col in enumerate(table) if column_value(f, col) > 0])
     return inside, outside
@@ -321,8 +309,8 @@ def face_of_structural(u: Imset) -> list:
 
     Every column is decided by certify_face with an exact reason: a
     witness (integer or LP) for each ray returned, and for each ray left
-    out a superset or subset indicator, a skeleton ray (n <= 4) or a Farkas
-    functional f with <f, u> = 0 < <f, v>.
+    out a skeleton ray (n <= 4), a superset or subset indicator (n >= 5) or
+    a Farkas functional f with <f, u> = 0 < <f, v>.
     Raises ValueError for an imset that is not structural.
     """
     inside, _ = certify_face(u)

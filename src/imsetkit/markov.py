@@ -70,8 +70,12 @@ last degree only the rows and flags outlive the gather.  check_degree_cap
 bounds all of this from the shape before any work (_estimate_bytes),
 against MEMORY_BUDGET_BYTES; the full n=5 configuration at degree 5
 estimates 883 MiB and peaks near 0.8 GiB of resident memory.  The
-number of connecting moves is not bounded by the shape, so the pass
-checks the moves it holds against what the estimate leaves.
+label-permutation tables that canonicalise the moves grow with n!, so
+markov_basis bounds them from n and the column count
+(_label_table_bytes) before the first degree, unless the kernel is
+trivial and they are never built.  The number of connecting moves is not
+bounded by the shape, so the pass checks the moves it holds against what
+the larger of the two estimates leaves.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
@@ -91,7 +95,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -187,9 +191,28 @@ def check_degree_cap(num_cols: int, num_rows: int, degree_cap: int) -> int:
     d = degrees[
         bisect_left(degrees, True, key=lambda d: _estimate_bytes(num_cols, num_rows, d) > MEMORY_BUDGET_BYTES)
     ]
-    raise BudgetError(
-        f"degree {d} needs about {_estimate_bytes(num_cols, num_rows, d) >> 20} MiB, over the "
-        f"{MEMORY_BUDGET_BYTES >> 20} MiB budget"
+    raise _over_budget(f"degree {d} needs", _estimate_bytes(num_cols, num_rows, d))
+
+
+def _over_budget(what: str, need: int) -> BudgetError:
+    return BudgetError(f"{what} about {need >> 20} MiB, over the {MEMORY_BUDGET_BYTES >> 20} MiB budget")
+
+
+def _label_table_bytes(g: GroundSet, num_cols: int) -> int:
+    """An upper bound on the bytes of the label-permutation tables that
+    _representatives builds for num_cols columns over g, from n and the
+    column count alone: the cached (n!, 2^n) subset images and, beside
+    them, the largest of the permutation list with one more (n!, 2^n)
+    array while the images are built (relations._subset_images), three
+    (n!, |E(N)|) arrays while the rank maps are built (_rank_map_array),
+    and the cached rank maps with the stabiliser rows and three
+    (n!, num_cols) gathers (_stabiliser, _least_images)."""
+    perms, subsets = factorial(g.n), g.num_subsets
+    cells = perms * g.num_elementary
+    return 8 * perms * subsets + max(
+        perms * (48 + 16 * g.n + 8 * subsets),
+        8 * subsets**2 + 24 * cells,
+        16 * cells + 24 * perms * num_cols,
     )
 
 
@@ -507,15 +530,21 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     # refuse once their copies outgrow what the estimate of the pass leaves
     room = MEMORY_BUDGET_BYTES - check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
-    column_ranks = [e.rank for e in cfg.columns]
-    cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-    num_cols = cols_t.shape[0]
-    col_keys = _column_keys(cols_t)
     full = _is_full_configuration(cfg)
     # for a proper column subset we can certify completeness only in the
     # trivial-kernel case, where no two multisets share a sum: no degree
     # has moves, so the loop is skipped
     trivial = not full and _kernel_trivial(cfg)
+    # a trivial kernel builds no label tables; they outlive the pass's
+    # arrays, not the connecting differences
+    tables = 0 if trivial else _label_table_bytes(g, cfg.num_cols)
+    if tables > MEMORY_BUDGET_BYTES:
+        raise _over_budget("the label-permutation tables need", tables)
+    room = min(room, MEMORY_BUDGET_BYTES - tables)
+    column_ranks = [e.rank for e in cfg.columns]
+    cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
+    num_cols = cols_t.shape[0]
+    col_keys = _column_keys(cols_t)
     # lanes wide enough for the cap serve every degree up to it; a row no
     # column touches adds the same to every sum, so it gets no lane
     lanes = _packed_lanes(cols_t[:, cols_t.any(axis=0)], degree_cap)

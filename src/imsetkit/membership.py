@@ -18,13 +18,17 @@ which makes the enumeration exact and duplicate-free.
 
 classify orders its exact certificates by cost and runs the simplex only
 when nothing cheaper decides: the L* sums, then the grade (a nonzero u of
-degree <= 0 is outside the cone), then the superset and subset indicator
-cuts (supermodular, 0/1 on every elementary imset, so <f, u> < 0 puts u
+degree <= 0 is outside the cone), then one pass over the separating table
+(a functional >= 0 on every elementary imset with <f, u> < 0 puts u
 outside the cone), then an integer witness from the search, and only then
-the LP.  The same cut table gives faces.certify_face its LP-free
-exclusions, and every cut in it prunes the search: a summand adds 0 or 1 to
-each cut, so a prefix that takes a cut below 0 has no completion.  The
-search is a generator; classify pauses it around the LP rather than
+the LP.  The separating table is one family per n: at n <= 4 the extreme
+rays of the standardized supermodular cone, whose tight sets are the
+facets of cone(E(N)), so that a u in L* they pass is in the cone; above
+that the superset and subset indicator cuts.  faces.certify_face reads
+its LP-free exclusions from the same table.  The indicator cuts (0/1 on
+every elementary imset) prune the search at every n: a summand adds 0 or
+1 to each cut, so a prefix that takes a cut below 0 has no completion.
+The search is a generator; classify pauses it around the LP rather than
 running it twice.
 """
 
@@ -49,7 +53,7 @@ from .imsets import (
     is_member_L_star,
 )
 from .linalg import InvariantError, lp_feasible
-from .supermodular import SetFunction, _subset_indicator, _superset_indicator
+from .supermodular import SKELETON_MAX_N, SetFunction, _skeleton, _subset_indicator, _superset_indicator
 
 
 @lru_cache(maxsize=32)
@@ -105,20 +109,35 @@ def _blocks_by_conditioning(g: GroundSet):
 
 @dataclass(frozen=True)
 class _CutTable:
-    """The indicator cuts of one ground set; see _cut_table."""
+    """A table of separating functionals of one ground set; see _cut_table
+    and _separating_table."""
 
     cuts: tuple
     ones: tuple
     hits: tuple
 
+    @classmethod
+    def of(cls, g: GroundSet, rows) -> _CutTable:
+        """The table of rows (f, ranks), f rank-indexed values >= 0 on every
+        elementary column and ranks the columns f is positive on: ones[r]
+        lists the (row, f(r)) pairs with f(r) != 0, hits[j] the rows
+        positive on column j."""
+        ones, hits = [[] for _ in range(g.num_subsets)], [[] for _ in range(g.num_elementary)]
+        for i, (f, ranks) in enumerate(rows):
+            for r in (r for r, x in enumerate(f) if x):
+                ones[r].append((i, f[r]))
+            for j in ranks:
+                hits[j].append(i)
+        return cls(tuple(rows), tuple(map(tuple, ones)), tuple(map(tuple, hits)))
+
     def inners(self, values) -> list:
-        """<f, u> for every cut f, u given by its rank-indexed values; costs
+        """<f, u> for every row f, u given by its rank-indexed values; costs
         the nonzeros of u."""
         sums = [0] * len(self.cuts)
         for x, on in zip(values, self.ones):
             if x:
-                for i in on:
-                    sums[i] += x
+                for i, w in on:
+                    sums[i] += w * x
         return sums
 
 
@@ -128,11 +147,11 @@ def _cut_table(g: GroundSet) -> _CutTable:
     1_{·⊆T} that are positive on some elementary column; built once per n.
 
     cuts[i] = (f, ranks): f's rank-indexed values and the ranks of the
-    columns w with <f, w> = 1; ones[r] lists the cuts that are 1 at the
-    subset of rank r, and hits[j] the cuts that are 1 on column j.  Both
-    families are supermodular, so every cut is 0 or 1 on every elementary
-    imset: <f, u> < 0 proves u outside the cone, and <f, u> = 0 puts every
-    column in `ranks` outside the least face of u.
+    columns w with <f, w> = 1; ones[r] lists the (cut, 1) pairs of the cuts
+    that are 1 at the subset of rank r, and hits[j] the cuts that are 1 on
+    column j.  Both families are supermodular, so every cut is 0 or 1 on
+    every elementary imset: <f, u> < 0 proves u outside the cone, and
+    <f, u> = 0 puts every column in `ranks` outside the least face of u.
 
     `ranks` is read off the column masks, not evaluated: on <a|b|C>,
     1_{T⊆·} is 1 exactly when ab ⊆ T ⊆ abC, 1_{·⊆T} exactly when
@@ -140,26 +159,37 @@ def _cut_table(g: GroundSet) -> _CutTable:
     exact check that f* is 1 on every elementary column; a failure raises
     InvariantError.
     """
-    table = elementary_columns(g)
     star = degree_function(g).values
-    if any(column_value(star, col) != 1 for col in table):
+    if any(column_value(star, col) != 1 for col in elementary_columns(g)):
         raise InvariantError("f* is not 1 on every elementary column")
     triples = np.array(g.elementary_triples, dtype=np.intp).reshape(-1, 3)
     ab, c = 1 << triples[:, 0] | 1 << triples[:, 1], triples[:, 2]
-    cuts, ones, hits = [], [[] for _ in range(g.num_subsets)], [[] for _ in table]
+    cuts = []
     # a cut is 1 on the columns with lo ⊆ T ⊆ hi (~ab: T misses a and b)
     for family, lo, hi in ((_superset_indicator, ab, ab | c), (_subset_indicator, c, ~ab)):
         for mask in g.masks_graded:
             ranks = tuple(np.flatnonzero((lo & ~mask == 0) & (mask & ~hi == 0)).tolist())
-            if not ranks:
-                continue
-            f = family(g, mask).values
-            for r in (r for r, x in enumerate(f) if x):
-                ones[r].append(len(cuts))
-            for j in ranks:
-                hits[j].append(len(cuts))
-            cuts.append((f, ranks))
-    return _CutTable(tuple(cuts), tuple(map(tuple, ones)), tuple(map(tuple, hits)))
+            if ranks:
+                cuts.append((family(g, mask).values, ranks))
+    return _CutTable.of(g, cuts)
+
+
+@per_n
+def _separating_table(g: GroundSet) -> _CutTable:
+    """The functionals that decide cone membership and least faces: at
+    n <= SKELETON_MAX_N the extreme rays of the standardized supermodular
+    cone (supermodular._skeleton), with their values as weights, and above
+    it the indicator cuts (_cut_table) themselves; built once per n.
+
+    Every row is >= 0 on every elementary column and lists the columns it
+    is positive on, so <f, u> < 0 proves u outside the cone and <f, u> = 0
+    puts those columns outside the least face of u.  The rays' tight sets
+    are the facets of cone(E(N)): a u in L* that no ray makes negative is
+    in the cone, and each indicator cut is a nonnegative combination of
+    rays plus a modular function, so the rays decide everything the cuts
+    do.  The search prunes on the 0/1 cuts at every n.
+    """
+    return _cut_table(g) if g.n > SKELETON_MAX_N else _CutTable.of(g, _skeleton(g))
 
 
 def _search_pause(g: GroundSet) -> int:
@@ -248,27 +278,30 @@ def classify(u: Imset) -> MembershipResult:
     1. u outside L*: none.
     2. u != 0 with degree(u) <= 0: lattice.  Every elementary imset has
        grade 1, so a nonnegative combination of degree <= 0 is empty.
-    3. An indicator cut f (_cut_table) with <f, u> < 0: lattice.
+    3. A functional f of the separating table (_separating_table) with
+       <f, u> < 0: lattice.  At n <= 4 these are the skeleton rays, which
+       decide the cone: an input that passes them is structural.
     4. A nonnegative integer witness from the search, re-summed exactly
        (a mismatch raises InvariantError, also under python -O):
        combinatorial.
     5. The exact LP over the configuration: structural with its witness
-       when feasible, lattice otherwise.
+       when feasible, lattice otherwise.  At n <= 4 it runs only after a
+       paused search and is always feasible there (every structural imset
+       is combinatorial at n <= 4), so the search resumes.
 
     The search in step 4 pauses after 2^n·|E(N)| nodes (1 at n = 1),
     the size of the configuration and about the work of one LP at n = 4
     and 5.  A paused search hands over to the LP, and is resumed only
-    when the LP is feasible.  So an input that passes every cut but is
-    not combinatorial costs at most about one LP more than the LP alone,
+    when the LP is feasible.  So an input that passes the separating table
+    but is not combinatorial costs at most about one LP more than the LP alone,
     however large its degree.
     """
     g = u.ground
     deg = degree(u)
     if not is_member_L_star(u):
         return MembershipResult(g, "none", None, deg)
-    if deg <= 0 and any(u.values):
-        return MembershipResult(g, "lattice", None, deg)
-    if any(x < 0 for x in _cut_table(g).inners(u.values)):
+    # steps 2 and 3: the grade first, the table only when it does not decide
+    if deg <= 0 and any(u.values) or any(x < 0 for x in _separating_table(g).inners(u.values)):
         return MembershipResult(g, "lattice", None, deg)
     lp = None
     # None: the search paused; False: it is exhausted (a witness may be ())
@@ -281,8 +314,7 @@ def classify(u: Imset) -> MembershipResult:
         if min(witness, default=0) < 0 or elementary_combination(g, witness) != list(u.values):
             raise InvariantError("search witness does not re-sum to the imset")
         return MembershipResult(g, "combinatorial", witness, deg)
-    if lp is None:
-        lp = lp_feasible(configuration(g).matrix, u.values)
+    lp = lp or lp_feasible(configuration(g).matrix, u.values)
     if lp.feasible:
         return MembershipResult(g, "structural", lp.witness, deg)
     return MembershipResult(g, "lattice", None, deg)

@@ -24,9 +24,11 @@ extreme_rays lists the extreme rays of a pointed cone given by integer
 rows, by exact double description.  On the rows of the elementary columns
 (over the subsets with |S| >= 2) it gives the skeleton, the extreme rays of
 the standardized supermodular cone: 5 at n = 3 and 37 at n = 4.  Each
-ray's tight set is a facet of cone(E(N)), so the skeleton decides the
-least faces at n <= 4 without an LP (faces.certify_face); it is built on
-first use and cached per n, never at import.
+ray's tight set is a facet of cone(E(N)), so at n <= 4 the skeleton
+decides cone membership and the least faces without an LP: it is the
+separating table of membership (_separating_table), which
+membership.classify and faces.certify_face read; it is built on first
+use and cached per n, never at import.
 
 SetFunction itself lives in imsets (an Imset is its integer-valued
 subclass) and is re-exported here.  Exactness: the exact tests

@@ -429,6 +429,23 @@ def test_markov_budget_is_checked_before_the_configuration_is_built(capsys, monk
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("argv", [["--n", "8"], ["--n", "10", "--sub", "a|bcdefghij|0"]])
+def test_markov_label_tables_are_budgeted_before_they_are_built(capsys, monkeypatch, argv):
+    import imsetkit.relations as relations
+
+    def refuse(g):
+        raise RuntimeError("label tables built before the budget check")
+
+    monkeypatch.setattr(relations, "_subset_images", refuse)
+    start = time.perf_counter()
+    code = main(["markov", "--degree-cap", "2", *argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: the label-permutation tables need about ")
+    assert elapsed < 1
+
+
 def test_markov_budget_check_does_not_walk_every_degree(capsys):
     # one column: every degree has one multiset, so the least degree over
     # the budget is in the tens of millions

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import imsetkit
-from imsetkit import faces
+from imsetkit import faces, membership
 from imsetkit.ci import CIModel, ci_model_of_imset
 from imsetkit.faces import (
     certify_face,
@@ -339,10 +339,12 @@ def test_face_first_model_matches_lp_oracle(u):
 
 
 def lp_harvest_ranks(u):
-    """certified_face_ranks with the skeleton step switched off, so that
-    every column the base witness and the cuts leave goes to the LP
-    harvest: the oracle for the skeleton path at n <= 4."""
+    """certified_face_ranks with the skeleton switched off, both its rays
+    and its step, so that every column the base witness and the indicator
+    cuts leave goes to the LP harvest: the oracle for the skeleton path at
+    n <= 4."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faces, "_separating_table", membership._cut_table)
         mp.setattr(faces, "SKELETON_MAX_N", 0)
         return certified_face_ranks(u)
 
@@ -415,7 +417,7 @@ def test_four_generator_face_is_cut_by_its_skeleton_ray(monkeypatch):
     assert certify_face(u)[1][k] == m
     # without that ray v = mu·u - s is not in the cone, and the search says so
     rays = tuple(ray for ray in _skeleton(_G4) if ray[0] != m)
-    monkeypatch.setattr(faces, "_skeleton", lambda g: rays)
+    monkeypatch.setattr(faces, "_separating_table", lambda g: membership._CutTable.of(g, rays))
     with pytest.raises(InvariantError):
         certify_face(u)
 
@@ -434,11 +436,11 @@ from imsetkit import faces, membership
 from imsetkit.groundset import ElementaryIndex, GroundSet
 from imsetkit.imsets import elementary_imset
 
-g = GroundSet(3)
+g = GroundSet(5)
 u = elementary_imset(ElementaryIndex.from_rank(g, 0))
 print([e.rank for e in faces.face_of_structural(u)])
 # a cut that claims to exclude column 0, which the base witness puts inside
-faces._cut_table = lambda g: membership._CutTable((((0,) * g.num_subsets, (0,)),), ((),), ())
+faces._separating_table = lambda g: membership._CutTable((((0,) * g.num_subsets, (0,)),), ((),), ())
 try:
     faces.face_of_structural(u)
     print("unchecked")
@@ -459,7 +461,7 @@ def test_face_conflict_raises_under_python_O():
 
 
 _SKELETON_CONFLICT_SCRIPT = """
-from imsetkit import faces
+from imsetkit import faces, membership
 from imsetkit.groundset import ElementaryIndex, GroundSet
 from imsetkit.imsets import elementary_imset
 
@@ -468,7 +470,7 @@ u = elementary_imset(ElementaryIndex.from_rank(g, 0))
 print([e.rank for e in faces.face_of_structural(u)])
 # a ray tight at u that claims to exclude column 0, which the base witness
 # puts inside
-faces._skeleton = lambda g: (((0,) * g.num_subsets, (0,)),)
+faces._separating_table = lambda g: membership._CutTable.of(g, (((0,) * g.num_subsets, (0,)),))
 try:
     faces.face_of_structural(u)
     print("unchecked")

@@ -24,6 +24,7 @@ LABEL_FREE = (
     imsets.elementary_columns,
     membership._blocks_by_conditioning,
     membership._cut_table,
+    membership._separating_table,
     relations._cyclic_moves,
     relations._relation_classes,
 )

@@ -26,6 +26,7 @@ from imsetkit.markov import (
     _estimate_bytes,
     _is_full_configuration,
     _kernel_trivial,
+    _label_table_bytes,
     _key_weights,
     _connecting_differences,
     _extend_index,
@@ -689,6 +690,48 @@ def test_n5_cap_5_fits_the_budget_and_n6_cap_4_does_not():
     assert 24 * comb(243, 4) > MEMORY_BUDGET_BYTES
     with pytest.raises(BudgetError):
         check_degree_cap(240, 64, 4)
+
+
+def test_label_table_estimate_covers_traced_peak():
+    # built from empty caches for the full configuration, so the stabiliser
+    # keeps every row: the estimate bounds the traced peak of the tables and
+    # is within twice it (at n = 4 the fixed costs of a call, about 30 KB,
+    # outweigh the tables)
+    import tracemalloc
+
+    from imsetkit import relations
+
+    for n in (5, 6):
+        g = GroundSet(n)
+        ranks = np.arange(g.num_elementary)
+        z = np.eye(1, g.num_elementary, dtype=np.int64)
+        relations._subset_images.cache_clear()
+        relations._rank_map_array.cache_clear()
+        tracemalloc.start()
+        try:
+            relations._least_images(z, ranks, relations._stabiliser(g, ranks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _label_table_bytes(g, g.num_elementary) <= 2 * peak, n
+
+
+def test_label_tables_fit_the_budget_up_to_n7_and_not_at_n8(monkeypatch):
+    # n = 7 at cap 2 and every n <= 5 shape stay admitted; the full n = 8
+    # configuration is refused before any table is built
+    from imsetkit import relations
+
+    for n in range(1, 8):
+        g = GroundSet(n)
+        assert _label_table_bytes(g, g.num_elementary) <= MEMORY_BUDGET_BYTES
+    assert _label_table_bytes(GroundSet(8), 1792) > MEMORY_BUDGET_BYTES
+
+    def refuse(g):
+        raise AssertionError("label tables built before the budget check")
+
+    monkeypatch.setattr(relations, "_subset_images", refuse)
+    with pytest.raises(BudgetError, match="label-permutation tables"):
+        markov_basis(configuration(GroundSet(8)), 2)
 
 
 def test_small_chunks_give_the_same_reports(monkeypatch):

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from imsetkit.membership import (
     degree,
     degree_function,
 )
-from imsetkit.supermodular import _subset_indicator, _superset_indicator
+from imsetkit.supermodular import _subset_indicator, _superset_indicator, skeleton
 
 
 def resum(g, witness):
@@ -233,11 +234,11 @@ def combination(g, terms, multiple=1, shift=0):
 
 
 @st.composite
-def integer_combinations(draw):
+def integer_combinations(draw, max_n=5):
     """multiple (1..8) of an integer combination of up to five elementary
-    imsets with coefficients in -2..2 at n = 3..5; one draw in eight is
+    imsets with coefficients in -2..2 at n = 3..max_n; one draw in eight is
     pushed out of L*."""
-    g = GroundSet(draw(st.integers(3, 5)))
+    g = GroundSet(draw(st.integers(3, max_n)))
     coeffs = [0] * g.num_elementary
     for _ in range(draw(st.integers(0, 5))):
         coeffs[draw(st.integers(0, g.num_elementary - 1))] += draw(st.integers(-2, 2))
@@ -315,7 +316,7 @@ def _evaluated_cut_table(g):
             if not ranks:
                 continue
             for r in (r for r, x in enumerate(f) if x):
-                ones[r].append(len(cuts))
+                ones[r].append((len(cuts), 1))
             for j in ranks:
                 hits[j].append(len(cuts))
             cuts.append((f, ranks))
@@ -338,20 +339,99 @@ def test_one_variable_zero_imset_is_combinatorial_without_lp(monkeypatch):
     assert classify(Imset.zero(g)) == MembershipResult(g, "combinatorial", (), 0)
 
 
-def test_uncaught_lattice_inputs_pass_every_cut():
+def counted_lps(monkeypatch):
+    """Count the LPs classify solves from here on."""
+    calls = []
+    solve = membership.lp_feasible
+    monkeypatch.setattr(membership, "lp_feasible", lambda A, b: calls.append(1) or solve(A, b))
+    return calls
+
+
+def ray_values(u):
+    """<f, u> for every ray f of supermodular.skeleton, summed densely."""
+    return [sum(map(operator.mul, f.values, u.values)) for f in skeleton(u.ground)]
+
+
+def cut_only(fn, *args):
+    """fn with the rays switched off in classify: the indicator cuts, the
+    search and the LP decide at every n, as they do at n >= 5."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(membership, "_separating_table", membership._cut_table)
+        return fn(*args)
+
+
+def test_uncaught_lattice_inputs_pass_every_cut(monkeypatch):
+    # at n = 4 a ray decides them with no LP; at n = 5 the LP still does
     for u in _UNCAUGHT:
         assert degree(u) > 0
         assert min(membership._cut_table(u.ground).inners(u.values)) >= 0
+        calls = counted_lps(monkeypatch)
         assert classify(u).membership_class == "lattice"
+        if u.ground.n == 4:
+            assert min(ray_values(u)) < 0 and not calls
+        else:
+            assert calls
 
 
-def test_over_budget_inputs_exhaust_the_first_search():
+def test_over_budget_inputs_exhaust_the_first_search(monkeypatch):
     classes = []
     for u in _OVER_BUDGET:
         g = u.ground
         assert next(_dfs_witnesses(u, pause=g.num_subsets * g.num_elementary)) is None
+        calls = counted_lps(monkeypatch)
         classes.append(classify(u).membership_class)
+        # the n = 4 lattice input is decided by a ray before the search
+        assert bool(calls) == (classes[-1] == "combinatorial")
     assert classes == ["combinatorial", "lattice", "combinatorial"]
+    assert min(ray_values(_OVER_BUDGET[1])) < 0
+
+
+def _seeded_n4_sample():
+    """4000 integer combinations at n = 4, each of 2-7 distinct columns
+    with coefficients from {-1, 1, 1, 2}, from one seeded generator."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(4000):
+        coeffs = [0] * _G4.num_elementary
+        for j in rng.sample(range(_G4.num_elementary), rng.randint(2, 7)):
+            coeffs[j] = rng.choice((-1, 1, 1, 2))
+        out.append(Imset(_G4, tuple(elementary_combination(_G4, coeffs))))
+    return out
+
+
+def test_rays_match_the_cut_only_oracle_on_a_seeded_sample(monkeypatch):
+    sample = _seeded_n4_sample()
+    calls = counted_lps(monkeypatch)
+    got = [classify(u).to_json() for u in sample]
+    assert not calls
+    assert [cut_only(classify, u).to_json() for u in sample] == got
+    # the oracle's LPs are the 38 inputs that pass every cut but not every ray
+    assert len(calls) == 38
+    assert Counter(r["class"] for r in got) == {"lattice": 2563, "combinatorial": 1437}
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_combinations(max_n=4))
+def test_rays_match_the_cut_only_oracle(u):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_lps(mp)
+        got = classify(u)
+        # an LP runs only after a paused search, and then finds u in the cone
+        assert not calls or got.membership_class == "combinatorial"
+    assert got.to_json() == cut_only(classify, u).to_json()
+
+
+def test_a_ray_decides_an_input_that_passes_every_cut(monkeypatch):
+    u = Imset.from_dict(_G4, {
+        "0": 2, "a": -1, "b": -2, "c": -1, "d": -1, "ab": 1, "ac": 1, "bc": 3, "bd": 2,
+        "abc": -3, "abd": -1, "bcd": -3, "abcd": 3,
+    })
+    assert is_member_L_star(u) and degree(u) == 4
+    assert min(membership._cut_table(_G4).inners(u.values)) >= 0
+    assert sorted(ray_values(u))[:5] == [-1, -1, -1, -1, 0]
+    calls = counted_lps(monkeypatch)
+    assert classify(u) == MembershipResult(_G4, "lattice", None, 4) and not calls
+    assert cut_only(classify, u) == MembershipResult(_G4, "lattice", None, 4) and len(calls) == 1
 
 
 # the search as it was with the superset cuts only, returning a list: the
@@ -459,6 +539,7 @@ def test_cheap_certificates_need_no_lp(monkeypatch):
         assert face_of_structural(elementary_imset(e)) == [e]
     # a nonzero imset of degree <= 0 is decided by its degree alone
     monkeypatch.setattr(membership, "_cut_table", no_lp)
+    monkeypatch.setattr(membership, "_separating_table", no_lp)
     for c in (1, 3):
         assert classify(lattice.scale(c)) == MembershipResult(g, "lattice", None, 0)
     assert classify(-u) == MembershipResult(g, "lattice", None, -4)
