@@ -41,7 +41,7 @@ representative; each degree is one array pass:
   {0, 1, 2}) are packed into unsigned lanes of uint64 words, one lane per
   row some column touches, and the words of the d columns of every run
   member are added.  A lane of such a sum stays in [0, 2d]; the lanes are
-  packed once per call, 4 bits wide while 2·cap < 16 and 8 bits up to cap
+  packed once per pass, 4 bits wide while 2·cap < 16 and 8 bits up to cap
   127, so no lane carries into the next, and two members have equal words
   exactly when they have equal column sums.  Adjacent members of a run
   are compared; a run with a mismatch (a 64-bit key collision, or keys
@@ -77,6 +77,30 @@ trivial and they are never built.  The number of connecting moves is not
 bounded by the shape, so the pass checks the moves it holds against what
 the larger of the two estimates leaves.
 
+One pass per reduced matrix.  The fibers and connecting differences of a
+pass depend only on the cap and the int8 matrix of the rows some column
+touches, in column order: a row no column touches adds the same to every
+sum, and the order of the rows changes no sum's equality.  So the face of
+an exactly effective triplet <A|B|C> shares its pass with the face of
+<A|B|∅> lifted by C, and with every face whose touched rows are the same
+up to order (the 121 faces at n = 3..5 have 17 such matrices).  The pass
+runs on that matrix with its rows sorted by their bytes (_pass_key), and
+_passes keeps what it found per process: whether the kernel is trivial and
+the connecting differences, read-only, keyed by the cap and that matrix.
+The memo holds at most _MEMO_ENTRIES passes and _MEMO_BYTES (8 MiB) of
+differences, and drops the least recently used first; a pass whose
+differences alone are more is not kept.  The tail runs on every call, with
+the caller's ground set and column ranks: the representatives and
+complete_source.  Reports are those of a pass of the caller's own matrix:
+the key weights of the sorted rows order the multisets, but the lanes
+decide the fibers, and relations._least_images returns the distinct least
+images in ascending order, whatever the order of the differences.  Every
+check still runs: the shape estimate and the label-table refusal before
+any degree is built (a hit gives the trivial kernel its exemption), the
+held differences of a hit against the caller's budget, the degree check on
+every difference a miss finds, and the kernel check of every
+representative Move.
+
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
 the label-permutation action) as the stable contract, with one canonical
@@ -96,6 +120,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
+from threading import Lock
 
 import numpy as np
 
@@ -114,6 +139,10 @@ _FLAG_BLOCK = 1 << 16
 # copies of the connecting differences alive at once while they are
 # concatenated and written as lexicographic codes with their negations
 _HELD_COPIES = 8
+# the passes kept per process (_passes), and the bytes of connecting
+# differences they hold together: as much as one chunk's work arrays
+_MEMO_ENTRIES = 32
+_MEMO_BYTES = 8 << 20
 
 
 def _extend_index(prev: np.ndarray, prev_keys: np.ndarray, col_keys: np.ndarray) -> tuple:
@@ -530,27 +559,57 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     # refuse once their copies outgrow what the estimate of the pass leaves
     room = MEMORY_BUDGET_BYTES - check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
-    full = _is_full_configuration(cfg)
-    # for a proper column subset we can certify completeness only in the
-    # trivial-kernel case, where no two multisets share a sum: no degree
-    # has moves, so the loop is skipped
-    trivial = not full and _kernel_trivial(cfg)
-    # a trivial kernel builds no label tables; they outlive the pass's
+    key = _pass_key(cfg, degree_cap)
+    found = _passes.get(key)
+    # a trivial kernel has no two multisets with one sum: no degree has
+    # moves, the loop is skipped, and no label tables are built, so only a
+    # nontrivial kernel is refused for them; they outlive the pass's
     # arrays, not the connecting differences
+    trivial = found.trivial if found else _kernel_trivial(cfg)
     tables = 0 if trivial else _label_table_bytes(g, cfg.num_cols)
     if tables > MEMORY_BUDGET_BYTES:
         raise _over_budget("the label-permutation tables need", tables)
     room = min(room, MEMORY_BUDGET_BYTES - tables)
-    column_ranks = [e.rank for e in cfg.columns]
-    cols_t = np.ascontiguousarray(np.array(cfg.matrix, dtype=np.int8).T)
-    num_cols = cols_t.shape[0]
+    if found:
+        _check_held(found.diffs, room)
+    else:
+        diffs = np.zeros((0, cfg.num_cols), dtype=np.int64) if trivial else _degree_loop(key, room)
+        found = _passes.put(key, _Pass(trivial, diffs))
+    reps = _representatives(g, [e.rank for e in cfg.columns], found.diffs)
+    per_degree = dict(Counter(m.degree for m in reps))
+
+    if _is_full_configuration(cfg):
+        # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
+        known = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
+        source = "literature (n <= 4)" if known else "unknown"
+    else:
+        # for a proper column subset we can certify completeness only in
+        # the trivial-kernel case
+        source = "certified (trivial kernel)" if trivial else "unknown"
+    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
+
+
+def _pass_key(cfg: Configuration, degree_cap: int) -> tuple:
+    """(cap, shape, bytes) of the int8 rows some column touches, in column
+    order, the rows sorted by their bytes: all a pass depends on."""
+    m = np.array(cfg.matrix, dtype=np.int8)
+    m = m[m.any(axis=1)]
+    return degree_cap, m.shape, b"".join(sorted(map(bytes, m)))
+
+
+def _degree_loop(key: tuple, room: int) -> np.ndarray:
+    """The connecting differences of every degree up to the cap, in degree
+    order, of the pass with this key (_pass_key); BudgetError once the
+    copies of those held outgrow room."""
+    degree_cap, shape, data = key
+    num_cols = shape[1]
+    cols_t = np.ascontiguousarray(np.frombuffer(data, dtype=np.int8).reshape(shape).T)
     col_keys = _column_keys(cols_t)
-    # lanes wide enough for the cap serve every degree up to it; a row no
-    # column touches adds the same to every sum, so it gets no lane
-    lanes = _packed_lanes(cols_t[:, cols_t.any(axis=0)], degree_cap)
+    # lanes wide enough for the cap serve every degree up to it
+    lanes = _packed_lanes(cols_t, degree_cap)
     idx, keys = np.arange(num_cols, dtype=np.int16).reshape(1, -1), col_keys
     diffs, held = [np.zeros((0, num_cols), dtype=np.int64)], 0
-    for d in range(2, 2 if trivial else degree_cap + 1):
+    for d in range(2, degree_cap + 1):
         idx, keys = _extend_index(idx, keys, col_keys)
         last = d == degree_cap
         # the last degree's keys are sorted in place, and no degree extends
@@ -566,22 +625,75 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
             diffs.append(found)
             held += found.nbytes
             if _HELD_COPIES * held > room:
-                raise BudgetError(
-                    f"the connecting differences of degree {d} need over {room >> 20} MiB, "
-                    f"past the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
-                )
+                raise _held_over_budget(d, room)
         del rows, starts
-    diffs = np.concatenate(diffs)
-    reps = _representatives(g, column_ranks, diffs)
-    per_degree = dict(Counter(m.degree for m in reps))
+    return np.concatenate(diffs)
 
-    if full:
-        # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
-        known = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
-        source = "literature (n <= 4)" if known else "unknown"
-    else:
-        source = "certified (trivial kernel)" if trivial else "unknown"
-    return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
+
+def _held_over_budget(d: int, room: int) -> BudgetError:
+    return BudgetError(
+        f"the connecting differences of degree {d} need over {room >> 20} MiB, "
+        f"past the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
+    )
+
+
+def _check_held(diffs: np.ndarray, room: int) -> None:
+    """The check _degree_loop makes as it finds the differences, on those of
+    a memo hit: BudgetError, naming the degree of the first difference past
+    room, if their copies outgrow it."""
+    if _HELD_COPIES * diffs.nbytes > room:
+        first = room // (_HELD_COPIES * diffs.itemsize * diffs.shape[1])
+        raise _held_over_budget(int(np.maximum(diffs[first], 0).sum()), room)
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """What markov_basis keeps of a pass: whether the kernel is trivial, and
+    the connecting differences of every degree (read-only)."""
+
+    trivial: bool
+    diffs: np.ndarray
+
+
+class _PassMemo:
+    """The passes of this process by _pass_key, least recently used first:
+    at most _MEMO_ENTRIES of them and _MEMO_BYTES of held differences (a
+    pass whose differences alone are more is not kept).  misses counts the
+    lookups that found no pass; cache_clear() empties the memo.  One lock
+    guards the entries and both counts, so threads may share it."""
+
+    def __init__(self):
+        self._lock = Lock()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self.entries, self.held, self.misses = {}, 0, 0
+
+    def get(self, key) -> _Pass | None:
+        with self._lock:
+            found = self.entries.pop(key, None)
+            if found is None:
+                self.misses += 1
+            else:
+                self.entries[key] = found
+            return found
+
+    def put(self, key, found: _Pass) -> _Pass:
+        found.diffs.flags.writeable = False
+        if found.diffs.nbytes > _MEMO_BYTES:
+            return found
+        with self._lock:
+            # a pass of the same key that another thread ran meanwhile
+            older = self.entries.pop(key, None)
+            self.held += found.diffs.nbytes - (older.diffs.nbytes if older else 0)
+            self.entries[key] = found
+            while len(self.entries) > _MEMO_ENTRIES or self.held > _MEMO_BYTES:
+                self.held -= self.entries.pop(next(iter(self.entries))).diffs.nbytes
+        return found
+
+
+_passes = _PassMemo()
 
 
 def _kernel_trivial(cfg: Configuration) -> bool:

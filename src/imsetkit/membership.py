@@ -34,7 +34,7 @@ running it twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -114,21 +114,20 @@ class _CutTable:
 
     cuts: tuple
     ones: tuple
-    hits: tuple
+    # hits[j]: the rows positive on column j; only the search reads them,
+    # off _cut_table, so only _cut_table fills them
+    hits: tuple = ()
 
     @classmethod
     def of(cls, g: GroundSet, rows) -> _CutTable:
         """The table of rows (f, ranks), f rank-indexed values >= 0 on every
         elementary column and ranks the columns f is positive on: ones[r]
-        lists the (row, f(r)) pairs with f(r) != 0, hits[j] the rows
-        positive on column j."""
-        ones, hits = [[] for _ in range(g.num_subsets)], [[] for _ in range(g.num_elementary)]
-        for i, (f, ranks) in enumerate(rows):
+        lists the (row, f(r)) pairs with f(r) != 0."""
+        ones = [[] for _ in range(g.num_subsets)]
+        for i, (f, _) in enumerate(rows):
             for r in (r for r, x in enumerate(f) if x):
                 ones[r].append((i, f[r]))
-            for j in ranks:
-                hits[j].append(i)
-        return cls(tuple(rows), tuple(map(tuple, ones)), tuple(map(tuple, hits)))
+        return cls(tuple(rows), tuple(map(tuple, ones)))
 
     def inners(self, values) -> list:
         """<f, u> for every row f, u given by its rank-indexed values; costs
@@ -171,7 +170,11 @@ def _cut_table(g: GroundSet) -> _CutTable:
             ranks = tuple(np.flatnonzero((lo & ~mask == 0) & (mask & ~hi == 0)).tolist())
             if ranks:
                 cuts.append((family(g, mask).values, ranks))
-    return _CutTable.of(g, cuts)
+    hits = [[] for _ in range(g.num_elementary)]
+    for i, (_, ranks) in enumerate(cuts):
+        for j in ranks:
+            hits[j].append(i)
+    return replace(_CutTable.of(g, cuts), hits=tuple(map(tuple, hits)))
 
 
 @per_n

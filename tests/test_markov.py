@@ -176,6 +176,25 @@ def _index(num_cols, d, col_keys=None):
     return idx, keys
 
 
+def _fresh_passes(monkeypatch):
+    """A new, empty pass memo for the rest of the test (the module's own
+    memo is restored after it), and the list of the degrees of the indexes
+    the degree loop extends from here on: a patched run that extends none
+    read the memo, and compared a pass with itself."""
+    import imsetkit.markov as mk
+
+    extended = []
+    extend = mk._extend_index
+
+    def counting(prev, prev_keys, col_keys):
+        extended.append(prev.shape[0] + 1)
+        return extend(prev, prev_keys, col_keys)
+
+    monkeypatch.setattr(mk, "_extend_index", counting)
+    monkeypatch.setattr(mk, "_passes", mk._PassMemo())
+    return extended
+
+
 def _components(idx, keys, lanes):
     """(rows, starts, labels) of one degree: the rows of the fiber members
     of the keys (left unchanged), their fiber flags and component labels."""
@@ -558,9 +577,12 @@ def test_key_collision_is_split_by_exact_sums(monkeypatch):
     import imsetkit.markov as mk
 
     want = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in _collision_cases()]
+    extended = _fresh_passes(monkeypatch)
     monkeypatch.setattr(mk, "_column_keys", _zero_keys)
     got = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in _collision_cases()]
     assert got == want
+    # both passes ran under the zero keys, degrees 2 to 4 each
+    assert extended == [2, 3, 4] * 2
 
 
 _COLLISION_SCRIPT = """
@@ -576,9 +598,13 @@ cases = [
     (subconfiguration(Triplet.parse(GroundSet(5), "ab|cd|e")), 4),
 ]
 want = [json.dumps(markov.markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
+# an empty memo, so that both passes run again under the zero keys
+markov._passes.cache_clear()
+extend, extended = markov._extend_index, []
+markov._extend_index = lambda *args: extended.append(1) or extend(*args)
 markov._column_keys = lambda cols_t: np.zeros(len(cols_t), dtype=np.int64)
 got = [json.dumps(markov.markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
-print("split" if got == want else "differ")
+print("split" if got == want else "differ", len(extended))
 """
 
 
@@ -592,7 +618,7 @@ def test_key_collision_is_split_under_python_O():
             [sys.executable, *flags, "-c", _COLLISION_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert done.stdout.split() == ["split"], flags
+        assert done.stdout.split() == ["split", "6"], flags
 
 
 def _wide_column_keys(cols_t):
@@ -638,8 +664,10 @@ def test_truncated_keys_give_the_exact_fibers(monkeypatch):
             assert fibers[0] == fibers[1], (d, cfg.num_cols)
         want = json.dumps(markov_basis(cfg, cap).to_json())
         with monkeypatch.context() as m:
+            extended = _fresh_passes(m)
             m.setattr(mk, "_column_keys", _wide_column_keys)
             assert json.dumps(markov_basis(cfg, cap).to_json()) == want
+            assert extended == list(range(2, cap + 1)), cfg.num_cols
     assert shifted == 3 * len(cases)
 
 
@@ -654,12 +682,17 @@ def test_fiber_members_drop_low_key_bits_only_past_63_bits():
     assert starts.tolist() == [True, False, True, False]
 
 
-def test_budget_estimate_covers_traced_peak():
+def test_budget_estimate_covers_traced_peak(monkeypatch):
     # the estimate bounds the traced peak of the pass; on the 48-column
     # shape and the full n=5 configuration at cap 4 it is within twice
     # that peak (on the two smaller passes the allowance of one chunk's
-    # work arrays alone is several times their 0.5-2 MiB peaks)
+    # work arrays alone is several times their 0.5-2 MiB peaks); the memo
+    # is emptied before each traced call, so each one runs its pass
     import tracemalloc
+
+    import imsetkit.markov as mk
+
+    extended = _fresh_passes(monkeypatch)
 
     g = GroundSet(5)
     cases = [
@@ -671,12 +704,15 @@ def test_budget_estimate_covers_traced_peak():
     for cfg, cap, tight in cases:
         markov_basis(cfg, 2)  # the per-n tables are built outside the trace
         estimate = max(_estimate_bytes(cfg.num_cols, cfg.num_rows, d) for d in range(2, cap + 1))
+        mk._passes.cache_clear()
+        extended.clear()
         tracemalloc.start()
         try:
             markov_basis(cfg, cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert extended == list(range(2, cap + 1)), (cfg.num_cols, cap)
         assert peak <= estimate, (cfg.num_cols, cap)
         if tight:
             assert estimate <= 2 * peak, (cfg.num_cols, estimate >> 10, peak >> 10)
@@ -750,8 +786,13 @@ def test_small_chunks_give_the_same_reports(monkeypatch):
         ]
     assert len(cases) == 122
     want = [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases]
+    extended = _fresh_passes(monkeypatch)
     monkeypatch.setattr(mk, "_CHUNK_BYTES", 4096)
     assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == want
+    # each of the 18 reduced matrices ran its pass in small chunks: degrees
+    # 2 to 4 on the 17 with a nontrivial kernel (the one-column faces have
+    # a trivial one)
+    assert mk._passes.misses == 18 and extended == [2, 3, 4] * 17
 
 
 def test_connecting_differences_are_checked_against_the_budget(monkeypatch):
@@ -760,9 +801,11 @@ def test_connecting_differences_are_checked_against_the_budget(monkeypatch):
     import imsetkit.markov as mk
 
     cfg = configuration(GroundSet(4))
+    extended = _fresh_passes(monkeypatch)
     monkeypatch.setattr(mk, "MEMORY_BUDGET_BYTES", _estimate_bytes(cfg.num_cols, cfg.num_rows, 4) + 100)
     with pytest.raises(BudgetError, match="connecting differences of degree"):
         markov_basis(cfg, 4)
+    assert extended and not mk._passes.entries
 
 
 def test_connecting_moves_pick_the_least_difference():
@@ -852,3 +895,181 @@ def test_moves_are_built_only_for_representatives(monkeypatch):
         counts.append(len(built))
     # 5 Moves for the 160 connecting differences of the full n=5 pass
     assert counts[0] == 5 and sum(counts[1:]) > 20
+
+
+def _memo_cases():
+    # the 121 faces of exactly effective triplets at n = 3..5 and the full
+    # configurations
+    cases = []
+    for n in (3, 4, 5):
+        g = GroundSet(n)
+        cases += [
+            (subconfiguration(t), 4)
+            for t in enumerate_triplets(g)
+            if t.a_mask | t.b_mask | t.c_mask == g.full_mask
+        ]
+    return cases + [(configuration(GroundSet(3)), 3), (configuration(GroundSet(4)), 4), (configuration(GroundSet(5)), 4)]
+
+
+def test_memo_reports_equal_the_cold_reports(monkeypatch):
+    # cold: the memo emptied before every call, so each runs its own pass;
+    # then two sweeps with the memo, the first reading the pass of an
+    # earlier face of the same reduced matrix, the second only hits
+    import imsetkit.markov as mk
+
+    cases = _memo_cases()
+    assert len(cases) == 124
+    _fresh_passes(monkeypatch)
+    cold = []
+    for cfg, cap in cases:
+        mk._passes.cache_clear()
+        cold.append(json.dumps(markov_basis(cfg, cap).to_json()))
+    mk._passes.cache_clear()
+    for _ in range(2):
+        assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == cold
+    assert mk._passes.misses == 20
+
+
+def test_faces_of_one_type_share_a_pass(monkeypatch):
+    # the face of <ab|cd|e> is the face of <ab|cd|0> lifted by e: the rows
+    # its columns touch are those of <ab|cd|0> at n = 4, in another order
+    import imsetkit.markov as mk
+
+    extended = _fresh_passes(monkeypatch)
+    low = subconfiguration(Triplet.parse(GroundSet(4), "ab|cd|0"))
+    lifted = subconfiguration(Triplet.parse(GroundSet(5), "ab|cd|e"))
+    assert mk._pass_key(low, 4) == mk._pass_key(lifted, 4)
+    assert markov_basis(low, 4).per_degree_counts == {2: 2, 4: 4}
+    ran = list(extended)
+    rep = markov_basis(lifted, 4)
+    assert extended == ran == [2, 3, 4] and mk._passes.misses == 1
+    assert rep.per_degree_counts == {2: 2, 4: 4}
+    for m in rep.representatives:
+        kernel_check(lifted, m)
+
+
+def test_criterion_13_sweep_makes_17_passes(monkeypatch):
+    from imsetkit.verify import criterion_square_free
+
+    extended = _fresh_passes(monkeypatch)
+    ok, detail = criterion_square_free()
+    assert ok and detail == "121 sub-configurations, 17 passes, 455 moves, all square-free"
+    # the one-column faces have a trivial kernel and extend no index
+    assert extended == [2, 3, 4] * 16
+
+
+def test_a_memo_hit_is_checked_against_the_callers_budget(monkeypatch):
+    # a pass run under the full budget is kept; a caller with a budget just
+    # over the shape estimate reads it and is refused as a cold pass is,
+    # with the same message
+    import imsetkit.markov as mk
+
+    cfg = configuration(GroundSet(4))
+    extended = _fresh_passes(monkeypatch)
+    markov_basis(cfg, 4)
+    ran = len(extended)
+    monkeypatch.setattr(mk, "MEMORY_BUDGET_BYTES", _estimate_bytes(cfg.num_cols, cfg.num_rows, 4) + 100)
+    with pytest.raises(BudgetError, match="connecting differences of degree") as hit:
+        markov_basis(cfg, 4)
+    assert len(extended) == ran
+    mk._passes.cache_clear()
+    with pytest.raises(BudgetError) as cold:
+        markov_basis(cfg, 4)
+    assert len(extended) > ran
+    assert str(hit.value) == str(cold.value)
+
+
+def test_memo_differences_are_read_only(monkeypatch):
+    import imsetkit.markov as mk
+
+    _fresh_passes(monkeypatch)
+    markov_basis(configuration(GroundSet(4)), 4)
+    (found,) = mk._passes.entries.values()
+    assert len(found.diffs) and not found.diffs.flags.writeable
+    with pytest.raises(ValueError):
+        found.diffs[0, 0] = 5
+
+
+def test_memo_evicts_the_least_recently_used_pass_first(monkeypatch):
+    import imsetkit.markov as mk
+
+    def held(mib):
+        return mk._Pass(False, np.zeros((mib << 17, 1), dtype=np.int64))
+
+    monkeypatch.setattr(mk, "_MEMO_ENTRIES", 3)
+    memo = mk._PassMemo()
+    for key in "abc":
+        assert memo.get(key) is None
+        memo.put(key, held(1))
+    assert memo.get("a") is not None and memo.misses == 3
+    memo.put("d", held(1))  # a fourth entry: b goes
+    assert list(memo.entries) == ["c", "a", "d"]
+    memo.put("e", held(6))  # 9 MiB: c goes, and 8 MiB are left
+    assert list(memo.entries) == ["a", "d", "e"] and memo.held == mk._MEMO_BYTES
+    big = memo.put("f", held(9))  # over the bound alone: returned, not kept
+    assert not big.diffs.flags.writeable and "f" not in memo.entries
+    assert list(memo.entries) == ["a", "d", "e"] and memo.held == mk._MEMO_BYTES
+    memo.cache_clear()
+    assert (memo.entries, memo.held, memo.misses) == ({}, 0, 0)
+
+
+def test_memo_stays_under_its_bound_after_the_n5_cap_5_pass(monkeypatch):
+    import imsetkit.markov as mk
+
+    extended = _fresh_passes(monkeypatch)
+    for cfg, cap in _memo_cases():
+        markov_basis(cfg, cap)
+    rep = markov_basis(configuration(GroundSet(5)), 5)
+    assert rep.per_degree_counts == {2: 3, 3: 2, 4: 11, 5: 18}
+    entries = mk._passes.entries.values()
+    assert len(entries) <= mk._MEMO_ENTRIES
+    assert mk._passes.held == sum(e.diffs.nbytes for e in entries) <= mk._MEMO_BYTES
+    # the degree-5 pass fits and is kept: a second call reads it
+    ran = len(extended)
+    assert markov_basis(configuration(GroundSet(5)), 5).representatives == rep.representatives
+    assert len(extended) == ran
+
+
+def test_cap_6_adds_no_move_of_degree_5_or_6_at_n4():
+    # the degree bound of ROADMAP item 6 is 6 at n = 4: a cap that reaches
+    # it finds the moves of cap 4 and nothing more
+    assert markov_basis(configuration(GroundSet(4)), 6).per_degree_counts == {2: 2, 3: 1, 4: 4}
+
+
+def test_memo_counts_hold_under_threads(monkeypatch):
+    # six threads on two cores, switching every microsecond, get and put
+    # passes of eight keys (two sizes each); a lost update would leave the
+    # held bytes off the entries' sum, or the misses off the lookups that
+    # found nothing
+    import threading
+
+    import imsetkit.markov as mk
+
+    monkeypatch.setattr(mk, "_MEMO_ENTRIES", 4)
+    memo = mk._PassMemo()
+    sizes = [np.zeros((rows, 3), dtype=np.int64) for rows in (1, 7)]
+    missed = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        found_none = 0
+        for key, size in zip(rng.integers(0, 8, 20000).tolist(), rng.integers(0, 2, 20000).tolist()):
+            if memo.get(key) is None:
+                found_none += 1
+                memo.put(key, mk._Pass(False, sizes[size].copy()))
+        missed.append(found_none)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(missed) == 6
+    assert len(memo.entries) <= 4
+    assert memo.held == sum(e.diffs.nbytes for e in memo.entries.values())
+    assert memo.misses == sum(missed)
