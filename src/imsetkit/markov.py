@@ -127,9 +127,9 @@ import numpy as np
 from .groundset import MAX_GROUND_SIZE, GroundSet
 from .imsets import Configuration
 from .linalg import InvariantError, rank
-from .relations import BudgetError, Move, _byte_keys, _least_images, _lex_codes, _stabiliser
+from .relations import MEMORY_BUDGET_BYTES, BudgetError, Move
+from .relations import _byte_keys, _least_images, _lex_codes, _stabiliser
 
-MEMORY_BUDGET_BYTES = 2 << 30
 _KEY_SEED = 20240817
 # the work arrays of one chunk of fiber runs, in bytes (a chunk ends at the
 # first run boundary past this size, so one longer run is one chunk)
@@ -487,8 +487,6 @@ def _connecting_differences(rows, starts, labels, num_cols):
     span = np.repeat(sizes, sizes)[x]
     lo = np.repeat(first, sizes)[x]
     cost = np.cumsum(span) * (33 * num_cols + 16 * rows.shape[0] + 48)
-    if cost[-1] <= _CHUNK_BYTES:
-        return _least_differences(rows, x, span, lo, labels, num_cols)
     # batches of whole fibers: each ends at the last fiber end within a
     # further _CHUNK_BYTES, or at the next fiber end
     ends = np.append(np.flatnonzero(lo[1:] != lo[:-1]) + 1, len(x))

@@ -31,12 +31,14 @@ vectors, the pivot move reduce_to_basis uses for each leading rank and the
 label action behind symmetry_reduce are cached once per n
 (groundset.per_n), except the basic and pivot moves, which carry their
 ground set and are cached per ground set; basic_moves hands out a fresh
-list.  The label action is one read-only array of the image of every
-subset mask under each of the n! label permutations, and the
-elementary-rank maps are read off it through an (ab mask, C mask) -> rank
-lookup.  classify_relation looks z, divided by the gcd of its entries, up in
-cached sets of the basic and cyclic vectors (all entries in {-1, 0, 1})
-and tests the cached positive sides of the basic moves.
+list.  A pivot move is built from its four ranks alone; both dense move
+tables are checked from n against MEMORY_BUDGET_BYTES (markov's budget
+too) before they are built.  The label action is one read-only array of
+the image of every subset mask under each of the n! label permutations,
+and the elementary-rank maps are read off it through an (ab mask, C mask)
+-> rank lookup.  classify_relation looks z, divided by the gcd of its
+entries, up in cached sets of the basic and cyclic vectors (all entries in
+{-1, 0, 1}) and tests the cached positive sides of the basic moves.
 
 Orbits are canonicalised on integer arrays.  The acting maps, the
 stabiliser of a set of ranks, come from one array test over the rank-map
@@ -74,6 +76,9 @@ from .membership import _dfs_witnesses
 class BudgetError(RuntimeError):
     """Raised when a computation would exceed its documented budget."""
 
+
+# the memory budget of the dense move tables here and of markov_basis
+MEMORY_BUDGET_BYTES = 2 << 30
 
 # candidate sides enumerate_small_relations may try; at about 12k (n=6) to
 # 30k (n=4) sides/s (2 cores, Python 3.11) that is 4 s at most
@@ -154,21 +159,39 @@ def _basic_move_ranks(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tu
     return (r(a, b1, c_mask), r(a, b2, b1c)), (r(a, b2, c_mask), r(a, b1, b2c))
 
 
+def _check_dense_moves(g: GroundSet, count: int, what: str) -> None:
+    """BudgetError, before any is built, when count dense moves over E(N)
+    (a pointer per coefficient) exceed MEMORY_BUDGET_BYTES."""
+    need = count * g.num_elementary * 8
+    if need > MEMORY_BUDGET_BYTES:
+        raise BudgetError(
+            f"n={g.n}: {count:,} {what} need about {need >> 20} MiB, "
+            f"over the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
+        )
+
+
+def _basic_move(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tuple:
+    """The basic move (a, b1, b2, C) and its (rank, ±1) pairs by rank."""
+    (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
+    support = tuple(sorted(((p1, 1), (p2, 1), (m1, -1), (m2, -1))))
+    coeffs = [0] * g.num_elementary
+    for j, c in support:
+        coeffs[j] = c
+    return Move(g, tuple(coeffs)), support
+
+
 @lru_cache(maxsize=32)
 def _basic_move_table(g: GroundSet):
     """Read-only map (a, b1, b2, C mask) -> basic move, in basic_moves
     order."""
     if g.n < 3:
         raise ValueError("no kernel relations exist with fewer than 3 variables")
+    _check_dense_moves(g, g.n * (g.n - 1) * (g.n - 2) << (g.n - 3), "basic moves")
     out = {}
     for a, b1, b2 in permutations(range(g.n), 3):
         free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
         for c_mask in sorted(iter_submasks(free), key=g.subset_key):
-            (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
-            coeffs = [0] * g.num_elementary
-            coeffs[p1] = coeffs[p2] = 1
-            coeffs[m1] = coeffs[m2] = -1
-            out[(a, b1, b2, c_mask)] = Move(g, tuple(coeffs))
+            out[(a, b1, b2, c_mask)] = _basic_move(g, a, b1, b2, c_mask)[0]
     return MappingProxyType(out)
 
 
@@ -178,18 +201,16 @@ def _pivot_table(g: GroundSet) -> tuple:
     nonzero is +1 at j and whose other three terms come strictly later,
     with its nonzero (rank, coeff) pairs; None when the two largest labels
     outside C are a and b, which cannot lead a kernel vector."""
-    moves = _basic_move_table(g)
+    _check_dense_moves(g, g.num_elementary, "pivot moves")
     out = []
     for a, b, c_mask in g.elementary_triples:
         alpha, beta = bit_indices(g.full_mask & ~c_mask)[-2:]
         if b < beta:
-            move = moves[(a, b, beta, c_mask)]
+            out.append(_basic_move(g, a, b, beta, c_mask))
         elif a < alpha:
-            move = moves[(b, a, alpha, c_mask)]
+            out.append(_basic_move(g, b, a, alpha, c_mask))
         else:
             out.append(None)
-            continue
-        out.append((move, tuple((j, mc) for j, mc in enumerate(move.coeffs) if mc)))
     return tuple(out)
 
 

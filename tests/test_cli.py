@@ -231,6 +231,25 @@ def test_reduce_resums(capsys, tmp_path):
     assert tuple(total) == move.coeffs
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_reduce_over_budget_exits_3_at_once(capsys, monkeypatch, tmp_path, n):
+    from imsetkit import relations
+
+    def no_move(*args):
+        raise AssertionError("built a pivot move before the budget check")
+
+    g = GroundSet(n)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ground": "".join(g.labels), **basic_moves(GroundSet(4))[5].to_json()}))
+    monkeypatch.setattr(relations, "_basic_move", no_move)
+    monkeypatch.setattr(relations, "_basic_move_ranks", no_move)
+    start = time.perf_counter()
+    code = main(["reduce", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"budget exceeded: n={n}: ")
+
+
 def test_relations_counts(capsys):
     code, data = run_json(capsys, "relations", "--n", "3", "--k", "2",
                           "--degree-max", "4", "--coeff-bound", "2")

@@ -25,10 +25,13 @@ from imsetkit.markov import (
     _packed_lanes,
     _representatives,
 )
+from imsetkit import relations
 from imsetkit.relations import (
     MAX_RELATION_SIDES,
+    MEMORY_BUDGET_BYTES,
     BudgetError,
     Move,
+    _basic_move_table,
     _byte_keys,
     _cyclic_moves,
     _least_images,
@@ -219,6 +222,49 @@ def oracle_reduce_to_basis(z):
         for j, mc in support:
             vec[j] -= c * mc
         out.append((move, c))
+
+
+
+def oracle_pivot_table(g):
+    """The pivot picks as made before the pivot moves were built from their
+    four ranks: read off the dense table of every basic move."""
+    moves = _basic_move_table(g)
+    out = []
+    for a, b, c_mask in g.elementary_triples:
+        alpha, beta = bit_indices(g.full_mask & ~c_mask)[-2:]
+        if b < beta:
+            move = moves[(a, b, beta, c_mask)]
+        elif a < alpha:
+            move = moves[(b, a, alpha, c_mask)]
+        else:
+            out.append(None)
+            continue
+        out.append((move, tuple((j, mc) for j, mc in enumerate(move.coeffs) if mc)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_pivot_moves_equal_the_basic_table_picks(n):
+    g = GroundSet(n)
+    assert _pivot_table(g) == oracle_pivot_table(g)
+
+
+def test_move_tables_are_budgeted_from_n_before_they_are_built(monkeypatch):
+    def no_move(*args):
+        raise AssertionError("built a move before the budget check")
+
+    monkeypatch.setattr(relations, "_basic_move", no_move)
+    # basic moves: n(n-1)(n-2)·2^(n-3) of |E(N)| entries, 1134 MiB at n = 9
+    assert 504 * 2**6 * GroundSet(9).num_elementary * 8 <= MEMORY_BUDGET_BYTES
+    with pytest.raises(BudgetError, match="n=10: 92,160 basic moves need about 8100 MiB"):
+        _basic_move_table(GroundSet(10))
+    # pivot moves: |E(N)| of them, 1012 MiB at n = 10
+    assert GroundSet(10).num_elementary ** 2 * 8 <= MEMORY_BUDGET_BYTES
+    for n in (11, 12):
+        with pytest.raises(BudgetError, match=f"n={n}: .* pivot moves need about"):
+            _pivot_table(GroundSet(n))
+        with pytest.raises(BudgetError):
+            reduce_to_basis(Move(GroundSet(n), (0,) * GroundSet(n).num_elementary))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
