@@ -321,16 +321,12 @@ def equivalence_3x3_check(ground: GroundSet | None = None) -> dict:
     expansion_1 = exp1 == target
     expansion_2 = exp2 == target
 
-    # the difference of the two sides, as an elementary-coefficient vector,
-    # is annihilated by the configuration
-    coeffs = [0] * g.num_elementary
-    for sign, side in ((1, (f"{a}|{b}|{c}", f"{a}|{c}|{d}", f"{a}|{d}|{b}")),
-                       (-1, (f"{a}|{c}|{b}", f"{a}|{d}|{c}", f"{a}|{b}|{d}"))):
-        for s in side:
-            t = Triplet.parse(g, s)
-            coeffs[ElementaryIndex.from_triplet(t).rank] += sign
+    # the difference of the two sides, as (rank, ±1) pairs, is annihilated
+    # by the configuration
+    pairs = [(s, 1) for s in (f"{a}|{b}|{c}", f"{a}|{c}|{d}", f"{a}|{d}|{b}")]
+    pairs += [(s, -1) for s in (f"{a}|{c}|{b}", f"{a}|{d}|{c}", f"{a}|{b}|{d}")]
     try:
-        Move(g, tuple(coeffs))
+        Move.of(g, sorted((ElementaryIndex.from_triplet(Triplet.parse(g, s)).rank, sign) for s, sign in pairs))
         kernel_ok = True
     except ValueError:
         kernel_ok = False

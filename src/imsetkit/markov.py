@@ -108,9 +108,9 @@ choice of representatives.  The connecting differences of all degrees are
 canonicalised at once by relations._least_images on their array, under
 the label permutations that fix the column set (orbits keep the degree),
 and the representatives are sorted stably by degree.  A Move, with its
-exact kernel check, is built only for each representative: every other
-difference is a kernel vector already, because its two multisets passed
-the exact sum check.
+exact kernel check, is built by Move.of on the column ranks and a row's
+nonzero entries only for each representative: every other difference is a
+kernel vector already, because its two multisets passed the exact sum check.
 """
 
 from __future__ import annotations
@@ -127,10 +127,12 @@ import numpy as np
 from .groundset import MAX_GROUND_SIZE, GroundSet
 from .imsets import Configuration
 from .linalg import InvariantError, rank
-from .relations import MEMORY_BUDGET_BYTES, BudgetError, Move
+from .relations import BudgetError, Move
 from .relations import _byte_keys, _least_images, _lex_codes, _stabiliser
 
 _KEY_SEED = 20240817
+# the memory budget of a pass and of the label-permutation tables
+MEMORY_BUDGET_BYTES = 2 << 30
 # the work arrays of one chunk of fiber runs, in bytes (a chunk ends at the
 # first run boundary past this size, so one longer run is one chunk)
 _CHUNK_BYTES = 8 << 20
@@ -545,9 +547,8 @@ def _representatives(g: GroundSet, column_ranks, diffs: np.ndarray) -> list:
     ranks = np.asarray(column_ranks)[by_rank]
     least = _least_images(diffs[:, by_rank], ranks, _stabiliser(g, ranks))
     least = least[np.argsort(np.maximum(least, 0).sum(axis=1), kind="stable")]
-    coeffs = np.zeros((len(least), g.num_elementary), dtype=np.int64)
-    coeffs[:, ranks] = least
-    return [Move(g, tuple(row)) for row in coeffs.tolist()]
+    ranks = ranks.tolist()
+    return [Move.of(g, [(r, c) for r, c in zip(ranks, row) if c]) for row in least.tolist()]
 
 
 def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:

@@ -24,21 +24,20 @@ relations one of whose sides contains a full side of a basic move, and a
 residual class "other".  enumerate_small_relations machine-checks the
 taxonomy by brute force within explicit bounds.
 
-Kernel checks never build the dense configuration: Move scatters its
-nonzero coefficients through the four-rank column table of
-imsets.elementary_columns, O(4·nnz(z)).  The basic moves, the cyclic 3x3
-vectors, the pivot move reduce_to_basis uses for each leading rank and the
-label action behind symmetry_reduce are cached once per n
-(groundset.per_n), except the basic and pivot moves, which carry their
-ground set and are cached per ground set; basic_moves hands out a fresh
-list.  A pivot move is built from its four ranks alone; both dense move
-tables are checked from n against MEMORY_BUDGET_BYTES (markov's budget
-too) before they are built.  The label action is one read-only array of
-the image of every subset mask under each of the n! label permutations,
-and the elementary-rank maps are read off it through an (ab mask, C mask)
--> rank lookup.  classify_relation looks z, divided by the gcd of its
-entries, up in cached sets of the basic and cyclic vectors (all entries in
-{-1, 0, 1}) and tests the cached positive sides of the basic moves.
+A Move holds only its support, the (rank, nonzero coefficient) pairs in
+ascending rank, and its kernel check scatters them through the four-rank
+column table of imsets.elementary_columns, O(4·nnz(z)).  The basic moves,
+the cyclic 3x3 supports, the pivot move reduce_to_basis uses for each
+leading rank (built from its four ranks) and the label action behind
+symmetry_reduce are cached once per n (groundset.per_n), except the basic
+and pivot moves, which carry their ground set and are cached per ground
+set; basic_moves hands out a fresh list.  The label action is one
+read-only array of the image of every subset mask under each of the n!
+label permutations, and the elementary-rank maps are read off it through
+an (ab mask, C mask) -> rank lookup.  classify_relation looks z's support,
+divided by the gcd of its coefficients, up in cached sets of the basic and
+cyclic supports (coefficients ±1) and tests the cached positive sides of
+the basic moves.
 
 Orbits are canonicalised on integer arrays.  The acting maps, the
 stabiliser of a set of ranks, come from one array test over the rank-map
@@ -68,7 +67,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .groundset import ElementaryIndex, GroundSet, Triplet, bit_indices, iter_submasks, per_n
-from .imsets import Imset, elementary_combination
+from .imsets import Imset, elementary_columns, elementary_combination
 from .linalg import InvariantError
 from .membership import _dfs_witnesses
 
@@ -77,9 +76,6 @@ class BudgetError(RuntimeError):
     """Raised when a computation would exceed its documented budget."""
 
 
-# the memory budget of the dense move tables here and of markov_basis
-MEMORY_BUDGET_BYTES = 2 << 30
-
 # candidate sides enumerate_small_relations may try; at about 12k (n=6) to
 # 30k (n=4) sides/s (2 cores, Python 3.11) that is 4 s at most
 MAX_RELATION_SIDES = 50_000
@@ -87,48 +83,79 @@ MAX_RELATION_SIDES = 50_000
 _ORBIT_CODES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Move:
-    """Integer kernel vector of the configuration, indexed by elementary
-    rank."""
+    """Integer kernel vector of the configuration, held as its support.
+    Move(g, coeffs) takes the dense vector over E(N), Move.of(g, support)
+    the support; both run the one kernel check."""
 
     ground: GroundSet
-    coeffs: tuple
+    support: tuple
+
+    def __init__(self, ground: GroundSet, coeffs):
+        if len(coeffs) != ground.num_elementary:
+            raise ValueError("coefficient vector must cover all of E(N)")
+        # a zero that is not an int stays in, for the check to refuse
+        support = tuple((j, c) for j, c in enumerate(coeffs) if c or not isinstance(c, int))
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "support", support)
+        self.__post_init__()
+
+    @classmethod
+    def of(cls, ground: GroundSet, support) -> "Move":
+        """The move with these (rank, coefficient) pairs, ascending in rank."""
+        move = object.__new__(cls)
+        object.__setattr__(move, "ground", ground)
+        object.__setattr__(move, "support", tuple(support))
+        move.__post_init__()
+        return move
 
     def __post_init__(self):
-        g = self.ground
-        if len(self.coeffs) != g.num_elementary:
-            raise ValueError("coefficient vector must cover all of E(N)")
-        if any(not isinstance(c, int) for c in self.coeffs):
-            raise ValueError("move coefficients must be integers")
-        # f* is 1 on every elementary imset, so a kernel vector sums to zero
-        if any(elementary_combination(g, self.coeffs)):
+        columns = elementary_columns(self.ground)
+        size, sums, last = len(columns), {}, -1
+        get = sums.get
+        for j, c in self.support:
+            if not (last < j < size and c and isinstance(c, int)):
+                raise ValueError(f"not an ascending (rank in E(N), nonzero int) pair: {(j, c)!r}")
+            last = j
+            abc, c_rank, ac, bc = columns[j]
+            sums[abc] = get(abc, 0) + c
+            sums[c_rank] = get(c_rank, 0) + c
+            sums[ac] = get(ac, 0) - c
+            sums[bc] = get(bc, 0) - c
+        if any(sums.values()):
             raise ValueError("not a kernel vector of the configuration")
 
     @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient vector over E(N)."""
+        out = [0] * self.ground.num_elementary
+        for j, c in self.support:
+            out[j] = c
+        return tuple(out)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.support
 
     @property
     def degree(self) -> int:
-        return sum(c for c in self.coeffs if c > 0)
+        return sum(c for _, c in self.support if c > 0)
 
     def __neg__(self) -> "Move":
-        return Move(self.ground, tuple(-c for c in self.coeffs))
+        return Move.of(self.ground, ((j, -c) for j, c in self.support))
 
     def to_json(self) -> dict:
         g = self.ground
         lhs, rhs = {}, {}
-        for j, c in enumerate(self.coeffs):
-            if c:
-                key = str(ElementaryIndex.from_rank(g, j).triplet())
-                (lhs if c > 0 else rhs)[key] = abs(c)
+        for j, c in self.support:
+            key = str(ElementaryIndex.from_rank(g, j).triplet())
+            (lhs if c > 0 else rhs)[key] = abs(c)
         return {"lhs": lhs, "rhs": rhs}
 
     @classmethod
     def from_json(cls, ground: GroundSet, data: dict) -> "Move":
         """ValueError when two keys, in lhs or rhs, name one elementary imset."""
-        coeffs = [0] * ground.num_elementary
         seen = {}
         for sign, key in ((1, "lhs"), (-1, "rhs")):
             for name, mult in data.get(key, {}).items():
@@ -138,10 +165,9 @@ class Move:
                     raise ValueError(f"multiplicity of {name} must be an integer >= 1, got {mult!r}")
                 r = ElementaryIndex.from_triplet(t).rank
                 if r in seen:
-                    raise ValueError(f"keys {seen[r]!r} and {name!r} name the same elementary imset")
-                seen[r] = name
-                coeffs[r] = sign * m
-        return cls(ground, tuple(coeffs))
+                    raise ValueError(f"keys {seen[r][0]!r} and {name!r} name the same elementary imset")
+                seen[r] = name, sign * m
+        return cls.of(ground, sorted((r, c) for r, (_, c) in seen.items()))
 
 
 def basic_moves(g: GroundSet) -> list:
@@ -159,25 +185,10 @@ def _basic_move_ranks(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tu
     return (r(a, b1, c_mask), r(a, b2, b1c)), (r(a, b2, c_mask), r(a, b1, b2c))
 
 
-def _check_dense_moves(g: GroundSet, count: int, what: str) -> None:
-    """BudgetError, before any is built, when count dense moves over E(N)
-    (a pointer per coefficient) exceed MEMORY_BUDGET_BYTES."""
-    need = count * g.num_elementary * 8
-    if need > MEMORY_BUDGET_BYTES:
-        raise BudgetError(
-            f"n={g.n}: {count:,} {what} need about {need >> 20} MiB, "
-            f"over the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
-        )
-
-
-def _basic_move(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tuple:
-    """The basic move (a, b1, b2, C) and its (rank, ±1) pairs by rank."""
+def _basic_move(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> Move:
+    """The basic move (a, b1, b2, C), built from its four ranks."""
     (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
-    support = tuple(sorted(((p1, 1), (p2, 1), (m1, -1), (m2, -1))))
-    coeffs = [0] * g.num_elementary
-    for j, c in support:
-        coeffs[j] = c
-    return Move(g, tuple(coeffs)), support
+    return Move.of(g, sorted(((p1, 1), (p2, 1), (m1, -1), (m2, -1))))
 
 
 @lru_cache(maxsize=32)
@@ -186,22 +197,20 @@ def _basic_move_table(g: GroundSet):
     order."""
     if g.n < 3:
         raise ValueError("no kernel relations exist with fewer than 3 variables")
-    _check_dense_moves(g, g.n * (g.n - 1) * (g.n - 2) << (g.n - 3), "basic moves")
     out = {}
     for a, b1, b2 in permutations(range(g.n), 3):
         free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
         for c_mask in sorted(iter_submasks(free), key=g.subset_key):
-            out[(a, b1, b2, c_mask)] = _basic_move(g, a, b1, b2, c_mask)[0]
+            out[(a, b1, b2, c_mask)] = _basic_move(g, a, b1, b2, c_mask)
     return MappingProxyType(out)
 
 
 @lru_cache(maxsize=32)
 def _pivot_table(g: GroundSet) -> tuple:
     """Per elementary rank j of <a|b|C>: the one basic move whose least
-    nonzero is +1 at j and whose other three terms come strictly later,
-    with its nonzero (rank, coeff) pairs; None when the two largest labels
-    outside C are a and b, which cannot lead a kernel vector."""
-    _check_dense_moves(g, g.num_elementary, "pivot moves")
+    nonzero is +1 at j and whose other three terms come strictly later;
+    None when the two largest labels outside C are a and b, which cannot
+    lead a kernel vector."""
     out = []
     for a, b, c_mask in g.elementary_triples:
         alpha, beta = bit_indices(g.full_mask & ~c_mask)[-2:]
@@ -218,7 +227,9 @@ def reduce_to_basis(z: Move) -> list:
     """Write z as an exact integer combination of basic moves, returned as
     (basic move, coefficient) pairs in elimination order."""
     pivots = _pivot_table(z.ground)
-    vec = list(z.coeffs)
+    vec = [0] * z.ground.num_elementary
+    for j, c in z.support:
+        vec[j] = c
     out = []
     for lead, c in enumerate(vec):
         if not c:
@@ -226,10 +237,9 @@ def reduce_to_basis(z: Move) -> list:
         pivot = pivots[lead]
         if pivot is None:
             raise RuntimeError(f"irreducible leading term at rank {lead}")
-        move, support = pivot
-        for j, mc in support:
+        for j, mc in pivot.support:
             vec[j] -= c * mc
-        out.append((move, c))
+        out.append((pivot, c))
     if any(vec):
         raise InvariantError("reduction left a nonzero remainder")
     return out
@@ -237,9 +247,9 @@ def reduce_to_basis(z: Move) -> list:
 
 @per_n
 def _cyclic_moves(g: GroundSet):
-    """One vector per cyclic 3x3 relation (both cycle orientations), as a
-    read-only map (a, b1, b2, b3, C mask) -> coefficients of
-    u_<a|b1|b2C> + u_<a|b2|b3C> + u_<a|b3|b1C>
+    """One support per cyclic 3x3 relation (both cycle orientations), as a
+    read-only map (a, b1, b2, b3, C mask) -> the (rank, ±1) pairs, by rank,
+    of u_<a|b1|b2C> + u_<a|b2|b3C> + u_<a|b3|b1C>
       - u_<a|b2|b1C> - u_<a|b3|b2C> - u_<a|b1|b3C>."""
     out = {}
     for trio in combinations(range(g.n), 3):
@@ -249,11 +259,10 @@ def _cyclic_moves(g: GroundSet):
             free = g.full_mask & ~sum(1 << i for i in trio) & ~(1 << a)
             for c_mask in iter_submasks(free):
                 for b1, b2, b3 in ((trio[0], trio[1], trio[2]), (trio[0], trio[2], trio[1])):
-                    coeffs = [0] * g.num_elementary
-                    for x, y in ((b1, b2), (b2, b3), (b3, b1)):
-                        coeffs[g.elementary_rank(a, x, c_mask | 1 << y)] += 1
-                        coeffs[g.elementary_rank(a, y, c_mask | 1 << x)] -= 1
-                    out[(a, b1, b2, b3, c_mask)] = tuple(coeffs)
+                    cycle = ((b1, b2), (b2, b3), (b3, b1))
+                    support = [(g.elementary_rank(a, x, c_mask | 1 << y), 1) for x, y in cycle]
+                    support += [(g.elementary_rank(a, y, c_mask | 1 << x), -1) for x, y in cycle]
+                    out[(a, b1, b2, b3, c_mask)] = tuple(sorted(support))
     return MappingProxyType(out)
 
 
@@ -270,27 +279,24 @@ class RelationForm:
 
 
 def _normalize_orientation(z: Move) -> Move:
-    pos = sum(1 for c in z.coeffs if c > 0)
-    neg = sum(1 for c in z.coeffs if c < 0)
-    if neg < pos:
+    """z or -z: fewer positive entries, or on a tie a positive first one."""
+    pos = sum(1 for _, c in z.support if c > 0)
+    neg = len(z.support) - pos
+    if neg < pos or (neg == pos and z.support and z.support[0][1] < 0):
         return -z
-    if neg == pos:
-        first = next((c for c in z.coeffs if c != 0), 0)
-        if first < 0:
-            return -z
     return z
 
 
 @per_n
 def _relation_classes(g: GroundSet) -> tuple:
-    """Sets of the basic and of the cyclic coefficient tuples, all checked
-    to have entries in {-1, 0, 1}, and the basic moves' distinct positive
-    sides as rank frozensets."""
-    basics = tuple(m.coeffs for m in _basic_move_table(g).values())
+    """Sets of the basic and of the cyclic supports, all checked to have
+    coefficients ±1, and the basic moves' distinct positive sides as rank
+    frozensets."""
+    basics = tuple(m.support for m in _basic_move_table(g).values())
     cyclics = tuple(_cyclic_moves(g).values())
-    if any(c not in (-1, 0, 1) for vec in basics + cyclics for c in vec):
-        raise InvariantError("a basic or cyclic move has an entry outside {-1, 0, 1}")
-    sides = dict.fromkeys(frozenset(j for j, c in enumerate(v) if c > 0) for v in basics)
+    if any(c not in (-1, 1) for support in basics + cyclics for _, c in support):
+        raise InvariantError("a basic or cyclic move has a coefficient other than ±1")
+    sides = dict.fromkeys(frozenset(j for j, c in s if c > 0) for s in basics)
     return frozenset(basics), frozenset(cyclics), tuple(sides)
 
 
@@ -302,11 +308,11 @@ def classify_relation(z: Move) -> RelationForm:
     if z.is_zero:
         raise ValueError("the zero move has no relation form")
     z = _normalize_orientation(z)
-    pos = frozenset(j for j, c in enumerate(z.coeffs) if c > 0)
-    neg = frozenset(j for j, c in enumerate(z.coeffs) if c < 0)
+    pos = frozenset(j for j, c in z.support if c > 0)
+    neg = frozenset(j for j, c in z.support if c < 0)
     basics, cyclics, sides = _relation_classes(z.ground)
-    q = gcd(*z.coeffs)
-    primitive = tuple(c // q for c in z.coeffs)
+    q = gcd(*(c for _, c in z.support))
+    primitive = tuple((j, c // q) for j, c in z.support)
     if primitive in basics:
         classification = "two-by-two-semigraphoid"
     elif primitive in cyclics:
@@ -362,10 +368,8 @@ def enumerate_small_relations(
                     side[j] = a
                 u = Imset(g, tuple(elementary_combination(g, side)))
                 for witness in _dfs_witnesses(u, excluded=support_set):
-                    coeffs = tuple(s - w for s, w in zip(side, witness))
-                    z = _normalize_orientation(Move(g, coeffs))
-                    if z.coeffs not in seen:
-                        seen[z.coeffs] = z
+                    z = _normalize_orientation(Move(g, tuple(s - w for s, w in zip(side, witness))))
+                    seen.setdefault(z.support, z)
     forms = [classify_relation(z) for z in seen.values()]
     forms.sort(key=lambda f: (f.degree, f.k, f.m, f.move.coeffs))
     return forms

@@ -11,6 +11,7 @@ imset's extreme ray instead of one removal LP per imset.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
@@ -106,13 +107,12 @@ def _product_table(margins) -> JointTable:
 
 
 def _random_kernel_vector(rng, g, basics, max_terms=5, bound=5) -> Move:
-    coeffs = [0] * g.num_elementary
+    total = Counter()
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(basics)
         c = rng.choice([x for x in range(-bound, bound + 1) if x])
-        for j, v in enumerate(m.coeffs):
-            coeffs[j] += c * v
-    return Move(g, tuple(coeffs))
+        total.update({j: c * v for j, v in m.support})
+    return Move.of(g, sorted((j, v) for j, v in total.items() if v))
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +316,18 @@ def criterion_lattice_reduction():
     vector reduces as well."""
     g = GroundSet(4)
     basics = basic_moves(g)
-    basic_set = {m.coeffs for m in basics}
+    basic_set = set(basics)
     rng = random.Random(20240819)
     vectors = [_random_kernel_vector(rng, g, basics) for _ in range(1000)]
     # trial 1000: u_<a|b|c> + u_<a|c|d> + u_<a|d|b> - u_<a|c|b> - u_<a|d|c> - u_<a|b|d>
-    vectors.append(Move(g, _cyclic_moves(g)[(0, 1, 2, 3, 0)]))
+    vectors.append(Move.of(g, _cyclic_moves(g)[(0, 1, 2, 3, 0)]))
     for trial, z in enumerate(vectors):
-        total = [0] * g.num_elementary
+        total = Counter()
         for m, c in reduce_to_basis(z):
-            if m.coeffs not in basic_set:
+            if m not in basic_set:
                 return False, f"trial {trial}: non-basic term in reduction"
-            for j, v in enumerate(m.coeffs):
-                total[j] += c * v
-        if tuple(total) != z.coeffs:
+            total.update({j: c * v for j, v in m.support})
+        if {j: v for j, v in total.items() if v} != dict(z.support):
             return False, f"trial {trial}: reduction does not re-sum"
     return True, "1000 random vectors + the 3x3 vector reduce exactly"
 
@@ -390,7 +389,7 @@ def criterion_square_free():
             configs += 1
             for m in rep.representatives:
                 moves += 1
-                if any(abs(c) > 1 for c in m.coeffs):
+                if any(abs(c) > 1 for _, c in m.support):
                     return False, f"{t} at n={n}: non-square-free move {m.to_json()}"
     passes = markov._passes.misses
     return True, f"{configs} sub-configurations, {passes} passes, {moves} moves, all square-free"
@@ -561,14 +560,6 @@ def _run_one(num: int, name: str, fn) -> dict:
         "detail": detail,
         "seconds": round(perf_counter() - t0, 2),
     }
-
-
-def run_criterion(num: int) -> dict:
-    """Result record for one criterion number."""
-    for cid, name, fn in CRITERIA:
-        if cid == num:
-            return _run_one(cid, name, fn)
-    raise ValueError(f"no criterion numbered {num}")
 
 
 def run_suite(suite: str = "all") -> list:

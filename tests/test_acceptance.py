@@ -21,7 +21,7 @@ from imsetkit.faces import orthogonal_set
 from imsetkit.groundset import ElementaryIndex, GroundSet, enumerate_elementary, enumerate_triplets, popcount
 from imsetkit.imsets import column_value, configuration, elementary_columns, elementary_imset
 from imsetkit.linalg import lp_feasible
-from imsetkit.verify import CRITERIA, run_criterion
+from imsetkit.verify import CRITERIA
 
 
 def _modules_binding_lp_feasible() -> list:
@@ -43,17 +43,12 @@ def lp_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "num,name",
-    [(num, name) for num, name, _ in CRITERIA],
-    ids=[f"{num:02d}-{name}" for num, name, _ in CRITERIA],
-)
-def test_criterion(num, name, lp_calls):
-    result = run_criterion(num)
-    status = "PASS" if result["ok"] else "FAIL"
-    line = f"criterion {num:02d} {name}: {status} ({result['seconds']}s) {result['detail']}"
+@pytest.mark.parametrize("num,name,criterion", CRITERIA, ids=[f"{num:02d}-{name}" for num, name, _ in CRITERIA])
+def test_criterion(num, name, criterion, lp_calls):
+    ok, detail = criterion()
+    line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} {detail}"
     print(line)
-    assert result["ok"], line
+    assert ok, line
     assert lp_calls == []
 
 
@@ -146,10 +141,9 @@ def test_criterion_4_fails_on_a_wrong_certificate(monkeypatch):
         return orthogonal_set(ElementaryIndex.from_rank(g, (k + 1) % g.num_elementary).triplet())
 
     monkeypatch.setattr(verify, "orthogonal_set", next_family)
-    result = run_criterion(4)
-    assert not result["ok"]
-    assert result["detail"] == "n=3: the orthogonal family of a|b|0 does not expose u_a|b|0"
+    assert verify.criterion_extreme_rays() == (False, "n=3: the orthogonal family of a|b|0 does not expose u_a|b|0")
 
 
 def test_criterion_4_exposes_all_111_imsets():
-    assert run_criterion(4)["detail"].startswith("111 elementary imsets over n=2..5")
+    ok, detail = verify.criterion_extreme_rays()
+    assert ok and detail.startswith("111 elementary imsets over n=2..5")

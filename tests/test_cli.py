@@ -232,22 +232,30 @@ def test_reduce_resums(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("n", [11, 12])
-def test_reduce_over_budget_exits_3_at_once(capsys, monkeypatch, tmp_path, n):
-    from imsetkit import relations
-
-    def no_move(*args):
-        raise AssertionError("built a pivot move before the budget check")
+def test_reduce_over_11_and_12_labels_resums_at_once(capsys, tmp_path, n):
+    # the pivot moves are supports of four nonzeros, so no budget refuses
+    # them; z is 2·(a, b1, b2, C) - 3·(a', b1', b2', C') with the last labels
+    from imsetkit.relations import Move, _basic_move
 
     g = GroundSet(n)
+    total = {}
+    for c, m in ((2, _basic_move(g, 0, n - 1, 1, 0b1100)), (-3, _basic_move(g, n - 2, 2, n - 1, 1))):
+        for j, v in m.support:
+            total[j] = total.get(j, 0) + c * v
+    move = Move.of(g, sorted((j, v) for j, v in total.items() if v))
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"ground": "".join(g.labels), **basic_moves(GroundSet(4))[5].to_json()}))
-    monkeypatch.setattr(relations, "_basic_move", no_move)
-    monkeypatch.setattr(relations, "_basic_move_ranks", no_move)
+    path.write_text(json.dumps({"ground": "".join(g.labels), **move.to_json()}))
     start = time.perf_counter()
-    code = main(["reduce", str(path)])
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert capsys.readouterr().err.startswith(f"budget exceeded: n={n}: ")
+    code, data = run_json(capsys, "reduce", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    total = {}
+    for term in data["terms"]:
+        m = Move.from_json(g, term)
+        assert len(m.support) == 4 and m.degree == 2
+        for j, c in m.support:
+            total[j] = total.get(j, 0) + term["coefficient"] * c
+    assert sorted((j, v) for j, v in total.items() if v) == list(move.support)
 
 
 def test_relations_counts(capsys):

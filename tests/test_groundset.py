@@ -222,6 +222,6 @@ def test_label_free_tables_are_shared_per_n_and_read_only(table):
 def test_tables_of_grounded_objects_stay_per_ground_set():
     for g in (GroundSet(4), GroundSet("wxyz")):
         assert {m.ground for m in relations.basic_moves(g)} == {g}
-        assert {p[0].ground for p in relations._pivot_table(g) if p} == {g}
+        assert {p.ground for p in relations._pivot_table(g) if p} == {g}
         assert imsets.configuration(g).ground == g
         assert membership.degree_function(g).ground == g

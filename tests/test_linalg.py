@@ -292,16 +292,24 @@ from imsetkit import relations
 # the sweep of reduce_to_basis reads each rank once, so a pivot with a term
 # left of its lead, or one that leaves its lead nonzero, must be caught by
 # the remainder check; z reduces to its own pivot alone
+from types import SimpleNamespace
 g = GroundSet(4)
 real_pivots = relations._pivot_table(g)
-lead, (z, support) = next((j, p) for j, p in enumerate(real_pivots) if j and p)
-for fake in (support + ((0, 1),), ((lead, 2),) + support[1:]):
-    relations._pivot_table = lambda g: real_pivots[:lead] + ((z, fake),) + real_pivots[lead + 1:]
+lead, z = next((j, p) for j, p in enumerate(real_pivots) if j and p)
+for fake in (z.support + ((0, 1),), ((lead, 2),) + z.support[1:]):
+    pivot = SimpleNamespace(support=fake)
+    relations._pivot_table = lambda g: real_pivots[:lead] + (pivot,) + real_pivots[lead + 1:]
     try:
         relations.reduce_to_basis(z)
         print("unchecked")
     except linalg.InvariantError:
         print("checked")
+# the kernel check of a Move reads only its support, and raises
+try:
+    relations.Move.of(g, z.support[:-1])
+    print("unchecked")
+except ValueError:
+    print("checked")
 """
 
 
@@ -320,4 +328,4 @@ def test_exact_checks_survive_python_O():
     assert lines[0] == "11 1"
     assert "feasible=True" in lines[1] and "feasible=False" in lines[2]
     assert lines[3] == "[[-2, 1, 0]]"
-    assert lines[4:] == ["checked", "2", "checked", "True", "checked"] + ["checked"] * 5
+    assert lines[4:] == ["checked", "2", "checked", "True", "checked"] + ["checked"] * 6

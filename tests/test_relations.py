@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
@@ -25,10 +26,8 @@ from imsetkit.markov import (
     _packed_lanes,
     _representatives,
 )
-from imsetkit import relations
 from imsetkit.relations import (
     MAX_RELATION_SIDES,
-    MEMORY_BUDGET_BYTES,
     BudgetError,
     Move,
     _basic_move_table,
@@ -39,6 +38,7 @@ from imsetkit.relations import (
     _normalize_orientation,
     _pivot_table,
     _rank_map_array,
+    _relation_classes,
     _stabiliser,
     _subset_images,
     basic_moves,
@@ -47,6 +47,53 @@ from imsetkit.relations import (
     reduce_to_basis,
     symmetry_reduce,
 )
+
+
+@dataclass(frozen=True)
+class DenseMove:
+    """The dense Move the support form replaced, kept as the oracle: one
+    coefficient per elementary rank, every one scanned, and the kernel
+    check summed over every column."""
+
+    ground: GroundSet
+    coeffs: tuple
+
+    def __post_init__(self):
+        g = self.ground
+        if len(self.coeffs) != g.num_elementary:
+            raise ValueError("coefficient vector must cover all of E(N)")
+        if any(not isinstance(c, int) for c in self.coeffs):
+            raise ValueError("move coefficients must be integers")
+        if any(elementary_combination(g, self.coeffs)):
+            raise ValueError("not a kernel vector of the configuration")
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        return sum(c for c in self.coeffs if c > 0)
+
+    def __neg__(self) -> "DenseMove":
+        return DenseMove(self.ground, tuple(-c for c in self.coeffs))
+
+    def to_json(self) -> dict:
+        g = self.ground
+        lhs, rhs = {}, {}
+        for j, c in enumerate(self.coeffs):
+            if c:
+                key = str(ElementaryIndex.from_rank(g, j).triplet())
+                (lhs if c > 0 else rhs)[key] = abs(c)
+        return {"lhs": lhs, "rhs": rhs}
+
+
+def dense(g, support) -> tuple:
+    """The coefficient vector over E(N) with these (rank, coefficient) pairs."""
+    coeffs = [0] * g.num_elementary
+    for j, c in support:
+        coeffs[j] = c
+    return tuple(coeffs)
 
 
 def move_from_sides(g, lhs, rhs):
@@ -133,12 +180,14 @@ def test_sparse_kernel_check_matches_dense_product(case):
     g, coeffs = case
     dense = [sum(v * c for v, c in zip(row, coeffs)) for row in configuration(g).matrix]
     assert elementary_combination(g, coeffs) == dense
-    try:
-        Move(g, coeffs)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == (not any(dense))
+    support = tuple((j, c) for j, c in enumerate(coeffs) if c)
+    for build in (DenseMove, Move, lambda g, coeffs: Move.of(g, support)):
+        try:
+            build(g, coeffs)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (not any(dense))
 
 
 def test_kernel_dimension():
@@ -217,17 +266,16 @@ def oracle_reduce_to_basis(z):
         pivot = pivots[lead]
         if pivot is None:
             raise RuntimeError(f"irreducible leading term at rank {lead}")
-        move, support = pivot
         c = vec[lead]
-        for j, mc in support:
+        for j, mc in pivot.support:
             vec[j] -= c * mc
-        out.append((move, c))
+        out.append((pivot, c))
 
 
 
 def oracle_pivot_table(g):
     """The pivot picks as made before the pivot moves were built from their
-    four ranks: read off the dense table of every basic move."""
+    four ranks: read off the table of every basic move, each checked dense."""
     moves = _basic_move_table(g)
     out = []
     for a, b, c_mask in g.elementary_triples:
@@ -239,39 +287,116 @@ def oracle_pivot_table(g):
         else:
             out.append(None)
             continue
-        out.append((move, tuple((j, mc) for j, mc in enumerate(move.coeffs) if mc)))
+        out.append(DenseMove(g, move.coeffs))
     return tuple(out)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_pivot_moves_equal_the_basic_table_picks(n):
     g = GroundSet(n)
-    assert _pivot_table(g) == oracle_pivot_table(g)
+    pivots = _pivot_table(g)
+    assert [p and DenseMove(g, p.coeffs) for p in pivots] == list(oracle_pivot_table(g))
+    assert all(p is None or p.support == tuple((j, c) for j, c in enumerate(p.coeffs) if c) for p in pivots)
 
 
-def test_move_tables_are_budgeted_from_n_before_they_are_built(monkeypatch):
-    def no_move(*args):
-        raise AssertionError("built a move before the budget check")
+def test_move_tables_hold_supports_only():
+    # a basic or pivot move has four nonzeros and a cyclic one six; no
+    # table holds a vector over all of E(N)
+    g = GroundSet(6)
+    assert Move.__slots__ == ("ground", "support")
+    assert all(len(m.support) == 4 for m in _basic_move_table(g).values())
+    assert all(p is None or len(p.support) == 4 for p in _pivot_table(g))
+    assert all(len(s) == 6 for s in _cyclic_moves(g).values())
+    basics, cyclics, _ = _relation_classes(g)
+    assert {len(s) for s in basics} == {4} and {len(s) for s in cyclics} == {6}
+    assert basics == {m.support for m in basic_moves(g)}
+    for s in cyclics:
+        DenseMove(g, dense(g, s))  # a kernel vector, checked dense
 
-    monkeypatch.setattr(relations, "_basic_move", no_move)
-    # basic moves: n(n-1)(n-2)·2^(n-3) of |E(N)| entries, 1134 MiB at n = 9
-    assert 504 * 2**6 * GroundSet(9).num_elementary * 8 <= MEMORY_BUDGET_BYTES
-    with pytest.raises(BudgetError, match="n=10: 92,160 basic moves need about 8100 MiB"):
-        _basic_move_table(GroundSet(10))
-    # pivot moves: |E(N)| of them, 1012 MiB at n = 10
-    assert GroundSet(10).num_elementary ** 2 * 8 <= MEMORY_BUDGET_BYTES
-    for n in (11, 12):
-        with pytest.raises(BudgetError, match=f"n={n}: .* pivot moves need about"):
-            _pivot_table(GroundSet(n))
-        with pytest.raises(BudgetError):
-            reduce_to_basis(Move(GroundSet(n), (0,) * GroundSet(n).num_elementary))
+
+def _kernel_vectors(n):
+    """Every basic and every cyclic move at n as dense vectors, and 60
+    seeded random integer combinations of basic moves."""
+    g = GroundSet(n)
+    basics = basic_moves(g)
+    vectors = [m.coeffs for m in basics] + [dense(g, s) for s in _cyclic_moves(g).values()]
+    rng = random.Random(4800 + n)
+    for _ in range(60):
+        vec = [0] * g.num_elementary
+        for _ in range(rng.randint(1, 6)):
+            c = rng.randint(-5, 5)
+            for j, mc in rng.choice(basics).support:
+                vec[j] += c * mc
+        vectors.append(tuple(vec))
+    return g, vectors
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_both_constructors_agree_with_the_dense_oracle(n):
+    g, vectors = _kernel_vectors(n)
+    for coeffs in vectors:
+        oracle = DenseMove(g, coeffs)
+        support = tuple((j, c) for j, c in enumerate(coeffs) if c)
+        z, w = Move(g, coeffs), Move.of(g, support)
+        assert z == w and hash(z) == hash(w)
+        assert z.support == support and z.coeffs == coeffs
+        assert (z.is_zero, z.degree, z.to_json()) == (oracle.is_zero, oracle.degree, oracle.to_json())
+        assert (-z).coeffs == (-oracle).coeffs
+        assert Move.from_json(g, z.to_json()) == z
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_both_constructors_reject_a_non_kernel_vector(n):
+    g, vectors = _kernel_vectors(n)
+    rng = random.Random(4900 + n)
+    for coeffs in rng.sample(vectors, 20):
+        # one more unit at one rank leaves the kernel
+        vec = list(coeffs)
+        vec[rng.randrange(g.num_elementary)] += rng.choice((-1, 1))
+        vec = tuple(vec)
+        with pytest.raises(ValueError, match="not a kernel vector"):
+            DenseMove(g, vec)
+        with pytest.raises(ValueError, match="not a kernel vector"):
+            Move(g, vec)
+        with pytest.raises(ValueError, match="not a kernel vector"):
+            Move.of(g, tuple((j, c) for j, c in enumerate(vec) if c))
+
+
+def test_move_of_rejects_a_malformed_support():
+    g = GroundSet(4)
+    s = basic_moves(g)[5].support
+    (j, c), rest = s[0], s[1:]
+    unused = next(k for k in range(g.num_elementary) if k not in dict(s))
+    for bad in (
+        s[::-1],
+        (s[1], s[0]) + s[2:],
+        # a repeated rank, even where the pairs sum to the basic move
+        ((j, 2 * c), (j, -c)) + rest,
+        ((-1, 1),) + s,
+        s + ((g.num_elementary, 1),),
+        tuple(sorted(s + ((unused, 0),))),
+        ((j, float(c)),) + rest,
+        ((j, np.int64(c)),) + rest,
+        ((j, str(c)),) + rest,
+    ):
+        with pytest.raises(ValueError, match="not an ascending"):
+            Move.of(g, bad)
+    with pytest.raises(TypeError):
+        Move.of(g, ((float(j), c),) + rest)
+    # the dense constructor refuses a zero that is not an int, as DenseMove does
+    vec = list(basic_moves(g)[5].coeffs)
+    vec[unused] = 0.0
+    with pytest.raises(ValueError):
+        DenseMove(g, tuple(vec))
+    with pytest.raises(ValueError, match="nonzero int"):
+        Move(g, tuple(vec))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_reduce_to_basis_matches_rescanning_oracle(n):
     g = GroundSet(n)
     basics = basic_moves(g)
-    moves = basics + [Move(g, coeffs) for coeffs in _cyclic_moves(g).values()]
+    moves = basics + [Move.of(g, support) for support in _cyclic_moves(g).values()]
     rng = random.Random(n)
     for _ in range(60):
         vec = [0] * g.num_elementary
@@ -343,7 +468,7 @@ def _oracle_classification(z: Move) -> str:
             break
     if classification is None:
         for cyc in _cyclic_moves(g).values():
-            if _is_positive_multiple(z.coeffs, cyc):
+            if _is_positive_multiple(z.coeffs, dense(g, cyc)):
                 classification = "three-by-three-cyclic"
                 break
     if classification is None:
@@ -361,7 +486,7 @@ def _random_moves(rng, g, count):
     """Seeded nonzero kernel moves: positive or negative multiples of one
     basic or cyclic vector, and sums of up to three of them with
     coefficients in -3..3."""
-    vectors = [m.coeffs for m in basic_moves(g)] + list(_cyclic_moves(g).values())
+    vectors = [m.coeffs for m in basic_moves(g)] + [dense(g, s) for s in _cyclic_moves(g).values()]
     out = []
     while len(out) < count:
         coeffs = [0] * g.num_elementary
