@@ -77,29 +77,48 @@ trivial and they are never built.  The number of connecting moves is not
 bounded by the shape, so the pass checks the moves it holds against what
 the larger of the two estimates leaves.
 
-One pass per reduced matrix.  The fibers and connecting differences of a
-pass depend only on the cap and the int8 matrix of the rows some column
-touches, in column order: a row no column touches adds the same to every
-sum, and the order of the rows changes no sum's equality.  So the face of
-an exactly effective triplet <A|B|C> shares its pass with the face of
-<A|B|∅> lifted by C, and with every face whose touched rows are the same
-up to order (the 121 faces at n = 3..5 have 17 such matrices).  The pass
-runs on that matrix with its rows sorted by their bytes (_pass_key), and
-_passes keeps what it found per process: whether the kernel is trivial and
-the connecting differences, read-only, keyed by the cap and that matrix.
+One pass per label orbit of reduced matrices.  The fibers and connecting
+differences of a pass depend only on the cap and the int8 matrix of the
+rows some column touches, in column order: a row no column touches adds
+the same to every sum, and the order of the rows changes no sum's
+equality.  So the face of an exactly effective triplet <A|B|C> shares its
+pass with the face of <A|B|∅> lifted by C, and with every face whose
+touched rows are the same up to order (the 121 faces at n = 3..5 have 17
+such matrices).  A label permutation maps a column set onto its image and
+permutes the rows, so the faces of one type (the 121 fall into five with a
+nontrivial kernel) have one matrix up to the order of their columns and
+rows.  A pass runs on that matrix with its rows sorted by their bytes
+(_pass_key), and _passes keeps what it found per process: whether the
+kernel is trivial and the connecting differences, read-only, keyed by the
+cap and that matrix.  The caller's own key is looked up first, and a hit
+costs nothing more.  On a miss the columns are put in label-canonical
+order (relations._least_column_order: the least sorted image of the column
+ranks under the label permutations), and the pass of that canonical key is
+read from the memo or run; its differences, moved back to the caller's
+columns, are kept under the caller's key.  The canonical key is built from
+the same order the differences are moved back by, so any order gives a
+right pass, and the label-canonical one makes the label images share it.
+A full configuration, and a caller whose canonical key is its own, keep
+the pass of their own key; a trivial kernel looks up no canonical key.
 The memo holds at most _MEMO_ENTRIES passes and _MEMO_BYTES (8 MiB) of
 differences, and drops the least recently used first; a pass whose
 differences alone are more is not kept.  The tail runs on every call, with
 the caller's ground set and column ranks: the representatives and
-complete_source.  Reports are those of a pass of the caller's own matrix:
-the key weights of the sorted rows order the multisets, but the lanes
-decide the fibers, and relations._least_images returns the distinct least
-images in ascending order, whatever the order of the differences.  Every
-check still runs: the shape estimate and the label-table refusal before
-any degree is built (a hit gives the trivial kernel its exemption), the
-held differences of a hit against the caller's budget, the degree check on
-every difference a miss finds, and the kernel check of every
-representative Move.
+complete_source.  Sorting the rows changes no report: the key weights of
+the sorted rows order the multisets, but the lanes decide the fibers, and
+relations._least_images returns the distinct least images in ascending
+order, whatever the order of the differences.  Moving to the canonical
+column order keeps the counts per degree of a pass in the caller's own
+order, and on the faces of exactly effective triplets (tested at n = 3..5,
+and at n = 6 up to 48 columns) and the full configurations also its
+representatives, so reports and CLI output there are those of the own
+pass; on other column sets the representatives may differ, since a
+minimal basis is not unique (19 of 174 seeded random column subsets at
+n = 4 and 5 differ).  Every check still runs: the shape estimate and the
+label-table refusal before any degree is built (a hit gives the trivial
+kernel its exemption), the held differences of a hit of either key
+against the caller's budget, the degree check on every difference a pass
+finds, and the kernel check of every representative Move.
 
 Per-degree counts of a minimal generating set are independent of the
 connecting-move choices, so reports expose the counts (after reduction by
@@ -128,7 +147,7 @@ from .groundset import MAX_GROUND_SIZE, GroundSet
 from .imsets import Configuration
 from .linalg import InvariantError, rank
 from .relations import BudgetError, Move
-from .relations import _byte_keys, _least_images, _lex_codes, _stabiliser
+from .relations import _byte_keys, _least_column_order, _least_images, _lex_codes, _stabiliser
 
 _KEY_SEED = 20240817
 # the memory budget of a pass and of the label-permutation tables
@@ -559,7 +578,7 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     room = MEMORY_BUDGET_BYTES - check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
     key = _pass_key(cfg, degree_cap)
-    found = _passes.get(key)
+    found = _passes.get(key, count=False)
     # a trivial kernel has no two multisets with one sum: no degree has
     # moves, the loop is skipped, and no label tables are built, so only a
     # nontrivial kernel is refused for them; they outlive the pass's
@@ -571,9 +590,10 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     room = min(room, MEMORY_BUDGET_BYTES - tables)
     if found:
         _check_held(found.diffs, room)
+    elif trivial:
+        found = _passes.put(key, _Pass(True, np.zeros((0, cfg.num_cols), dtype=np.int64)))
     else:
-        diffs = np.zeros((0, cfg.num_cols), dtype=np.int64) if trivial else _degree_loop(key, room)
-        found = _passes.put(key, _Pass(trivial, diffs))
+        found = _transported_pass(cfg, degree_cap, key, room)
     reps = _representatives(g, [e.rank for e in cfg.columns], found.diffs)
     per_degree = dict(Counter(m.degree for m in reps))
 
@@ -588,12 +608,38 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     return MarkovBasisReport(g, degree_cap, per_degree, tuple(reps), source)
 
 
-def _pass_key(cfg: Configuration, degree_cap: int) -> tuple:
+def _pass_key(cfg: Configuration, degree_cap: int, order=None) -> tuple:
     """(cap, shape, bytes) of the int8 rows some column touches, in column
-    order, the rows sorted by their bytes: all a pass depends on."""
+    order (or with the columns in `order`), the rows sorted by their bytes:
+    all a pass depends on."""
     m = np.array(cfg.matrix, dtype=np.int8)
+    if order is not None:
+        m = m[:, order]
     m = m[m.any(axis=1)]
     return degree_cap, m.shape, b"".join(sorted(map(bytes, m)))
+
+
+def _transported_pass(cfg: Configuration, degree_cap: int, key: tuple, room: int) -> _Pass:
+    """The pass of a nontrivial kernel whose own key missed, kept under that
+    key: the pass of the label-canonical key, read from the memo or run and
+    kept, its differences moved back to the caller's columns.  A full
+    configuration keeps its own column order, and a caller whose canonical
+    key is its own key keeps that pass as it is."""
+    if _is_full_configuration(cfg):
+        order, canonical = None, key
+    else:
+        order = _least_column_order(cfg.ground, [e.rank for e in cfg.columns])
+        canonical = _pass_key(cfg, degree_cap, order)
+    base = _passes.get(canonical)
+    if base:
+        _check_held(base.diffs, room)
+    else:
+        base = _passes.put(canonical, _Pass(False, _degree_loop(canonical, room)))
+    if canonical == key:
+        return base
+    # canonical column k is the caller's column order[k]; take keeps the
+    # rows C-contiguous, as a pass leaves them, where [:, cols] would not
+    return _passes.put(key, _Pass(False, base.diffs.take(np.argsort(order), axis=1)))
 
 
 def _degree_loop(key: tuple, room: int) -> np.ndarray:
@@ -658,8 +704,11 @@ class _PassMemo:
     """The passes of this process by _pass_key, least recently used first:
     at most _MEMO_ENTRIES of them and _MEMO_BYTES of held differences (a
     pass whose differences alone are more is not kept).  misses counts the
-    lookups that found no pass; cache_clear() empties the memo.  One lock
-    guards the entries and both counts, so threads may share it."""
+    lookups that found no pass, save those made with count=False; as
+    markov_basis looks up the caller's own key that way, it counts the
+    canonical keys that missed, one per degree loop run.  cache_clear()
+    empties the memo.  One lock guards the entries and both counts, so
+    threads may share it."""
 
     def __init__(self):
         self._lock = Lock()
@@ -669,11 +718,11 @@ class _PassMemo:
         with self._lock:
             self.entries, self.held, self.misses = {}, 0, 0
 
-    def get(self, key) -> _Pass | None:
+    def get(self, key, count: bool = True) -> _Pass | None:
         with self._lock:
             found = self.entries.pop(key, None)
             if found is None:
-                self.misses += 1
+                self.misses += count
             else:
                 self.entries[key] = found
             return found

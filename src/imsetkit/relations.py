@@ -41,7 +41,9 @@ the basic moves.
 
 Orbits are canonicalised on integer arrays.  The acting maps, the
 stabiliser of a set of ranks, come from one array test over the rank-map
-array.  Each row of coefficients, and its negation, is written as a byte
+array, and so does the label-canonical order of a set of columns
+(_least_column_order), by which markov_basis shares one pass among the
+label images of a column set.  Each row of coefficients, and its negation, is written as a byte
 key whose byte order is the lexicographic order of the row (entries
 offset by the largest |entry|, big-endian).  Orbit by orbit: all
 images of the first row not yet covered under the acting maps, and their
@@ -410,6 +412,17 @@ def _stabiliser(g: GroundSet, ranks) -> np.ndarray:
     inside = np.zeros(maps.shape[1], dtype=bool)
     inside[ranks] = True
     return maps[inside[maps[:, ranks]].all(axis=1)]
+
+
+def _least_column_order(g: GroundSet, ranks) -> np.ndarray:
+    """The order that puts the columns with elementary ranks `ranks` in
+    label-canonical position: under the label permutation whose sorted
+    image of the ranks is lexicographically least, the argsort of the
+    images.  Permutations that tie differ by a symmetry of that least set,
+    so they give the same matrix up to the order of its rows."""
+    images = _rank_map_array(g)[:, ranks]
+    least = np.sort(images, axis=1)
+    return np.argsort(images[np.lexsort(least.T[::-1])[0]], kind="stable")
 
 
 def _lex_codes(z: np.ndarray) -> tuple:

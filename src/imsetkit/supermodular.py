@@ -42,7 +42,6 @@ faces.orthogonal_set.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .groundset import ElementaryIndex, GroundSet, Subset, per_n, popcount
@@ -439,56 +438,3 @@ def skeleton(g: GroundSet) -> list:
     facets.  Raises ValueError for n > 4."""
     return [SetFunction(g, f) for f, _ in _skeleton(g)]
 
-
-# ---------------------------------------------------------------------------
-# product-cone extreme-ray check (tensor products of cones)
-# ---------------------------------------------------------------------------
-
-
-def product_cone_extreme_check(G, H, g, h) -> bool:
-    """Is g⊗h extreme in M(G, H) = {f >= 0 : every row-section in cone(H),
-    every column-section in cone(G)}?
-
-    G, H are generator lists of pointed, full-dimensional cones of
-    nonnegative functions on finite sets X, Y (vectors of rationals).  The
-    test builds the explicit inequality description of M(G, H) through the
-    dual rays of the factors (extreme_rays) and applies the tight-constraint
-    rank criterion.
-    """
-    G = [tuple(Fraction(v) for v in vec) for vec in G]
-    H = [tuple(Fraction(v) for v in vec) for vec in H]
-    gv = tuple(Fraction(v) for v in g)
-    hv = tuple(Fraction(v) for v in h)
-    nx, ny = len(gv), len(hv)
-    for vec in G + H + [gv, hv]:
-        if all(v == 0 for v in vec):
-            raise ValueError("zero generator")
-        if any(v < 0 for v in vec):
-            raise ValueError("generators must be nonnegative functions (pointedness)")
-    VG = extreme_rays(G)
-    VH = extreme_rays(H)
-
-    F = [gv[x] * hv[y] for x in range(nx) for y in range(ny)]
-    dim = nx * ny
-    constraints = []
-    for y in range(ny):
-        for v in VG:
-            row = [Fraction(0)] * dim
-            for x in range(nx):
-                row[x * ny + y] = v[x]
-            constraints.append(row)
-    for x in range(nx):
-        for w in VH:
-            row = [Fraction(0)] * dim
-            for y in range(ny):
-                row[x * ny + y] = w[y]
-            constraints.append(row)
-    for i in range(dim):
-        row = [Fraction(0)] * dim
-        row[i] = Fraction(1)
-        constraints.append(row)
-
-    tight = [row for row in constraints if sum(r * f for r, f in zip(row, F)) == 0]
-    if not tight:
-        return dim == 1
-    return rank(tight) == dim - 1

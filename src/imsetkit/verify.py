@@ -376,8 +376,9 @@ def criterion_markov_n5():
 def criterion_square_free():
     """For every sub-configuration with |A|+|B|+|C| <= 5 (A,B,C covering
     the ground set), all Markov-basis moves within the cap have
-    coefficients in {0, +-1}.  Faces with one reduced matrix share a
-    pass, so the sweep, from an empty memo, counts the passes it runs."""
+    coefficients in {0, +-1}.  Faces that are label images of each other
+    share a pass, so the sweep, from an empty memo, counts the passes it
+    runs: the canonical keys that missed (markov._PassMemo)."""
     markov._passes.cache_clear()
     configs = moves = 0
     for n in (3, 4, 5):

@@ -789,10 +789,11 @@ def test_small_chunks_give_the_same_reports(monkeypatch):
     extended = _fresh_passes(monkeypatch)
     monkeypatch.setattr(mk, "_CHUNK_BYTES", 4096)
     assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == want
-    # each of the 18 reduced matrices ran its pass in small chunks: degrees
-    # 2 to 4 on the 17 with a nontrivial kernel (the one-column faces have
-    # a trivial one)
-    assert mk._passes.misses == 18 and extended == [2, 3, 4] * 17
+    # each of the 6 label-canonical matrices ran its pass in small chunks,
+    # degrees 2 to 4: the five face types with a nontrivial kernel and the
+    # full n=4 configuration (the one-column faces have a trivial kernel
+    # and look up no canonical key)
+    assert mk._passes.misses == 6 and extended == [2, 3, 4] * 6
 
 
 def test_connecting_differences_are_checked_against_the_budget(monkeypatch):
@@ -897,24 +898,89 @@ def test_moves_are_built_only_for_representatives(monkeypatch):
     assert counts[0] == 5 and sum(counts[1:]) > 20
 
 
+def _faces(n, cap, max_cols=None):
+    """The faces of the exactly effective triplets at n, at this cap, with
+    at most max_cols columns if given."""
+    g = GroundSet(n)
+    cases = [
+        (subconfiguration(t), cap)
+        for t in enumerate_triplets(g)
+        if t.a_mask | t.b_mask | t.c_mask == g.full_mask
+    ]
+    return [(cfg, cap) for cfg, cap in cases if max_cols is None or cfg.num_cols <= max_cols]
+
+
 def _memo_cases():
     # the 121 faces of exactly effective triplets at n = 3..5 and the full
     # configurations
-    cases = []
-    for n in (3, 4, 5):
+    full = [(configuration(GroundSet(n)), cap) for n, cap in ((3, 3), (4, 4), (5, 4))]
+    return _faces(3, 4) + _faces(4, 4) + _faces(5, 4) + full
+
+
+def _own_order_report(cfg, cap):
+    """The report of the pass of the caller's own column order, as
+    markov_basis made it before passes were shared across label images:
+    _degree_loop on the caller's _pass_key, then _representatives."""
+    import imsetkit.markov as mk
+
+    g = cfg.ground
+    trivial = _kernel_trivial(cfg)
+    if trivial:
+        diffs = np.zeros((0, cfg.num_cols), dtype=np.int64)
+    else:
+        diffs = mk._degree_loop(mk._pass_key(cfg, cap), MEMORY_BUDGET_BYTES)
+    reps = mk._representatives(g, [e.rank for e in cfg.columns], diffs)
+    if _is_full_configuration(cfg):
+        known = g.n <= 3 or (g.n == 4 and cap >= 4)
+        source = "literature (n <= 4)" if known else "unknown"
+    else:
+        source = "certified (trivial kernel)" if trivial else "unknown"
+    return MarkovBasisReport(g, cap, dict(Counter(m.degree for m in reps)), tuple(reps), source)
+
+
+def test_label_canonical_pass_matches_the_own_order_pass(monkeypatch):
+    # the faces and full configurations read a pass of a label image and
+    # move its differences back; their reports are byte-identical to those
+    # of their own pass
+    _fresh_passes(monkeypatch)
+    cases = _faces(3, 4) + _faces(4, 4) + _faces(5, 4) + _faces(6, 3, max_cols=48)
+    cases += [(configuration(GroundSet(n)), cap) for n, cap in ((3, 4), (4, 4), (5, 3), (5, 4))]
+    assert len(cases) == 121 + 270 + 4
+    for cfg, cap in cases:
+        got = json.dumps(markov_basis(cfg, cap).to_json())
+        assert got == json.dumps(_own_order_report(cfg, cap).to_json()), (cfg.ground.n, cfg.num_cols, cap)
+
+
+def test_random_column_subsets_keep_the_counts_of_the_own_order_pass(monkeypatch):
+    # on seeded random column subsets with a nontrivial kernel the counts
+    # per degree are those of the own pass; a minimal basis is not unique,
+    # so the representatives may differ (19 of these 174 do), but each is a
+    # kernel move of the degree it is counted under
+    from imsetkit.groundset import ElementaryIndex
+
+    _fresh_passes(monkeypatch)
+    checked = 0
+    for n, cap, most in ((4, 4, 24), (5, 3, 40)):
         g = GroundSet(n)
-        cases += [
-            (subconfiguration(t), 4)
-            for t in enumerate_triplets(g)
-            if t.a_mask | t.b_mask | t.c_mask == g.full_mask
-        ]
-    return cases + [(configuration(GroundSet(3)), 3), (configuration(GroundSet(4)), 4), (configuration(GroundSet(5)), 4)]
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            ranks = np.sort(rng.choice(g.num_elementary, int(rng.integers(6, most + 1)), replace=False))
+            cfg = configuration(g, [ElementaryIndex.from_rank(g, int(r)) for r in ranks])
+            if _kernel_trivial(cfg):
+                continue
+            rep = markov_basis(cfg, cap)
+            assert rep.per_degree_counts == _own_order_report(cfg, cap).per_degree_counts, (n, seed)
+            assert Counter(m.degree for m in rep.representatives) == rep.per_degree_counts
+            for m in rep.representatives:
+                kernel_check(cfg, m)
+            checked += 1
+    assert checked >= 150
 
 
 def test_memo_reports_equal_the_cold_reports(monkeypatch):
     # cold: the memo emptied before every call, so each runs its own pass;
     # then two sweeps with the memo, the first reading the pass of an
-    # earlier face of the same reduced matrix, the second only hits
+    # earlier face of the same label-canonical matrix, the second only hits
     import imsetkit.markov as mk
 
     cases = _memo_cases()
@@ -927,7 +993,9 @@ def test_memo_reports_equal_the_cold_reports(monkeypatch):
     mk._passes.cache_clear()
     for _ in range(2):
         assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == cold
-    assert mk._passes.misses == 20
+    # one canonical miss per face type with a nontrivial kernel (5) and per
+    # full configuration (3); every other lookup of the sweeps hits
+    assert mk._passes.misses == 8
 
 
 def test_faces_of_one_type_share_a_pass(monkeypatch):
@@ -948,14 +1016,109 @@ def test_faces_of_one_type_share_a_pass(monkeypatch):
         kernel_check(lifted, m)
 
 
-def test_criterion_13_sweep_makes_17_passes(monkeypatch):
+def test_criterion_13_sweep_makes_5_passes(monkeypatch):
     from imsetkit.verify import criterion_square_free
 
     extended = _fresh_passes(monkeypatch)
     ok, detail = criterion_square_free()
-    assert ok and detail == "121 sub-configurations, 17 passes, 455 moves, all square-free"
-    # the one-column faces have a trivial kernel and extend no index
-    assert extended == [2, 3, 4] * 16
+    assert ok and detail == "121 sub-configurations, 5 passes, 455 moves, all square-free"
+    # one degree loop per face type with a nontrivial kernel, (1,2), (1,3),
+    # (2,2), (1,4) and (2,3); the one-column faces extend no index
+    assert extended == [2, 3, 4] * 5
+
+
+def test_faces_of_one_type_at_n5_share_one_pass(monkeypatch):
+    # the 10 faces of type (2,3) at n = 5 are label images of each other:
+    # one degree loop between them, and one canonical miss
+    import imsetkit.markov as mk
+
+    extended = _fresh_passes(monkeypatch)
+    cases = [(cfg, cap) for cfg, cap in _faces(5, 4) if cfg.num_cols == 48]
+    assert len(cases) == 10
+    for cfg, cap in cases:
+        assert markov_basis(cfg, cap).per_degree_counts == {2: 7, 3: 2, 4: 10}
+    assert extended == [2, 3, 4] and mk._passes.misses == 1
+
+
+def test_a_label_image_of_a_face_that_ran_extends_no_index(monkeypatch):
+    # <ac|bd|0> is <ab|cd|0> with b and c swapped: another own key, the
+    # same canonical key, so the second face reads the first one's pass
+    import imsetkit.markov as mk
+
+    extended = _fresh_passes(monkeypatch)
+    first = subconfiguration(Triplet.parse(GroundSet(4), "ab|cd|0"))
+    image = subconfiguration(Triplet.parse(GroundSet(4), "ac|bd|0"))
+    assert mk._pass_key(first, 4) != mk._pass_key(image, 4)
+    markov_basis(first, 4)
+    ran = list(extended)
+    rep = markov_basis(image, 4)
+    assert extended == ran == [2, 3, 4] and mk._passes.misses == 1
+    assert len(mk._passes.entries) == 3  # two own keys and their canonical key
+    # the moved differences are kept C-contiguous, as a pass leaves them
+    assert all(e.diffs.flags.c_contiguous for e in mk._passes.entries.values())
+    assert json.dumps(rep.to_json()) == json.dumps(_own_order_report(image, 4).to_json())
+
+
+def test_a_wrong_transport_is_caught(monkeypatch):
+    # the canonical key is built from the order the differences are moved
+    # back by, so a column order that is no symmetry costs a pass but gives
+    # a right answer; a pass filed under the key of the swapped order while
+    # it holds the caller's own order is moved back wrongly, and the kernel
+    # check of the representatives refuses it
+    import imsetkit.markov as mk
+
+    cfg = subconfiguration(Triplet.parse(GroundSet(4), "ab|cd|0"))
+    swap = np.arange(cfg.num_cols)
+    swap[:2] = 1, 0
+    assert mk._pass_key(cfg, 4, swap) != mk._pass_key(cfg, 4)  # no symmetry
+    monkeypatch.setattr(mk, "_least_column_order", lambda g, ranks: swap)
+    extended = _fresh_passes(monkeypatch)
+    rep = markov_basis(cfg, 4)
+    assert extended == [2, 3, 4] and mk._passes.misses == 1
+    assert rep.per_degree_counts == {2: 2, 4: 4}
+    for m in rep.representatives:
+        kernel_check(cfg, m)
+
+    extended = _fresh_passes(monkeypatch)
+    own = mk._degree_loop(mk._pass_key(cfg, 4), MEMORY_BUDGET_BYTES)
+    mk._passes.put(mk._pass_key(cfg, 4, swap), mk._Pass(False, own))
+    ran = len(extended)
+    with pytest.raises(ValueError, match="not a kernel vector"):
+        markov_basis(cfg, 4)
+    assert len(extended) == ran
+
+
+_TRANSPORT_SCRIPT = """
+import numpy as np
+from imsetkit import markov
+from imsetkit.faces import subconfiguration
+from imsetkit.groundset import GroundSet, Triplet
+
+cfg = subconfiguration(Triplet.parse(GroundSet(4), "ab|cd|0"))
+swap = np.arange(cfg.num_cols)
+swap[:2] = 1, 0
+own = markov._degree_loop(markov._pass_key(cfg, 4), markov.MEMORY_BUDGET_BYTES)
+markov._passes.put(markov._pass_key(cfg, 4, swap), markov._Pass(False, own))
+markov._least_column_order = lambda g, ranks: swap
+try:
+    markov.markov_basis(cfg, 4)
+    print("accepted")
+except ValueError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_a_wrong_transport_is_caught_under_python_O():
+    import imsetkit
+
+    src = str(Path(imsetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _TRANSPORT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "refused: not a kernel vector of the configuration", flags
 
 
 def test_a_memo_hit_is_checked_against_the_callers_budget(monkeypatch):
@@ -1002,6 +1165,9 @@ def test_memo_evicts_the_least_recently_used_pass_first(monkeypatch):
         assert memo.get(key) is None
         memo.put(key, held(1))
     assert memo.get("a") is not None and memo.misses == 3
+    # a lookup made with count=False counts no miss and keeps nothing
+    assert memo.get("z", count=False) is None and memo.misses == 3
+    assert list(memo.entries) == ["b", "c", "a"]
     memo.put("d", held(1))  # a fourth entry: b goes
     assert list(memo.entries) == ["c", "a", "d"]
     memo.put("e", held(6))  # 9 MiB: c goes, and 8 MiB are left
