@@ -1,7 +1,9 @@
 """The imset-kit command line.
 
 Every command is deterministic given its inputs and flags.  JSON outputs
-carry a "schema": "imset-kit/1" field; --format picks json, csv, or text.
+carry a "schema": "imset-kit/1" field; --format picks json or text, and
+csv too for config, relations and markov (argparse refuses csv elsewhere,
+exit 2, before any work).
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 exceeded, 4 internal error (any other exception, such as a failed
 exactness check: one line on stderr instead of a traceback).  The
@@ -161,17 +163,13 @@ def _ground_flag(args) -> GroundSet:
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, payload: dict, text: str | None = None, csv_text: str | None = None) -> None:
+def _emit(args, payload: dict, text: str, csv_text: str | None = None) -> None:
     fmt = args.format
     if fmt == "json":
         out = json.dumps({"schema": SCHEMA, "command": args.command, **payload}, indent=2) + "\n"
     elif fmt == "csv":
-        if csv_text is None:
-            raise InputError(f"'{args.command}' has no csv rendering; use json or text")
         out = csv_text
     else:
-        if text is None:
-            raise InputError(f"'{args.command}' has no text rendering; use json")
         out = text if text.endswith("\n") else text + "\n"
     if args.output:
         try:
@@ -449,7 +447,7 @@ def _cmd_verify(args) -> int:
         "results": results,
     }
     text = format_results(results)
-    _emit(args, payload, text=text, csv_text=None)
+    _emit(args, payload, text=text)
     return 0 if ok else 1
 
 
@@ -474,11 +472,14 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused (parsing does
     not change it).  The handler of a command is looked up by main at call
     time, not bound here."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json", help="output format"
-    )
-    common.add_argument("-o", "--output", default=None, help="write output to a file")
+    def output(*formats):
+        # a command offers csv only where it has a csv rendering
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--format", choices=formats, default="json", help="output format")
+        parent.add_argument("-o", "--output", default=None, help="write output to a file")
+        return parent
+
+    common, tabular = output("json", "text"), output("json", "csv", "text")
 
     ground = argparse.ArgumentParser(add_help=False)
     ground.add_argument("--n", type=int, default=4, help="ground-set size (labels a, b, ...)")
@@ -490,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("config", parents=[common, ground], help="the configuration matrix")
+    sp = sub.add_parser("config", parents=[tabular, ground], help="the configuration matrix")
 
     sp = sub.add_parser(
         "check-supermodular", parents=[common], help="test a set function for supermodularity"
@@ -554,13 +555,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("move", help="move JSON file")
 
     sp = sub.add_parser(
-        "relations", parents=[common, ground], help="enumerate and classify small relations"
+        "relations", parents=[tabular, ground], help="enumerate and classify small relations"
     )
     sp.add_argument("--k", type=int, default=3, help="max distinct imsets on the smaller side")
     sp.add_argument("--degree-max", type=int, default=6, help="degree bound")
     sp.add_argument("--coeff-bound", type=int, default=3, help="coefficient bound")
 
-    sp = sub.add_parser("markov", parents=[common, ground], help="minimal Markov basis by degree")
+    sp = sub.add_parser("markov", parents=[tabular, ground], help="minimal Markov basis by degree")
     sp.add_argument("--degree-cap", type=int, default=4)
     sp.add_argument("--sub", default=None, help="restrict to the sub-configuration of A|B|C")
 

@@ -34,9 +34,10 @@ representative; each degree is one array pass:
   from the index; at the last degree the keys go before the gather and the
   index after it.
 * Chunks of whole runs.  No fiber spans two runs, so the members are
-  worked in chunks of whole runs, each about _CHUNK_BYTES of work arrays,
-  and each chunk's fibers, components and connecting moves are those of
-  the whole degree.
+  worked in chunks of whole runs, each at most _CHUNK_BYTES of work arrays
+  or one longer run, and each chunk's fibers, components and connecting
+  moves are those of the whole degree.  One cutter (_batches) makes these
+  chunks and the batches of whole fibers below.
 * Fibers are exact-sum classes.  Each column's entries plus 1 (so in
   {0, 1, 2}) are packed into unsigned lanes of uint64 words, one lane per
   row some column touches, and the words of the d columns of every run
@@ -88,35 +89,37 @@ such matrices).  A label permutation maps a column set onto its image and
 permutes the rows, so the faces of one type (the 121 fall into five with a
 nontrivial kernel) have one matrix up to the order of their columns and
 rows.  A pass runs on that matrix with its rows sorted by their bytes
-(_pass_key), and _passes keeps what it found per process: whether the
-kernel is trivial and the connecting differences, read-only, keyed by the
-cap and that matrix.  The caller's own key is looked up first, and a hit
-costs nothing more.  On a miss the columns are put in label-canonical
-order (relations._least_column_order: the least sorted image of the column
-ranks under the label permutations), and the pass of that canonical key is
-read from the memo or run; its differences, moved back to the caller's
-columns, are kept under the caller's key.  The canonical key is built from
-the same order the differences are moved back by, so any order gives a
-right pass, and the label-canonical one makes the label images share it.
-A full configuration, and a caller whose canonical key is its own, keep
-the pass of their own key; a trivial kernel looks up no canonical key.
-The memo holds at most _MEMO_ENTRIES passes and _MEMO_BYTES (8 MiB) of
-differences, and drops the least recently used first; a pass whose
-differences alone are more is not kept.  The tail runs on every call, with
-the caller's ground set and column ranks: the representatives and
+(_pass_key), and _passes keeps the connecting differences of each
+nontrivial pass per process, read-only, keyed by the cap and that
+matrix; no trivial kernel is kept, since _kernel_trivial decides one on
+a miss in microseconds.  The caller's own key is looked up first, and a
+hit costs nothing more.  On a miss of a nontrivial kernel the columns
+are put in label-canonical order (relations._least_column_order: the
+least sorted image of the column ranks under the label permutations),
+and the pass of that canonical key is read from the memo or run; its
+differences, moved back to the caller's columns, are kept under the
+caller's key.  The canonical key is built from the same order the
+differences are moved back by, so any order gives a right pass, and the
+label-canonical one makes the label images share it.  A full
+configuration, and a caller whose canonical key is its own, keep the
+pass of their own key.  The memo holds at most _MEMO_ENTRIES passes and
+_MEMO_BYTES (8 MiB) of differences, and drops the least recently used
+first; a pass whose differences alone are more is not kept.  It counts
+the degree loops it runs.  The tail runs on every call, with the
+caller's ground set and column ranks: the representatives and
 complete_source.  Sorting the rows changes no report: the key weights of
-the sorted rows order the multisets, but the lanes decide the fibers, and
-relations._least_images returns the distinct least images in ascending
-order, whatever the order of the differences.  Moving to the canonical
-column order keeps the counts per degree of a pass in the caller's own
-order, and on the faces of exactly effective triplets (tested at n = 3..5,
-and at n = 6 up to 48 columns) and the full configurations also its
-representatives, so reports and CLI output there are those of the own
-pass; on other column sets the representatives may differ, since a
-minimal basis is not unique (19 of 174 seeded random column subsets at
-n = 4 and 5 differ).  Every check still runs: the shape estimate and the
-label-table refusal before any degree is built (a hit gives the trivial
-kernel its exemption), the held differences of a hit of either key
+the sorted rows order the multisets, but the lanes decide the fibers,
+and relations._least_images returns the distinct least images in
+ascending order, whatever the order of the differences.  Moving to the
+canonical column order keeps the counts per degree of a pass in the
+caller's own order, and on the faces of exactly effective triplets
+(tested at n = 3..5, and at n = 6 up to 48 columns) and the full
+configurations also its representatives, so reports and CLI output there
+are those of the own pass; on other column sets the representatives may
+differ, since a minimal basis is not unique (19 of 174 seeded random
+column subsets at n = 4 and 5 differ).  Every check still runs: the
+shape estimate and the label-table refusal before any degree is built (a
+trivial kernel is exempt), the held differences of a hit of either key
 against the caller's budget, the degree check on every difference a pass
 finds, and the kernel check of every representative Move.
 
@@ -134,7 +137,7 @@ kernel vector already, because its two multisets passed the exact sum check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -152,8 +155,8 @@ from .relations import _byte_keys, _least_column_order, _least_images, _lex_code
 _KEY_SEED = 20240817
 # the memory budget of a pass and of the label-permutation tables
 MEMORY_BUDGET_BYTES = 2 << 30
-# the work arrays of one chunk of fiber runs, in bytes (a chunk ends at the
-# first run boundary past this size, so one longer run is one chunk)
+# the work of one batch of whole pieces, in bytes (_batches: a batch ends
+# at the last piece boundary within this size, or holds one longer piece)
 _CHUNK_BYTES = 8 << 20
 # sorted words read per step when the run flags are computed
 _FLAG_BLOCK = 1 << 16
@@ -374,32 +377,24 @@ def _fiber_members(keys):
     return members.view(np.int64), ~after[keep]
 
 
-def _chunks(starts, per_member: int):
-    """(lo, hi) slices of whole runs (a run starts at each flag of starts),
-    each the first run boundary past _CHUNK_BYTES / per_member members."""
-    step = max(1, _CHUNK_BYTES // per_member)
+def _batches(starts, reached):
+    """(lo, hi) slices of whole pieces, in order, each at most _CHUNK_BYTES
+    of work or a single piece: a piece starts at each flag of starts
+    (starts[0] is set), and reached[i], ascending, is the work of items 0
+    to i (an array, or a range for a fixed cost per item)."""
     lo, k = 0, len(starts)
     while lo < k:
-        hi = lo + step
-        if hi >= k:
-            hi = k
-        else:
-            # the next run start (argmax finds the first flag), or the end
-            hi += int(np.argmax(starts[hi:]))
+        # the items that fit, at least one; then back to the last piece
+        # start in (lo, hi], or on to the next start, or the end, past a
+        # longer piece (argmax finds the first flag, scanning no further)
+        hi = bisect_right(reached, (reached[lo - 1] if lo else 0) + _CHUNK_BYTES, lo + 1)
+        if hi < k:
+            back = int(np.argmax(starts[hi:lo:-1]))
+            hi = hi - back if starts[hi - back] else hi + int(np.argmax(starts[hi:]))
             if not starts[hi]:
                 hi = k
         yield lo, hi
         lo = hi
-
-
-def _degree_differences(rows, starts, lanes, num_cols):
-    """The connecting differences of one degree from its run members' rows
-    (d, k) and run flags, yielded chunk by chunk of whole runs: no fiber
-    spans two runs, so each chunk's fibers, components and differences are
-    those of the whole degree, and only one chunk's work arrays are alive."""
-    for lo, hi in _chunks(starts, _chunk_member_bytes(rows.shape[0], len(lanes))):
-        fibers = _fiber_components(rows[:, lo:hi], starts[lo:hi], lanes)
-        yield _connecting_differences(*fibers, num_cols)
 
 
 def _chunk_member_bytes(d: int, words: int) -> int:
@@ -497,8 +492,7 @@ def _connecting_differences(rows, starts, labels, num_cols):
     of the components with a lesser least member, so each member x of a
     later component pairs with every member y of its fiber whose label is
     less than x's.  The candidate pairs are taken in batches of whole
-    fibers that keep the dense work arrays near _CHUNK_BYTES (one fiber is
-    one batch)."""
+    fibers (_batches) that keep the dense work arrays within _CHUNK_BYTES."""
     first = np.flatnonzero(starts)
     sizes = np.diff(np.append(first, len(labels)))
     surplus = np.add.reduceat(labels == np.arange(len(labels)), first) >= 2
@@ -507,19 +501,12 @@ def _connecting_differences(rows, starts, labels, num_cols):
         return np.zeros((0, num_cols), dtype=np.int64)
     span = np.repeat(sizes, sizes)[x]
     lo = np.repeat(first, sizes)[x]
-    cost = np.cumsum(span) * (33 * num_cols + 16 * rows.shape[0] + 48)
-    # batches of whole fibers: each ends at the last fiber end within a
-    # further _CHUNK_BYTES, or at the next fiber end
-    ends = np.append(np.flatnonzero(lo[1:] != lo[:-1]) + 1, len(x))
-    reached = cost[ends - 1]
-    out, j = [], 0
-    while j < len(ends):
-        spent = int(reached[j - 1]) if j else 0
-        k = max(j + 1, int(np.searchsorted(reached, spent + _CHUNK_BYTES, side="right")))
-        a, b = (int(ends[j - 1]) if j else 0), int(ends[k - 1])
-        out.append(_least_differences(rows, x[a:b], span[a:b], lo[a:b], labels, num_cols))
-        j = k
-    return np.concatenate(out)
+    reached = np.cumsum(span) * (33 * num_cols + 16 * rows.shape[0] + 48)
+    fibers = np.concatenate(([True], lo[1:] != lo[:-1]))
+    return np.concatenate([
+        _least_differences(rows, x[a:b], span[a:b], lo[a:b], labels, num_cols)
+        for a, b in _batches(fibers, reached)
+    ])
 
 
 def _least_differences(rows, x, span, lo, labels, num_cols):
@@ -550,11 +537,6 @@ def _least_differences(rows, x, span, lo, labels, num_cols):
     return best
 
 
-def _is_full_configuration(cfg: Configuration) -> bool:
-    ranks = {e.rank for e in cfg.columns}
-    return len(ranks) == cfg.num_cols == cfg.ground.num_elementary
-
-
 def _representatives(g: GroundSet, column_ranks, diffs: np.ndarray) -> list:
     """One Move per orbit of the connecting differences (rows over the
     columns, whose elementary ranks are column_ranks) under negation and
@@ -577,27 +559,29 @@ def markov_basis(cfg: Configuration, degree_cap: int) -> MarkovBasisReport:
     # refuse once their copies outgrow what the estimate of the pass leaves
     room = MEMORY_BUDGET_BYTES - check_degree_cap(cfg.num_cols, cfg.num_rows, degree_cap)
     g = cfg.ground
+    ranks = [e.rank for e in cfg.columns]
+    full = len(set(ranks)) == cfg.num_cols == g.num_elementary
     key = _pass_key(cfg, degree_cap)
-    found = _passes.get(key, count=False)
-    # a trivial kernel has no two multisets with one sum: no degree has
-    # moves, the loop is skipped, and no label tables are built, so only a
-    # nontrivial kernel is refused for them; they outlive the pass's
-    # arrays, not the connecting differences
-    trivial = found.trivial if found else _kernel_trivial(cfg)
+    diffs = _passes.get(key)
+    # the memo keeps no trivial kernel: it has no two multisets with one sum,
+    # so no degree loop runs and no label tables are built; only a nontrivial
+    # kernel is refused for them (they outlive the pass's arrays, not its diffs)
+    trivial = diffs is None and _kernel_trivial(cfg)
     tables = 0 if trivial else _label_table_bytes(g, cfg.num_cols)
     if tables > MEMORY_BUDGET_BYTES:
         raise _over_budget("the label-permutation tables need", tables)
     room = min(room, MEMORY_BUDGET_BYTES - tables)
-    if found:
-        _check_held(found.diffs, room)
-    elif trivial:
-        found = _passes.put(key, _Pass(True, np.zeros((0, cfg.num_cols), dtype=np.int64)))
+    if trivial:
+        diffs = np.zeros((0, cfg.num_cols), dtype=np.int64)
+    elif diffs is None:
+        order = None if full else _least_column_order(g, ranks)
+        diffs = _transported_pass(cfg, degree_cap, key, room, order)
     else:
-        found = _transported_pass(cfg, degree_cap, key, room)
-    reps = _representatives(g, [e.rank for e in cfg.columns], found.diffs)
+        _check_held(diffs, room)
+    reps = _representatives(g, ranks, diffs)
     per_degree = dict(Counter(m.degree for m in reps))
 
-    if _is_full_configuration(cfg):
+    if full:
         # known from the literature: degree 2 suffices for n <= 3, 4 for n = 4
         known = g.n <= 3 or (g.n == 4 and degree_cap >= 4)
         source = "literature (n <= 4)" if known else "unknown"
@@ -619,27 +603,22 @@ def _pass_key(cfg: Configuration, degree_cap: int, order=None) -> tuple:
     return degree_cap, m.shape, b"".join(sorted(map(bytes, m)))
 
 
-def _transported_pass(cfg: Configuration, degree_cap: int, key: tuple, room: int) -> _Pass:
-    """The pass of a nontrivial kernel whose own key missed, kept under that
-    key: the pass of the label-canonical key, read from the memo or run and
-    kept, its differences moved back to the caller's columns.  A full
-    configuration keeps its own column order, and a caller whose canonical
-    key is its own key keeps that pass as it is."""
-    if _is_full_configuration(cfg):
-        order, canonical = None, key
-    else:
-        order = _least_column_order(cfg.ground, [e.rank for e in cfg.columns])
-        canonical = _pass_key(cfg, degree_cap, order)
+def _transported_pass(cfg: Configuration, degree_cap: int, key: tuple, room: int, order) -> np.ndarray:
+    """The differences of a nontrivial kernel whose own key missed, kept
+    under it: those of the pass of the label-canonical column order (None:
+    a full configuration keeps its own), from the memo or run and kept,
+    moved back to the caller's columns, unless that key is the own key."""
+    canonical = key if order is None else _pass_key(cfg, degree_cap, order)
     base = _passes.get(canonical)
-    if base:
-        _check_held(base.diffs, room)
+    if base is None:
+        base = _passes.run(canonical, room)
     else:
-        base = _passes.put(canonical, _Pass(False, _degree_loop(canonical, room)))
+        _check_held(base, room)
     if canonical == key:
         return base
     # canonical column k is the caller's column order[k]; take keeps the
     # rows C-contiguous, as a pass leaves them, where [:, cols] would not
-    return _passes.put(key, _Pass(False, base.diffs.take(np.argsort(order), axis=1)))
+    return _passes.put(key, base.take(np.argsort(order), axis=1))
 
 
 def _degree_loop(key: tuple, room: int) -> np.ndarray:
@@ -666,7 +645,14 @@ def _degree_loop(key: tuple, room: int) -> np.ndarray:
         del members
         if last:
             del idx
-        for found in _degree_differences(rows, starts, lanes, num_cols):
+        # no fiber spans two runs, so each chunk of whole runs has the
+        # fibers, components and differences of the whole degree, and only
+        # one chunk's work arrays are alive
+        per = _chunk_member_bytes(d, len(lanes))
+        for lo, hi in _batches(starts, range(per, (len(starts) + 1) * per, per)):
+            found = _connecting_differences(
+                *_fiber_components(rows[:, lo:hi], starts[lo:hi], lanes), num_cols
+            )
             diffs.append(found)
             held += found.nbytes
             if _HELD_COPIES * held > room:
@@ -691,24 +677,13 @@ def _check_held(diffs: np.ndarray, room: int) -> None:
         raise _held_over_budget(int(np.maximum(diffs[first], 0).sum()), room)
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """What markov_basis keeps of a pass: whether the kernel is trivial, and
-    the connecting differences of every degree (read-only)."""
-
-    trivial: bool
-    diffs: np.ndarray
-
-
 class _PassMemo:
-    """The passes of this process by _pass_key, least recently used first:
-    at most _MEMO_ENTRIES of them and _MEMO_BYTES of held differences (a
-    pass whose differences alone are more is not kept).  misses counts the
-    lookups that found no pass, save those made with count=False; as
-    markov_basis looks up the caller's own key that way, it counts the
-    canonical keys that missed, one per degree loop run.  cache_clear()
-    empties the memo.  One lock guards the entries and both counts, so
-    threads may share it."""
+    """The connecting differences of the nontrivial passes of this process
+    by _pass_key, read-only, least recently used first: at most
+    _MEMO_ENTRIES arrays and _MEMO_BYTES of them (an array alone larger is
+    not kept).  run() runs the degree loop of a key and keeps its
+    differences; loops counts those runs.  cache_clear() empties the memo.
+    One lock guards the entries and both counts, so threads may share it."""
 
     def __init__(self):
         self._lock = Lock()
@@ -716,29 +691,32 @@ class _PassMemo:
 
     def cache_clear(self) -> None:
         with self._lock:
-            self.entries, self.held, self.misses = {}, 0, 0
+            self.entries, self.held, self.loops = {}, 0, 0
 
-    def get(self, key, count: bool = True) -> _Pass | None:
+    def get(self, key) -> np.ndarray | None:
         with self._lock:
-            found = self.entries.pop(key, None)
-            if found is None:
-                self.misses += count
-            else:
-                self.entries[key] = found
-            return found
+            diffs = self.entries.pop(key, None)
+            if diffs is not None:
+                self.entries[key] = diffs
+            return diffs
 
-    def put(self, key, found: _Pass) -> _Pass:
-        found.diffs.flags.writeable = False
-        if found.diffs.nbytes > _MEMO_BYTES:
-            return found
+    def run(self, key, room: int) -> np.ndarray:
         with self._lock:
-            # a pass of the same key that another thread ran meanwhile
+            self.loops += 1
+        return self.put(key, _degree_loop(key, room))
+
+    def put(self, key, diffs: np.ndarray) -> np.ndarray:
+        diffs.flags.writeable = False
+        if diffs.nbytes > _MEMO_BYTES:
+            return diffs
+        with self._lock:
+            # the differences of the same key that another thread ran meanwhile
             older = self.entries.pop(key, None)
-            self.held += found.diffs.nbytes - (older.diffs.nbytes if older else 0)
-            self.entries[key] = found
+            self.held += diffs.nbytes - (0 if older is None else older.nbytes)
+            self.entries[key] = diffs
             while len(self.entries) > _MEMO_ENTRIES or self.held > _MEMO_BYTES:
-                self.held -= self.entries.pop(next(iter(self.entries))).diffs.nbytes
-        return found
+                self.held -= self.entries.pop(next(iter(self.entries))).nbytes
+        return diffs
 
 
 _passes = _PassMemo()

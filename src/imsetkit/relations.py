@@ -36,8 +36,9 @@ read-only array of the image of every subset mask under each of the n!
 label permutations, and the elementary-rank maps are read off it through
 an (ab mask, C mask) -> rank lookup.  classify_relation looks z's support,
 divided by the gcd of its coefficients, up in cached sets of the basic and
-cyclic supports (coefficients ±1) and tests the cached positive sides of
-the basic moves.
+cyclic supports (coefficients ±1; the basic ones built from their four
+ranks, with no Move) and tests the cached positive sides of the basic
+moves.
 
 Orbits are canonicalised on integer arrays.  The acting maps, the
 stabiliser of a set of ranks, come from one array test over the rank-map
@@ -187,24 +188,32 @@ def _basic_move_ranks(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tu
     return (r(a, b1, c_mask), r(a, b2, b1c)), (r(a, b2, c_mask), r(a, b1, b2c))
 
 
+def _basic_support(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> tuple:
+    """The (rank, ±1) pairs, by rank, of the basic move (a, b1, b2, C)."""
+    (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
+    return tuple(sorted(((p1, 1), (p2, 1), (m1, -1), (m2, -1))))
+
+
 def _basic_move(g: GroundSet, a: int, b1: int, b2: int, c_mask: int) -> Move:
     """The basic move (a, b1, b2, C), built from its four ranks."""
-    (p1, p2), (m1, m2) = _basic_move_ranks(g, a, b1, b2, c_mask)
-    return Move.of(g, sorted(((p1, 1), (p2, 1), (m1, -1), (m2, -1))))
+    return Move.of(g, _basic_support(g, a, b1, b2, c_mask))
+
+
+def _basic_quadruples(g: GroundSet):
+    """(a, b1, b2, C mask) of every basic move, in basic_moves order."""
+    if g.n < 3:
+        raise ValueError("no kernel relations exist with fewer than 3 variables")
+    for a, b1, b2 in permutations(range(g.n), 3):
+        free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
+        for c_mask in sorted(iter_submasks(free), key=g.subset_key):
+            yield a, b1, b2, c_mask
 
 
 @lru_cache(maxsize=32)
 def _basic_move_table(g: GroundSet):
     """Read-only map (a, b1, b2, C mask) -> basic move, in basic_moves
     order."""
-    if g.n < 3:
-        raise ValueError("no kernel relations exist with fewer than 3 variables")
-    out = {}
-    for a, b1, b2 in permutations(range(g.n), 3):
-        free = g.full_mask & ~((1 << a) | (1 << b1) | (1 << b2))
-        for c_mask in sorted(iter_submasks(free), key=g.subset_key):
-            out[(a, b1, b2, c_mask)] = _basic_move(g, a, b1, b2, c_mask)
-    return MappingProxyType(out)
+    return MappingProxyType({q: _basic_move(g, *q) for q in _basic_quadruples(g)})
 
 
 @lru_cache(maxsize=32)
@@ -293,8 +302,9 @@ def _normalize_orientation(z: Move) -> Move:
 def _relation_classes(g: GroundSet) -> tuple:
     """Sets of the basic and of the cyclic supports, all checked to have
     coefficients ±1, and the basic moves' distinct positive sides as rank
-    frozensets."""
-    basics = tuple(m.support for m in _basic_move_table(g).values())
+    frozensets.  The basic supports are built from their ranks, with no
+    Move."""
+    basics = tuple(_basic_support(g, *q) for q in _basic_quadruples(g))
     cyclics = tuple(_cyclic_moves(g).values())
     if any(c not in (-1, 1) for support in basics + cyclics for _, c in support):
         raise InvariantError("a basic or cyclic move has a coefficient other than ±1")

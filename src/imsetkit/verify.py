@@ -378,7 +378,7 @@ def criterion_square_free():
     the ground set), all Markov-basis moves within the cap have
     coefficients in {0, +-1}.  Faces that are label images of each other
     share a pass, so the sweep, from an empty memo, counts the passes it
-    runs: the canonical keys that missed (markov._PassMemo)."""
+    runs: the degree loops of the memo (markov._PassMemo)."""
     markov._passes.cache_clear()
     configs = moves = 0
     for n in (3, 4, 5):
@@ -392,7 +392,7 @@ def criterion_square_free():
                 moves += 1
                 if any(abs(c) > 1 for _, c in m.support):
                     return False, f"{t} at n={n}: non-square-free move {m.to_json()}"
-    passes = markov._passes.misses
+    passes = markov._passes.loops
     return True, f"{configs} sub-configurations, {passes} passes, {moves} moves, all square-free"
 
 

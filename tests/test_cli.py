@@ -423,6 +423,41 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "classify-imset"])
+def test_csv_without_a_rendering_exits_2_before_any_work(capsys, monkeypatch, tmp_path, command):
+    # argparse refuses the value, so neither the 15 criteria nor the
+    # classification run (both are patched to raise)
+    import imsetkit.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "classify", refuse)
+    imset = tmp_path / "u.json"
+    write_four_generator_imset(imset)
+    argv = [command] + ([str(imset)] if command == "classify-imset" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
+def test_only_config_relations_and_markov_offer_csv(capsys):
+    from imsetkit.cli import _build_parser
+
+    for command in ("config", "relations", "markov"):
+        assert _build_parser().parse_args([command, "--format", "csv"]).format == "csv"
+    for command in (
+        "check-supermodular", "skeletal", "construct", "decompose", "classify-imset", "face",
+        "face-of", "ci-model", "closure", "reduce", "verify",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([command, "--format", "csv"])
+        assert exc.value.code == 2 and "invalid choice: 'csv'" in capsys.readouterr().err, command
+
+
 @pytest.mark.parametrize("exc", [InvariantError("pivot division was inexact"), RuntimeError("boom")])
 def test_unexpected_exception_exits_4(capsys, monkeypatch, exc):
     import imsetkit.cli as cli

@@ -24,7 +24,6 @@ from imsetkit.markov import (
     MarkovBasisReport,
     _column_keys,
     _estimate_bytes,
-    _is_full_configuration,
     _kernel_trivial,
     _label_table_bytes,
     _key_weights,
@@ -107,7 +106,7 @@ def _oracle_connecting_moves_for_fiber(members, idx, num_cols):
 def _oracle_markov_basis(cfg, degree_cap):
     g = cfg.ground
     column_ranks = [e.rank for e in cfg.columns]
-    full = _is_full_configuration(cfg)
+    full = len(set(column_ranks)) == cfg.num_cols == g.num_elementary
     cols_np = np.array(cfg.matrix, dtype=np.int8)  # (num_rows, num_cols)
     num_rows, num_cols = cols_np.shape
 
@@ -770,6 +769,72 @@ def test_label_tables_fit_the_budget_up_to_n7_and_not_at_n8(monkeypatch):
         markov_basis(configuration(GroundSet(8)), 2)
 
 
+def _plain_batches(sizes, costs, budget):
+    """The oracle of markov._batches: pieces of these item counts and
+    costs, in order, a new batch begun when the next piece would take a
+    nonempty batch past the budget."""
+    out, lo, hi, spent = [], 0, 0, 0
+    for size, cost in zip(sizes, costs):
+        if hi > lo and spent + cost > budget:
+            out.append((lo, hi))
+            lo, spent = hi, 0
+        hi += size
+        spent += cost
+    return out + [(lo, hi)]
+
+
+def test_batches_match_a_plain_loop(monkeypatch):
+    # seeded random pieces of 1 to 11 items, some longer than a batch, with
+    # a cost per item (an array) or a fixed cost (a range): the batches are
+    # whole pieces, in order, each within _CHUNK_BYTES or a single piece
+    import imsetkit.markov as mk
+
+    monkeypatch.setattr(mk, "_CHUNK_BYTES", 1000)
+    rng = np.random.default_rng(5000)
+    single = 0
+    for _ in range(300):
+        sizes = rng.integers(1, 12, int(rng.integers(1, 40)))
+        firsts = np.cumsum(sizes) - sizes
+        starts = np.zeros(int(sizes.sum()), dtype=bool)
+        starts[firsts] = True
+        costs = rng.integers(1, 150, len(starts))
+        fixed = int(rng.integers(1, 300))
+        for reached, piece_costs in (
+            (np.cumsum(costs), np.add.reduceat(costs, firsts)),
+            (range(fixed, (len(starts) + 1) * fixed, fixed), sizes * fixed),
+        ):
+            got = list(mk._batches(starts, reached))
+            assert got == _plain_batches(sizes.tolist(), piece_costs.tolist(), 1000)
+            assert [lo for lo, _ in got] == [0] + [hi for _, hi in got[:-1]] and got[-1][1] == len(starts)
+            for lo, hi in got:
+                assert starts[lo] and (hi == len(starts) or starts[hi])
+                work = reached[hi - 1] - (reached[lo - 1] if lo else 0)
+                single += work > 1000
+                assert work <= 1000 or starts[lo:hi].sum() == 1
+    assert single > 100
+
+
+def test_a_one_column_face_keeps_no_pass_and_builds_no_label_table(monkeypatch):
+    # a trivial kernel is never kept: run twice from an empty memo, the face
+    # of <a|b|cd> is decided by _kernel_trivial both times, with no memo
+    # entry, no degree loop and no label table
+    import imsetkit.markov as mk
+    from imsetkit import relations
+
+    def refuse(g):
+        raise AssertionError("a label table was built")
+
+    cfg = subconfiguration(Triplet.parse(GroundSet(4), "a|b|cd"))
+    assert cfg.num_cols == 1
+    extended = _fresh_passes(monkeypatch)
+    relations._rank_map_array.cache_clear()
+    monkeypatch.setattr(relations, "_rank_map_array", refuse)
+    for _ in range(2):
+        rep = markov_basis(cfg, 4)
+        assert rep.complete_source == "certified (trivial kernel)" and rep.representatives == ()
+        assert extended == [] and mk._passes.entries == {} and mk._passes.loops == 0
+
+
 def test_small_chunks_give_the_same_reports(monkeypatch):
     # 4 KiB chunks hold about 16 run members at degree 4, so every degree
     # spans many chunks; no fiber spans two runs, so the reports are those
@@ -792,8 +857,8 @@ def test_small_chunks_give_the_same_reports(monkeypatch):
     # each of the 6 label-canonical matrices ran its pass in small chunks,
     # degrees 2 to 4: the five face types with a nontrivial kernel and the
     # full n=4 configuration (the one-column faces have a trivial kernel
-    # and look up no canonical key)
-    assert mk._passes.misses == 6 and extended == [2, 3, 4] * 6
+    # and run no loop)
+    assert mk._passes.loops == 6 and extended == [2, 3, 4] * 6
 
 
 def test_connecting_differences_are_checked_against_the_budget(monkeypatch):
@@ -929,8 +994,9 @@ def _own_order_report(cfg, cap):
         diffs = np.zeros((0, cfg.num_cols), dtype=np.int64)
     else:
         diffs = mk._degree_loop(mk._pass_key(cfg, cap), MEMORY_BUDGET_BYTES)
-    reps = mk._representatives(g, [e.rank for e in cfg.columns], diffs)
-    if _is_full_configuration(cfg):
+    ranks = [e.rank for e in cfg.columns]
+    reps = mk._representatives(g, ranks, diffs)
+    if len(set(ranks)) == cfg.num_cols == g.num_elementary:
         known = g.n <= 3 or (g.n == 4 and cap >= 4)
         source = "literature (n <= 4)" if known else "unknown"
     else:
@@ -995,7 +1061,7 @@ def test_memo_reports_equal_the_cold_reports(monkeypatch):
         assert [json.dumps(markov_basis(cfg, cap).to_json()) for cfg, cap in cases] == cold
     # one canonical miss per face type with a nontrivial kernel (5) and per
     # full configuration (3); every other lookup of the sweeps hits
-    assert mk._passes.misses == 8
+    assert mk._passes.loops == 8
 
 
 def test_faces_of_one_type_share_a_pass(monkeypatch):
@@ -1010,7 +1076,7 @@ def test_faces_of_one_type_share_a_pass(monkeypatch):
     assert markov_basis(low, 4).per_degree_counts == {2: 2, 4: 4}
     ran = list(extended)
     rep = markov_basis(lifted, 4)
-    assert extended == ran == [2, 3, 4] and mk._passes.misses == 1
+    assert extended == ran == [2, 3, 4] and mk._passes.loops == 1
     assert rep.per_degree_counts == {2: 2, 4: 4}
     for m in rep.representatives:
         kernel_check(lifted, m)
@@ -1037,7 +1103,7 @@ def test_faces_of_one_type_at_n5_share_one_pass(monkeypatch):
     assert len(cases) == 10
     for cfg, cap in cases:
         assert markov_basis(cfg, cap).per_degree_counts == {2: 7, 3: 2, 4: 10}
-    assert extended == [2, 3, 4] and mk._passes.misses == 1
+    assert extended == [2, 3, 4] and mk._passes.loops == 1
 
 
 def test_a_label_image_of_a_face_that_ran_extends_no_index(monkeypatch):
@@ -1052,10 +1118,10 @@ def test_a_label_image_of_a_face_that_ran_extends_no_index(monkeypatch):
     markov_basis(first, 4)
     ran = list(extended)
     rep = markov_basis(image, 4)
-    assert extended == ran == [2, 3, 4] and mk._passes.misses == 1
+    assert extended == ran == [2, 3, 4] and mk._passes.loops == 1
     assert len(mk._passes.entries) == 3  # two own keys and their canonical key
     # the moved differences are kept C-contiguous, as a pass leaves them
-    assert all(e.diffs.flags.c_contiguous for e in mk._passes.entries.values())
+    assert all(diffs.flags.c_contiguous for diffs in mk._passes.entries.values())
     assert json.dumps(rep.to_json()) == json.dumps(_own_order_report(image, 4).to_json())
 
 
@@ -1074,14 +1140,14 @@ def test_a_wrong_transport_is_caught(monkeypatch):
     monkeypatch.setattr(mk, "_least_column_order", lambda g, ranks: swap)
     extended = _fresh_passes(monkeypatch)
     rep = markov_basis(cfg, 4)
-    assert extended == [2, 3, 4] and mk._passes.misses == 1
+    assert extended == [2, 3, 4] and mk._passes.loops == 1
     assert rep.per_degree_counts == {2: 2, 4: 4}
     for m in rep.representatives:
         kernel_check(cfg, m)
 
     extended = _fresh_passes(monkeypatch)
     own = mk._degree_loop(mk._pass_key(cfg, 4), MEMORY_BUDGET_BYTES)
-    mk._passes.put(mk._pass_key(cfg, 4, swap), mk._Pass(False, own))
+    mk._passes.put(mk._pass_key(cfg, 4, swap), own)
     ran = len(extended)
     with pytest.raises(ValueError, match="not a kernel vector"):
         markov_basis(cfg, 4)
@@ -1098,7 +1164,7 @@ cfg = subconfiguration(Triplet.parse(GroundSet(4), "ab|cd|0"))
 swap = np.arange(cfg.num_cols)
 swap[:2] = 1, 0
 own = markov._degree_loop(markov._pass_key(cfg, 4), markov.MEMORY_BUDGET_BYTES)
-markov._passes.put(markov._pass_key(cfg, 4, swap), markov._Pass(False, own))
+markov._passes.put(markov._pass_key(cfg, 4, swap), own)
 markov._least_column_order = lambda g, ranks: swap
 try:
     markov.markov_basis(cfg, 4)
@@ -1147,36 +1213,40 @@ def test_memo_differences_are_read_only(monkeypatch):
 
     _fresh_passes(monkeypatch)
     markov_basis(configuration(GroundSet(4)), 4)
-    (found,) = mk._passes.entries.values()
-    assert len(found.diffs) and not found.diffs.flags.writeable
+    (diffs,) = mk._passes.entries.values()
+    assert len(diffs) and not diffs.flags.writeable
     with pytest.raises(ValueError):
-        found.diffs[0, 0] = 5
+        diffs[0, 0] = 5
 
 
 def test_memo_evicts_the_least_recently_used_pass_first(monkeypatch):
     import imsetkit.markov as mk
 
     def held(mib):
-        return mk._Pass(False, np.zeros((mib << 17, 1), dtype=np.int64))
+        return np.zeros((mib << 17, 1), dtype=np.int64)
 
+    ran = []
+    monkeypatch.setattr(mk, "_degree_loop", lambda key, room: ran.append(key) or held(1))
     monkeypatch.setattr(mk, "_MEMO_ENTRIES", 3)
     memo = mk._PassMemo()
     for key in "abc":
         assert memo.get(key) is None
-        memo.put(key, held(1))
-    assert memo.get("a") is not None and memo.misses == 3
-    # a lookup made with count=False counts no miss and keeps nothing
-    assert memo.get("z", count=False) is None and memo.misses == 3
+        assert not memo.run(key, 0).flags.writeable
+    assert ran == ["a", "b", "c"] and memo.loops == 3
+    # a hit makes its key the most recently used; a miss keeps nothing, and
+    # neither runs a loop
+    assert memo.get("a") is not None and memo.get("z") is None
+    assert ran == ["a", "b", "c"] and memo.loops == 3
     assert list(memo.entries) == ["b", "c", "a"]
     memo.put("d", held(1))  # a fourth entry: b goes
     assert list(memo.entries) == ["c", "a", "d"]
     memo.put("e", held(6))  # 9 MiB: c goes, and 8 MiB are left
     assert list(memo.entries) == ["a", "d", "e"] and memo.held == mk._MEMO_BYTES
     big = memo.put("f", held(9))  # over the bound alone: returned, not kept
-    assert not big.diffs.flags.writeable and "f" not in memo.entries
+    assert not big.flags.writeable and "f" not in memo.entries
     assert list(memo.entries) == ["a", "d", "e"] and memo.held == mk._MEMO_BYTES
     memo.cache_clear()
-    assert (memo.entries, memo.held, memo.misses) == ({}, 0, 0)
+    assert (memo.entries, memo.held, memo.loops) == ({}, 0, 0)
 
 
 def test_memo_stays_under_its_bound_after_the_n5_cap_5_pass(monkeypatch):
@@ -1189,7 +1259,7 @@ def test_memo_stays_under_its_bound_after_the_n5_cap_5_pass(monkeypatch):
     assert rep.per_degree_counts == {2: 3, 3: 2, 4: 11, 5: 18}
     entries = mk._passes.entries.values()
     assert len(entries) <= mk._MEMO_ENTRIES
-    assert mk._passes.held == sum(e.diffs.nbytes for e in entries) <= mk._MEMO_BYTES
+    assert mk._passes.held == sum(diffs.nbytes for diffs in entries) <= mk._MEMO_BYTES
     # the degree-5 pass fits and is kept: a second call reads it
     ran = len(extended)
     assert markov_basis(configuration(GroundSet(5)), 5).representatives == rep.representatives
@@ -1203,26 +1273,27 @@ def test_cap_6_adds_no_move_of_degree_5_or_6_at_n4():
 
 
 def test_memo_counts_hold_under_threads(monkeypatch):
-    # six threads on two cores, switching every microsecond, get and put
-    # passes of eight keys (two sizes each); a lost update would leave the
-    # held bytes off the entries' sum, or the misses off the lookups that
-    # found nothing
+    # six threads on two cores, switching every microsecond, look up eight
+    # keys and run the missing ones, under a degree loop patched to give
+    # `room` rows (1 or 7, so two sizes per key); a lost update would leave
+    # the held bytes off the entries' sum, or the loops off the lookups
+    # that found nothing
     import threading
 
     import imsetkit.markov as mk
 
+    monkeypatch.setattr(mk, "_degree_loop", lambda key, room: np.zeros((room, 3), dtype=np.int64))
     monkeypatch.setattr(mk, "_MEMO_ENTRIES", 4)
     memo = mk._PassMemo()
-    sizes = [np.zeros((rows, 3), dtype=np.int64) for rows in (1, 7)]
     missed = []
 
     def work(seed):
         rng = np.random.default_rng(seed)
         found_none = 0
-        for key, size in zip(rng.integers(0, 8, 20000).tolist(), rng.integers(0, 2, 20000).tolist()):
+        for key, rows in zip(rng.integers(0, 8, 20000).tolist(), rng.choice([1, 7], 20000).tolist()):
             if memo.get(key) is None:
                 found_none += 1
-                memo.put(key, mk._Pass(False, sizes[size].copy()))
+                memo.run(key, rows)
         missed.append(found_none)
 
     interval = sys.getswitchinterval()
@@ -1237,5 +1308,5 @@ def test_memo_counts_hold_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(missed) == 6
     assert len(memo.entries) <= 4
-    assert memo.held == sum(e.diffs.nbytes for e in memo.entries.values())
-    assert memo.misses == sum(missed)
+    assert memo.held == sum(diffs.nbytes for diffs in memo.entries.values())
+    assert memo.loops == sum(missed)

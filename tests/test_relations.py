@@ -309,9 +309,27 @@ def test_move_tables_hold_supports_only():
     assert all(len(s) == 6 for s in _cyclic_moves(g).values())
     basics, cyclics, _ = _relation_classes(g)
     assert {len(s) for s in basics} == {4} and {len(s) for s in cyclics} == {6}
-    assert basics == {m.support for m in basic_moves(g)}
     for s in cyclics:
         DenseMove(g, dense(g, s))  # a kernel vector, checked dense
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_basic_supports_are_those_of_the_basic_moves(n):
+    g = GroundSet(n)
+    basics, _, _ = _relation_classes(g)
+    assert basics == {m.support for m in basic_moves(g)}
+    assert len(basics) == n * (n - 1) * (n - 2) << (n - 3)
+
+
+def test_relation_classes_build_no_move(monkeypatch):
+    # the basic supports come from their ranks: building the classes at a
+    # fresh n checks no Move
+    built = []
+    monkeypatch.setattr(Move, "__post_init__", lambda self: built.append(self))
+    _relation_classes.cache_clear()
+    _basic_move_table.cache_clear()
+    basics, cyclics, sides = _relation_classes(GroundSet(6))
+    assert built == [] and len(basics) == 960 and cyclics and sides
 
 
 def _kernel_vectors(n):
